@@ -16,16 +16,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import EnvironmentParams, VehicleParams
 
-#: bisection tolerance on induced velocity, m/s
+#: Newton step tolerance on induced velocity, m/s
 INDUCED_TOL = 1e-10
-#: iteration cap for the induced-velocity bisection
+#: iteration cap for the induced-velocity Newton solve
 INDUCED_MAX_ITER = 200
 
 
+def _lib(x):
+    """math for Python numbers, numpy for anything else (numpy scalars too,
+    so 0-d and n-d inputs share numpy's kernels)."""
+    return math if type(x) in (int, float) else np
+
+
 class SolverError(RuntimeError):
-    """The induced-velocity bisection failed to converge."""
+    """An iterative solve (induced velocity, flying trim) did not converge."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
     """Body area projected on the plane orthogonal to the velocity vector.
 
     A = (h|cos a| + 2 l |sin a|) w, with h selected by ``mode`` ("rolling"
-    or "flying"). Pi-periodic and strictly positive.
+    or "flying"). Pi-periodic and strictly positive; broadcasts over alpha.
     """
     if mode == "rolling":
         h = vehicle.body_height_h_rolling
@@ -48,70 +56,101 @@ def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
         h = vehicle.body_height_h_flying
     else:
         raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
-    return (h * abs(math.cos(alpha))
-            + 2.0 * vehicle.shell_radius_l * abs(math.sin(alpha))
+    lib = _lib(alpha)
+    return (h * abs(lib.cos(alpha))
+            + 2.0 * vehicle.shell_radius_l * abs(lib.sin(alpha))
             ) * vehicle.shell_width_w
 
 
 def drag_force(env: EnvironmentParams, area: float, speed: float,
                cd: float = 2.1) -> float:
-    """Drag magnitude 0.5 * cd * rho * A * v^2, opposing motion."""
-    return 0.5 * cd * env.air_density * area * speed * speed
+    """Drag 0.5 * cd * rho * A * v |v|, signed with v (it opposes motion)."""
+    return 0.5 * cd * env.air_density * area * speed * abs(speed)
 
 
-def induced_velocity(thrust: float, env: EnvironmentParams, disk_area: float,
-                     v_inf: float = 0.0, alpha: float = 0.0) -> float:
+def _edgewise_inflow(rhs, vx, sqrt):
+    """Root of nu^2 (nu^2 + vx^2) = rhs^2, a quadratic in nu^2.
+
+    nu^2 = 2 rhs^2 / (vx^2 + sqrt(vx^4 + 4 rhs^2)) = rhs / (q + sqrt(1 + q^2))
+    with q = vx^2 / (2 rhs): no cancellation when rhs << vx^2, no underflow,
+    exactly sqrt(rhs) in hover. math.sqrt and np.sqrt both round correctly,
+    so scalar and array calls agree bit for bit.
+    """
+    q = vx * vx / (2.0 * rhs)
+    return sqrt(rhs / (q + sqrt(1.0 + q * q)))
+
+
+def _tilted_inflow(rhs, vx, vz):
+    """Bracket-safeguarded Newton solve of nu |(vx, vz + nu)| = rhs. An
+    element stops updating once its step is below INDUCED_TOL, so results
+    do not depend on the other elements."""
+    lo, hi = np.zeros_like(rhs), np.sqrt(rhs) + np.maximum(0.0, -vz)
+    # for vz > 0 the residual is convex and the edgewise root lies above
+    # the tilted one, so Newton descends monotonically from it
+    nu = _edgewise_inflow(rhs, np.hypot(vx, vz), np.sqrt)
+    active = np.ones(rhs.shape, bool)
+    for _ in range(INDUCED_MAX_ITER):
+        w = vz + nu
+        s = np.sqrt(vx * vx + w * w)
+        res = nu * s - rhs
+        lo, hi = np.where(res < 0.0, nu, lo), np.where(res > 0.0, nu, hi)
+        new = nu - res / (s + nu * w / s)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        step = np.abs(new - nu)
+        nu = np.where(active, new, nu)
+        active &= ~(step < INDUCED_TOL)
+        if not active.any():
+            return nu
+    raise SolverError(f"induced velocity Newton solve did not converge to "
+                      f"{INDUCED_TOL} in {INDUCED_MAX_ITER} iterations")
+
+
+def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
+                     v_inf=0.0, alpha=0.0):
     """Momentum-theory induced velocity through a rotor disk.
 
     Returns the non-negative root nu of
 
         nu * sqrt((v_inf cos a)^2 + (v_inf sin a + nu)^2) = f / (2 rho A)
 
-    by bracketed bisection. At v_inf = 0 this is the hover closed form
-    sqrt(f / (2 rho A)).
+    broadcasting thrust, v_inf and alpha; Python numbers give a float. With
+    no axial component (edgewise, or hover) the root is closed-form, else a
+    bracket-safeguarded Newton solve converges to INDUCED_TOL.
     """
-    if thrust < 0:
-        raise ValueError(f"thrust must be >= 0, got {thrust!r}")
     if disk_area <= 0:
         raise ValueError(f"disk_area must be > 0, got {disk_area!r}")
-    if thrust == 0.0:
-        return 0.0
-    rhs = thrust / (2.0 * env.air_density * disk_area)
-    if v_inf == 0.0:
-        return math.sqrt(rhs)
+    rho2a = 2.0 * env.air_density * disk_area
+    if _lib(thrust) is _lib(v_inf) is _lib(alpha) is math and alpha == 0.0:
+        # the closed loop's per-tick path: plain float arithmetic
+        if thrust < 0:
+            raise ValueError(f"thrust must be >= 0, got {thrust!r}")
+        if thrust == 0.0:
+            return 0.0
+        return _edgewise_inflow(thrust / rho2a, v_inf, math.sqrt)
 
-    vx = v_inf * math.cos(alpha)
-    vz = v_inf * math.sin(alpha)
-
-    def residual(nu: float) -> float:
-        return nu * math.hypot(vx, vz + nu) - rhs
-
-    lo = 0.0
-    hi = math.sqrt(rhs)  # hover value brackets from above when inflow adds
-    it = 0
-    while residual(hi) < 0.0:
-        hi *= 2.0
-        it += 1
-        if it > INDUCED_MAX_ITER:
-            raise SolverError("failed to bracket induced velocity")
-    for _ in range(INDUCED_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < INDUCED_TOL:
-            return 0.5 * (lo + hi)
-    raise SolverError(
-        f"induced velocity bisection did not converge to {INDUCED_TOL} "
-        f"in {INDUCED_MAX_ITER} iterations")
+    shape = np.broadcast_shapes(np.shape(thrust), np.shape(v_inf),
+                                np.shape(alpha))
+    thrust, v_inf, alpha = (np.broadcast_to(x, shape).astype(float).ravel()
+                            for x in (thrust, v_inf, alpha))
+    if np.any(thrust < 0):
+        raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
+    rhs = thrust / rho2a
+    vx, vz = v_inf * np.cos(alpha), v_inf * np.sin(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = _edgewise_inflow(rhs, vx, np.sqrt)
+        tilted = (vz != 0.0) & (thrust > 0.0)
+        if tilted.any():
+            nu[tilted] = _tilted_inflow(rhs[tilted], vx[tilted], vz[tilted])
+    nu = np.where(thrust > 0.0, nu, 0.0).reshape(shape)
+    return float(nu) if nu.ndim == 0 else nu
 
 
 def rotor_power(op_point: RotorOperatingPoint, eta_p: float, eta_m: float,
-                eta_c: float) -> float:
+                eta_c: float):
     """Electrical power P = f (nu - v_inf sin a) / (eta_p eta_m eta_c).
 
     Clamped at zero: descending-flight windmilling recovery is not modeled.
+    The operating-point fields may be broadcastable arrays.
     """
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
         if not (0.0 < eta <= 1.0):
@@ -119,16 +158,27 @@ def rotor_power(op_point: RotorOperatingPoint, eta_p: float, eta_m: float,
     op = op_point
     aero = op.thrust_f * (op.induced_velocity_nu
                           - op.freestream_v_inf
-                          * math.sin(op.angle_of_attack_alpha))
-    return max(0.0, aero) / (eta_p * eta_m * eta_c)
+                          * _lib(op.angle_of_attack_alpha).sin(
+                              op.angle_of_attack_alpha))
+    if _lib(aero) is math:
+        return max(0.0, aero) / (eta_p * eta_m * eta_c)
+    return np.maximum(aero, 0.0) / (eta_p * eta_m * eta_c)
+
+
+def rotors_power(env: EnvironmentParams, vehicle: VehicleParams,
+                 n_rotors: int, thrust, v_inf=0.0, tilt=0.0):
+    """Electrical power of ``n_rotors`` rotors, each at ``thrust``, in a
+    freestream v_inf at propulsive tilt (0: edgewise) whose axial component
+    adds to the induced flow. Broadcasts over thrust, v_inf and tilt."""
+    nu = induced_velocity(thrust, env, vehicle.rotor_disk_area, v_inf=v_inf,
+                          alpha=tilt)
+    op = RotorOperatingPoint(thrust_f=thrust, freestream_v_inf=v_inf,
+                             angle_of_attack_alpha=-tilt,
+                             induced_velocity_nu=nu)
+    return n_rotors * rotor_power(op, vehicle.eta_propeller,
+                                  vehicle.eta_motor, vehicle.eta_controller)
 
 
 def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:
     """Total electrical hover power of one agent (4 rotors, v_inf = 0)."""
-    f = vehicle.cobot_mass * env.gravity / 4.0
-    nu = induced_velocity(f, env, vehicle.rotor_disk_area)
-    op = RotorOperatingPoint(thrust_f=f, freestream_v_inf=0.0,
-                             angle_of_attack_alpha=0.0,
-                             induced_velocity_nu=nu)
-    return 4.0 * rotor_power(op, vehicle.eta_propeller, vehicle.eta_motor,
-                             vehicle.eta_controller)
+    return rotors_power(env, vehicle, 4, vehicle.cobot_mass * env.gravity / 4.0)

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import dynamics, rangeopt, thermal
+from . import aeropower, dynamics, rangeopt, thermal
 from .params import (ConfigError, ScenarioConfig, ValidationError,
-                     config_from_mapping, earth_defaults)
+                     config_from_mapping, earth_defaults, parse_document)
 
 #: default thickness sweep for the thermal table, m
 THERMAL_THICKNESS_GRID = np.linspace(0.005, 0.05, 46)
@@ -62,18 +62,14 @@ def _emit_json(summary: dict, path: str | None) -> int:
 
 
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
+    """Layer the preset, then the config file's keys, then each --set."""
     values: dict = {}
     if args.env == "earth":
         values.update(asdict(earth_defaults()))
     path = args.config or os.environ.get("MOBILITYLAB_CONFIG")
     if path:
-        from .params import load_config, serialize  # parse then re-flatten
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = load_config(text)
-        for line in serialize(cfg).splitlines():
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            values.update(parse_document(fh.read()))
     for item in args.set or []:
         key, sep, val = item.partition("=")
         if not sep:
@@ -254,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --duration must be > 0 and --record-every >= 1",
                   file=sys.stderr)
             return 2
+    if args.subcommand == "tradeoff-map" and args.resolution < 1:
+        print("error: --resolution must be >= 1", file=sys.stderr)
+        return 2
     try:
         config = _build_config(args)
     except (ConfigError, ValidationError, OSError) as exc:
@@ -261,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         table, summary = _COMMANDS[args.subcommand](args, config)
-    except (rangeopt.AllInfeasibleError, ValueError) as exc:
+    except (rangeopt.AllInfeasibleError, aeropower.SolverError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":

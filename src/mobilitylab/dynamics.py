@@ -86,7 +86,7 @@ def _rolling_accel(config: ScenarioConfig, roll_angle: float, omega: float,
     normal = m * env.gravity * math.cos(ter.slope_theta)
     v = omega * radius
     area = aeropower.projected_area(veh, roll_angle, "rolling")
-    drag = 0.5 * veh.drag_coefficient_cd * env.air_density * area * v * abs(v)
+    drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
     resist_torque = (m * env.gravity * math.sin(ter.slope_theta) * radius
                      + drag * radius)
     if abs(omega) > OMEGA_STATIC:
@@ -99,29 +99,20 @@ def _rolling_accel(config: ScenarioConfig, roll_angle: float, omega: float,
 def rolling_electrical_power(config: ScenarioConfig, torque_y: float,
                              v: float) -> float:
     """Electrical power drawn to hold torque_y while translating at v."""
-    veh = config.vehicle
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
-    cmd = control.ControlCommand(torque_cmd=np.array([0.0, torque_y, 0.0]))
-    forces = control.allocate(cmd, mixer)
-    power = 0.0
-    cache: dict[float, float] = {}
-    for f_pair in forces:
-        mag = abs(f_pair)
-        if mag == 0.0:
-            continue
-        if mag not in cache:
-            cache[mag] = steadystate._rolling_rotor_power(config, mag,
-                                                          abs(v))
-        power += cache[mag]
-    return power
+    return steadystate.rolling_power(config, torque_y, abs(v))
 
 
 def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
-                 dt: float) -> SimState:
-    """One RK4 step of the no-slip rolling reduction under torque_y."""
+                 dt: float, power: float | None = None) -> SimState:
+    """One RK4 step of the no-slip rolling reduction under torque_y.
+
+    Energy is charged at ``power`` (default: rolling_electrical_power at the
+    start of the step)."""
     _check_dt(dt)
     radius = config.vehicle.shell_radius_l
+    if power is None:
+        power = rolling_electrical_power(config, torque_y,
+                                         state.roll_rate_omega * radius)
 
     def deriv(phi: float, omega: float) -> tuple[float, float]:
         return omega, _rolling_accel(config, phi, omega, torque_y)
@@ -134,7 +125,6 @@ def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
     phi_new = phi + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     om_new = om + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
-    power = rolling_electrical_power(config, torque_y, om * radius)
     return SimState(position_s=state.position_s
                     + (phi_new - phi) * radius,
                     speed_v=om_new * radius,
@@ -142,21 +132,6 @@ def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
                     roll_rate_omega=om_new,
                     energy_consumed=state.energy_consumed + power * dt,
                     time=state.time + dt)
-
-
-def flying_electrical_power(config: ScenarioConfig, thrust: float,
-                            tilt: float, v: float) -> float:
-    """Electrical power of one agent at (thrust, tilt) translating at v."""
-    veh = config.vehicle
-    f = thrust / 4.0
-    nu = aeropower.induced_velocity(f, config.environment,
-                                    veh.rotor_disk_area, v_inf=abs(v),
-                                    alpha=tilt)
-    op = aeropower.RotorOperatingPoint(thrust_f=f, freestream_v_inf=abs(v),
-                                       angle_of_attack_alpha=-tilt,
-                                       induced_velocity_nu=nu)
-    return 4.0 * aeropower.rotor_power(op, veh.eta_propeller, veh.eta_motor,
-                                       veh.eta_controller)
 
 
 def step_flying(state: SimState, thrust: float, tilt: float,
@@ -174,8 +149,7 @@ def step_flying(state: SimState, thrust: float, tilt: float,
 
     def accel(v: float) -> float:
         area = aeropower.projected_area(veh, tilt, "flying")
-        drag = (0.5 * veh.drag_coefficient_cd * env.air_density
-                * area * v * abs(v))
+        drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
         along = (thrust * math.sin(tilt) - drag
                  - m * env.gravity * math.sin(ter.slope_theta))
         return along / m
@@ -188,7 +162,7 @@ def step_flying(state: SimState, thrust: float, tilt: float,
     s_new = s + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     v_new = v + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
-    power = flying_electrical_power(config, thrust, tilt, v)
+    power = aeropower.rotors_power(env, veh, 4, thrust / 4.0, abs(v), tilt)
     return replace(state, position_s=s_new, speed_v=v_new,
                    energy_consumed=state.energy_consumed + power * dt,
                    time=state.time + dt)
@@ -234,13 +208,10 @@ def simulate_closed_loop(config: ScenarioConfig,
         forces, sat = control.saturate_pair_forces(forces,
                                                    veh.max_rotor_thrust)
         # torque actually realized after saturation
-        wrench = mixer.matrix_m @ forces
-        torque_y = wrench[2]
-        v = state.roll_rate_omega * radius
-        power = rolling_electrical_power(config, torque_y, v)
-        new_state = step_rolling(state, torque_y, config, dt)
-        # step_rolling already charged the energy for this tick
-        state = new_state
+        torque_y = float(mixer.matrix_m[2] @ forces)
+        power = rolling_electrical_power(config, torque_y,
+                                         state.roll_rate_omega * radius)
+        state = step_rolling(state, torque_y, config, dt, power)
         if (i + 1) % record_every == 0:
             states.append(state)
             powers.append(power)

@@ -112,8 +112,12 @@ def _positive(report, name, value):
 
 def validate(config: ScenarioConfig) -> list[str]:
     """Return a list of invariant violations; empty iff the config is valid."""
-    report: list[str] = []
     env, veh, ter = config.environment, config.vehicle, config.terrain
+    report = [f"{f.name} must be finite (got {getattr(s, f.name)!r})"
+              for s in (env, veh, ter) for f in fields(s)
+              if not math.isfinite(getattr(s, f.name))]
+    if report:
+        return report
     _positive(report, "gravity", env.gravity)
     _positive(report, "air_density", env.air_density)
     for name in ("cobot_mass", "shell_radius_l", "shell_width_w",
@@ -193,12 +197,9 @@ def config_from_mapping(values: dict) -> ScenarioConfig:
     return config
 
 
-def load_config(text: str) -> ScenarioConfig:
-    """Parse a config document (key = value lines, or a JSON object).
-
-    Unspecified fields take the Titan preset defaults. Unknown keys and
-    invariant violations raise ValidationError naming the offending field.
-    """
+def parse_document(text: str) -> dict:
+    """Flat key/value mapping of a config document (key = value lines, or a
+    JSON object), without defaults or validation."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -209,7 +210,16 @@ def load_config(text: str) -> ScenarioConfig:
             raise ConfigError("JSON config must be an object")
     else:
         values = _parse_kv_text(text)
-    return config_from_mapping(values)
+    return values
+
+
+def load_config(text: str) -> ScenarioConfig:
+    """Parse a config document (key = value lines, or a JSON object).
+
+    Unspecified fields take the Titan preset defaults. Unknown keys and
+    invariant violations raise ValidationError naming the offending field.
+    """
+    return config_from_mapping(parse_document(text))
 
 
 def serialize(config: ScenarioConfig) -> str:

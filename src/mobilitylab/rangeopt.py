@@ -3,20 +3,17 @@
 Range is defined as v * E / P: distance covered before the usable battery
 energy is exhausted at constant speed. Optima are grid argmaxima (an
 optional golden-section refinement is available); infeasible points are
-excluded. Sweep points are independent and may be evaluated in parallel;
-the reduction is deterministic, so parallel and sequential runs agree
-bit for bit.
+excluded. Each sweep evaluates its powers in one array call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import steadystate
+from . import aeropower, steadystate
 from .params import ScenarioConfig, TerrainParams
 
 #: default velocity grids, m/s
@@ -75,31 +72,27 @@ def default_velocity_grid(mode: str) -> np.ndarray:
     return np.linspace(lo, hi, num)
 
 
-def _power_at(config: ScenarioConfig, mode: str, v: float) -> float:
-    """Total electrical power at speed v; NaN if infeasible."""
-    try:
-        if mode == "rolling":
-            return steadystate.rolling_equilibrium(
-                config, v).total_electrical_power
-        if mode == "flying":
-            return steadystate.flying_equilibrium(
-                config, v).total_electrical_power
-    except steadystate.InfeasibleError:
-        return math.nan
+def _powers(config: ScenarioConfig, mode: str, v):
+    """Total electrical power at speed(s) v; NaN where infeasible."""
+    if mode == "rolling":
+        torque = (steadystate.rolling_resistive_force(config, v)
+                  * config.vehicle.shell_radius_l)
+        return steadystate.rolling_power(config, torque, v)
+    if mode == "flying":
+        return steadystate.flying_power(config, v)
     raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
 
 
-def _sweep_powers(config: ScenarioConfig, mode: str, v_grid: np.ndarray,
-                  hotel_w: float, parallel: bool) -> np.ndarray:
-    if parallel:
-        with ProcessPoolExecutor() as pool:
-            powers = list(pool.map(_power_at, [config] * len(v_grid),
-                                   [mode] * len(v_grid), v_grid,
-                                   chunksize=max(1, len(v_grid) // 8)))
-        powers = np.array(powers)
-    else:
-        powers = np.array([_power_at(config, mode, v) for v in v_grid])
-    return powers + hotel_w
+def _ranges(v, powers, energy: float):
+    """Range in km at each speed; NaN where the power is NaN or not > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(powers) & (powers > 0),
+                        v * energy / powers * 1e-3, np.nan)
+
+
+def _best(ranges):
+    """Largest finite range along the last axis; NaN where there is none."""
+    return np.fmax.reduce(ranges, axis=-1)
 
 
 def _golden_refine(config: ScenarioConfig, mode: str, hotel_w: float,
@@ -108,7 +101,7 @@ def _golden_refine(config: ScenarioConfig, mode: str, hotel_w: float,
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def neg_range(v):
-        p = _power_at(config, mode, v) + hotel_w
+        p = float(_powers(config, mode, v)) + hotel_w
         return -range_at(p, v, energy) if np.isfinite(p) else math.inf
 
     a, b = lo, hi
@@ -132,7 +125,7 @@ def _golden_refine(config: ScenarioConfig, mode: str, hotel_w: float,
 
 def range_sweep(config: ScenarioConfig, mode: str,
                 v_grid: np.ndarray | None = None, hotel_w: float = 0.0,
-                parallel: bool = False, refine: bool = False) -> RangeCurve:
+                refine: bool = False) -> RangeCurve:
     """Equilibrium power and range over a velocity grid, with optimum."""
     if v_grid is None:
         v_grid = default_velocity_grid(mode)
@@ -140,11 +133,9 @@ def range_sweep(config: ScenarioConfig, mode: str,
     if len(v_grid) < 1 or np.any(v_grid <= 0) or np.any(np.diff(v_grid) <= 0):
         raise ValueError("v_grid must be strictly increasing and positive")
 
-    powers = _sweep_powers(config, mode, v_grid, hotel_w, parallel)
+    powers = _powers(config, mode, v_grid) + hotel_w
     energy = config.total_energy
-    ranges = np.where(np.isfinite(powers),
-                      v_grid * energy / np.where(powers > 0, powers, np.nan)
-                      * 1e-3, np.nan)
+    ranges = _ranges(v_grid, powers, energy)
     if not np.any(np.isfinite(ranges)):
         raise AllInfeasibleError(
             f"{mode} sweep: every grid point is infeasible")
@@ -162,44 +153,28 @@ def range_sweep(config: ScenarioConfig, mode: str,
 def tradeoff_grid(config: ScenarioConfig,
                   crr_range: tuple[float, float] = (0.01, 0.2),
                   theta_range_deg: tuple[float, float] = (-0.5, 2.0),
-                  resolution: int = 20,
-                  parallel: bool = False) -> TradeoffGrid:
+                  resolution: int = 20) -> TradeoffGrid:
     """Rolling-minus-flying optimum range over a (C_rr, slope) grid.
 
-    The flying optimum depends on the slope only, so it is computed once
-    per theta value.
+    The flying optimum depends on the slope only: one sweep per theta. The
+    rolling optima take one array call per C_rr row over (theta x v).
     """
     crr_axis = np.linspace(crr_range[0], crr_range[1], resolution)
     theta_axis = np.linspace(theta_range_deg[0], theta_range_deg[1],
                              resolution)
-    delta = np.full((resolution, resolution), np.nan)
-    fly = np.full((resolution, resolution), np.nan)
+    theta_rad = np.radians(theta_axis)
 
-    fly_by_theta = {}
-    for j, th_deg in enumerate(theta_axis):
-        terrain = TerrainParams(rolling_resistance_crr=crr_axis[0],
-                                slope_theta=math.radians(th_deg))
+    def best_range(terrain, mode):
+        v = default_velocity_grid(mode)
         cfg = replace(config, terrain=terrain)
-        try:
-            fly_by_theta[j] = range_sweep(cfg, "flying",
-                                          parallel=parallel).optimum_range_km
-        except AllInfeasibleError:
-            fly_by_theta[j] = math.nan
+        return _best(_ranges(v, _powers(cfg, mode, v), config.total_energy))
 
-    for i, crr in enumerate(crr_axis):
-        for j, th_deg in enumerate(theta_axis):
-            terrain = TerrainParams(rolling_resistance_crr=crr,
-                                    slope_theta=math.radians(th_deg))
-            cfg = replace(config, terrain=terrain)
-            fly[i, j] = fly_by_theta[j]
-            if math.isnan(fly[i, j]):
-                continue
-            try:
-                roll = range_sweep(cfg, "rolling",
-                                   parallel=parallel).optimum_range_km
-            except AllInfeasibleError:
-                continue
-            delta[i, j] = roll - fly[i, j]
+    fly_by_theta = np.array([best_range(TerrainParams(crr_axis[0], th),
+                                        "flying") for th in theta_rad])
+    delta = np.array([best_range(TerrainParams(crr, theta_rad[:, None]),
+                                 "rolling") - fly_by_theta
+                      for crr in crr_axis])
+    fly = np.tile(fly_by_theta, (resolution, 1))
     return TradeoffGrid(crr=crr_axis, theta_deg=theta_axis,
                         delta_range_km=delta, flying_range_km=fly)
 
@@ -231,29 +206,6 @@ def polygon_prism_radius(n: int, side: float) -> float:
     return side / (2.0 * math.sin(math.pi / n))
 
 
-def _bound_rolling_power(config: ScenarioConfig, v: float, drag_area: float,
-                         radius: float, n_agents: int) -> float:
-    """Rolling power of an n-agent cluster with explicit bound geometry.
-
-    The torque is shared by the 2 n propeller pairs at the per-agent arm
-    length; one rotor per pair spins.
-    """
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = n_agents * veh.cobot_mass
-    normal = m * env.gravity * math.cos(ter.slope_theta)
-    drag = (0.5 * veh.drag_coefficient_cd * env.air_density
-            * drag_area * v * v)
-    resist = (drag + m * env.gravity * math.sin(ter.slope_theta)
-              + ter.rolling_resistance_crr * normal)
-    torque = resist * radius
-    c = veh.rotor_arm_length_a / math.sqrt(2.0)
-    n_pairs = 2 * n_agents
-    f = torque / (n_pairs * c)
-    if f > veh.max_rotor_thrust:
-        return math.nan
-    return n_pairs * steadystate._rolling_rotor_power(config, f, v)
-
-
 def scaling_bounds(config: ScenarioConfig,
                    n_range: range = range(1, 13)) -> ScalingCurve:
     """Rolling/flying range-ratio bounds versus agent count.
@@ -264,28 +216,31 @@ def scaling_bounds(config: ScenarioConfig,
     grows quickly with n). Flying range is independent of n because n
     independent agents scale power and energy identically.
     """
-    side = config.vehicle.shell_width_w
-    width = config.vehicle.shell_width_w
+    env, veh, ter = config.environment, config.vehicle, config.terrain
+    width = veh.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
-
     v_grid = default_velocity_grid("rolling")
+
+    def best_range(n, radius, area):
+        # the torque is shared by the 2 n propeller pairs
+        weight = n * veh.cobot_mass * env.gravity
+        resist = (aeropower.drag_force(env, area, v_grid,
+                                       cd=veh.drag_coefficient_cd)
+                  + weight * math.sin(ter.slope_theta)
+                  + ter.rolling_resistance_crr
+                  * (weight * math.cos(ter.slope_theta)))
+        powers = steadystate.rolling_power(config, resist * radius, v_grid,
+                                           2 * n)
+        return _best(_ranges(v_grid, powers, n * veh.battery_energy))
+
     ns, lowers, uppers = [], [], []
     for n in n_range:
         if n < 1:
             raise ValueError("agent count must be >= 1")
-        energy = n * config.vehicle.battery_energy
-        results = {}
-        r_up = platonic_shell_radius(n, side)
-        r_lo = polygon_prism_radius(n, side)
-        for tag, (radius, area) in {
-                "upper": (r_up, math.pi * r_up ** 2),
-                "lower": (r_lo, 2.0 * r_lo * width)}.items():
-            powers = np.array([_bound_rolling_power(config, v, area, radius,
-                                                    n) for v in v_grid])
-            ranges = v_grid * energy / powers * 1e-3
-            results[tag] = np.nanmax(ranges)
+        r_up = platonic_shell_radius(n, width)
+        r_lo = polygon_prism_radius(n, width)
         ns.append(n)
-        uppers.append(results["upper"] / fly_range)
-        lowers.append(results["lower"] / fly_range)
+        uppers.append(best_range(n, r_up, math.pi * r_up ** 2) / fly_range)
+        lowers.append(best_range(n, r_lo, 2.0 * r_lo * width) / fly_range)
     return ScalingCurve(n=np.array(ns), ratio_lower=np.array(lowers),
                         ratio_upper=np.array(uppers))

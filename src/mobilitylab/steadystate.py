@@ -13,7 +13,7 @@ drag + m g sin(theta) + C_rr N.
 Rolling rotor freestream: each rotor sees the translational speed v edgewise
 (alpha = 0). The rotor tangential speed about the roll axis is comparable to
 v at the rolling optimum but its induced-power correction is second order,
-so it is neglected; the choice is isolated in ``_rolling_rotor_power``.
+so it is neglected; the choice is isolated in ``rolling_power``.
 
 Rolling drag area: the cylinder's attitude rotates continuously, so the
 steady-state drag area is the time average over one revolution,
@@ -70,28 +70,35 @@ def average_rolling_area(config: ScenarioConfig) -> float:
                               + 2.0 * veh.shell_radius_l) * veh.shell_width_w
 
 
-def _rolling_rotor_power(config: ScenarioConfig, thrust: float,
-                         v: float) -> float:
-    """Electrical power of one rolling rotor; edgewise freestream at v."""
-    veh = config.vehicle
-    nu = aeropower.induced_velocity(thrust, config.environment,
-                                    veh.rotor_disk_area, v_inf=v, alpha=0.0)
-    op = aeropower.RotorOperatingPoint(thrust_f=thrust, freestream_v_inf=v,
-                                       angle_of_attack_alpha=0.0,
-                                       induced_velocity_nu=nu)
-    return aeropower.rotor_power(op, veh.eta_propeller, veh.eta_motor,
-                                 veh.eta_controller)
+def rolling_resistive_force(config: ScenarioConfig, v):
+    """Total resistive force the rolling torque must overcome at speed v.
 
-
-def rolling_resistive_force(config: ScenarioConfig, v: float) -> float:
-    """Total resistive force the rolling torque must overcome at speed v."""
+    Broadcasts over v and over array-valued terrain fields.
+    """
     env, ter = config.environment, config.terrain
-    m = config.total_mass
-    normal = m * env.gravity * math.cos(ter.slope_theta)
+    weight = config.total_mass * env.gravity
     drag = aeropower.drag_force(env, average_rolling_area(config), v,
                                 cd=config.vehicle.drag_coefficient_cd)
-    return (drag + m * env.gravity * math.sin(ter.slope_theta)
-            + ter.rolling_resistance_crr * normal)
+    return (drag + weight * np.sin(ter.slope_theta)
+            + ter.rolling_resistance_crr * (weight * np.cos(ter.slope_theta)))
+
+
+def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
+    """Total electrical power of a pure roll torque held at speed v.
+
+    The torque loads ``n_pairs`` propeller pairs equally at lever a/sqrt(2);
+    one edgewise rotor per pair spins. Broadcasts over torque and v; NaN
+    where the pair force exceeds the rotor thrust limit by more than a few
+    ulps (the closed loop's uniform saturation lands on the limit only to
+    within rounding).
+    """
+    veh = config.vehicle
+    f = abs(torque) / (n_pairs * veh.rotor_arm_length_a / math.sqrt(2.0))
+    power = aeropower.rotors_power(config.environment, veh, n_pairs, f, v)
+    limit = veh.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0))
+    if type(power) is float:
+        return math.nan if f > limit else power
+    return np.where(f > limit, np.nan, power)
 
 
 def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
@@ -103,28 +110,20 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
     normal = m * env.gravity * math.cos(ter.slope_theta)
     drag = aeropower.drag_force(env, average_rolling_area(config), v,
                                 cd=veh.drag_coefficient_cd)
-    resist = rolling_resistive_force(config, v)
-    torque = resist * veh.shell_radius_l
+    torque = rolling_resistive_force(config, v) * veh.shell_radius_l
+    power = float(rolling_power(config, torque, v))
+    if math.isnan(power):
+        raise InfeasibleError(
+            f"rolling at v={v} m/s needs torque {torque:.3f} N m, beyond "
+            f"max rotor thrust {veh.max_rotor_thrust} N per pair")
 
+    # pair k maps to rotors (k, k+4); the first spins for a positive force
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
     cmd = control.ControlCommand(torque_cmd=np.array([0.0, torque, 0.0]))
-    pair_forces = control.allocate(cmd, mixer)
-    if np.max(np.abs(pair_forces)) > veh.max_rotor_thrust:
-        raise InfeasibleError(
-            f"rolling at v={v} m/s needs pair force "
-            f"{np.max(np.abs(pair_forces)):.3f} N > max rotor thrust "
-            f"{veh.max_rotor_thrust} N")
-
-    # pair k maps to rotors (k, k+4); the spinning one carries |f_pair|
     rotor_thrust = np.zeros(8)
-    power = 0.0
-    for k, f_pair in enumerate(pair_forces):
-        n_i, n_j = control.pair_to_rotor_speeds(f_pair, veh.thrust_constant_k_t)
-        f_mag = abs(f_pair)
-        rotor_thrust[k if n_i > 0 or f_pair == 0 else k + 4] = f_mag
-        if f_mag > 0:
-            power += _rolling_rotor_power(config, f_mag, v)
+    for k, f_pair in enumerate(control.allocate(cmd, mixer)):
+        rotor_thrust[k if f_pair >= 0 else k + 4] = abs(f_pair)
 
     return RollingSolution(speed_v=v, required_torque=torque,
                            per_rotor_thrust=rotor_thrust,
@@ -132,6 +131,49 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
                            rolling_resistance_force=(
                                ter.rolling_resistance_crr * normal),
                            total_electrical_power=power)
+
+
+def _flying_trim(config: ScenarioConfig, v: np.ndarray):
+    """Tilt, per-agent drag and thrust, and total power (NaN where
+    infeasible) at speeds v. An element of the tilt fixed point stops
+    updating once its step is below TRIM_TOL, so results are elementwise."""
+    env, veh, ter = config.environment, config.vehicle, config.terrain
+    m = veh.cobot_mass
+    along_weight = m * env.gravity * math.sin(ter.slope_theta)
+    normal_weight = m * env.gravity * math.cos(ter.slope_theta)
+
+    def drag_at(alpha):
+        area = aeropower.projected_area(veh, alpha, "flying")
+        return aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
+
+    alpha = np.zeros_like(v)
+    active = np.ones(v.shape, bool)
+    for _ in range(TRIM_MAX_ITER):
+        new_alpha = np.arctan2(drag_at(alpha) + along_weight, normal_weight)
+        step = np.abs(new_alpha - alpha)
+        alpha = np.where(active, new_alpha, alpha)
+        active &= ~(step < TRIM_TOL)
+        if not active.any():
+            break
+    else:
+        raise aeropower.SolverError(
+            f"flying trim fixed point did not converge at v={v[active]}")
+
+    # re-evaluate at the converged tilt so the trim residuals are exact
+    drag = drag_at(alpha)
+    thrust = np.hypot(drag + along_weight, normal_weight)
+    alpha = np.arctan2(drag + along_weight, normal_weight)
+
+    f = thrust / 4.0
+    per_agent = aeropower.rotors_power(env, veh, 4, f, v, alpha)
+    power = np.where(f > veh.max_rotor_thrust, np.nan,
+                     config.num_agents * per_agent)
+    return alpha, drag, thrust, power
+
+
+def flying_power(config: ScenarioConfig, v):
+    """Total flying power at speed(s) v; NaN where a rotor saturates."""
+    return _flying_trim(config, np.asarray(v, float))[3]
 
 
 def flying_equilibrium(config: ScenarioConfig, v: float) -> FlyingSolution:
@@ -145,47 +187,13 @@ def flying_equilibrium(config: ScenarioConfig, v: float) -> FlyingSolution:
     """
     if v < 0:
         raise ValueError(f"v must be >= 0, got {v!r}")
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = veh.cobot_mass
-    along_weight = m * env.gravity * math.sin(ter.slope_theta)
-    normal_weight = m * env.gravity * math.cos(ter.slope_theta)
-
-    alpha = 0.0
-    drag = 0.0
-    for _ in range(TRIM_MAX_ITER):
-        area = aeropower.projected_area(veh, alpha, "flying")
-        drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
-        new_alpha = math.atan2(drag + along_weight, normal_weight)
-        if abs(new_alpha - alpha) < TRIM_TOL:
-            alpha = new_alpha
-            break
-        alpha = new_alpha
-    else:
-        raise aeropower.SolverError(
-            f"flying trim fixed point did not converge at v={v}")
-
-    # re-evaluate at the converged tilt so the trim residuals are exact
-    area = aeropower.projected_area(veh, alpha, "flying")
-    drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
-    thrust = math.hypot(drag + along_weight, normal_weight)
-    alpha = math.atan2(drag + along_weight, normal_weight)
-
-    f = thrust / 4.0
-    if f > veh.max_rotor_thrust:
+    alpha, drag, thrust, power = map(
+        float, _flying_trim(config, np.asarray(v, float)))
+    if math.isnan(power):
         raise InfeasibleError(
-            f"flying at v={v} m/s needs per-rotor thrust {f:.3f} N "
-            f"> max rotor thrust {veh.max_rotor_thrust} N")
-
-    # axial inflow component of the freestream adds for propulsive tilt
-    nu = aeropower.induced_velocity(f, env, veh.rotor_disk_area,
-                                    v_inf=v, alpha=alpha)
-    op = aeropower.RotorOperatingPoint(thrust_f=f, freestream_v_inf=v,
-                                       angle_of_attack_alpha=-alpha,
-                                       induced_velocity_nu=nu)
-    per_agent = 4.0 * aeropower.rotor_power(op, veh.eta_propeller,
-                                            veh.eta_motor,
-                                            veh.eta_controller)
+            f"flying at v={v} m/s needs per-rotor thrust {thrust / 4.0:.3f} "
+            f"N > max rotor thrust {config.vehicle.max_rotor_thrust} N")
     n = config.num_agents
     return FlyingSolution(speed_v=v, tilt_alpha=alpha,
                           total_thrust=n * thrust, drag=n * drag,
-                          total_electrical_power=n * per_agent)
+                          total_electrical_power=power)

@@ -254,13 +254,15 @@ def test_criterion_12_determinism(tmp_path):
         assert cli.main(argv + ["--out", str(b)]) == 0
         if a.read_bytes() != b.read_bytes():
             repeat_ok = False
-    seq = rangeopt.range_sweep(CFG, "rolling")
-    par = rangeopt.range_sweep(CFG, "rolling", parallel=True)
-    parallel_ok = (np.array_equal(seq.power, par.power)
-                   and np.array_equal(seq.range_km, par.range_km)
-                   and seq.optimum_v == par.optimum_v)
-    ok = repeat_ok and parallel_ok
+    batch_ok = True
+    for mode, solve in (("rolling", steadystate.rolling_equilibrium),
+                        ("flying", steadystate.flying_equilibrium)):
+        curve = rangeopt.range_sweep(CFG, mode)
+        pointwise = [solve(CFG, float(v)).total_electrical_power
+                     for v in curve.velocity]
+        batch_ok &= np.array_equal(curve.power, pointwise)
+    ok = repeat_ok and batch_ok
     assert _verdict(12, ok,
                     f"byte-identical reruns over {len(commands)} "
-                    f"subcommands: {repeat_ok}; sequential vs parallel "
-                    f"sweep identical: {parallel_ok}")
+                    f"subcommands: {repeat_ok}; batch sweep power equals "
+                    f"per-point equilibria bitwise: {batch_ok}")

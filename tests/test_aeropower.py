@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,7 +82,7 @@ def test_induced_velocity_satisfies_implicit_equation(f, v, alpha):
                                     v_inf=v, alpha=alpha)
     rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
     lhs = nu * math.hypot(v * math.cos(alpha), v * math.sin(alpha) + nu)
-    # bisection tolerance on nu maps to ~|d lhs/d nu| * tol ~ (v + nu) * tol
+    # solver tolerance on nu maps to ~|d lhs/d nu| * tol ~ (v + nu) * tol
     assert lhs == pytest.approx(rhs, rel=1e-6, abs=5e-9 * (1.0 + v))
 
 
@@ -139,3 +140,28 @@ def test_power_scales_inverse_with_efficiency(f):
     p_full = aeropower.rotor_power(op, 1.0, 1.0, 1.0)
     p_chain = aeropower.rotor_power(op, 0.6, 0.85, 0.95)
     assert p_chain == pytest.approx(p_full / (0.6 * 0.85 * 0.95), rel=1e-12)
+
+
+# hover, edgewise with rhs << v^2 (the cancellation regime of the closed
+# form) and tilted operating points, mixed in one array
+_op_points = st.one_of(
+    st.tuples(st.floats(1e-6, 100.0), st.just(0.0), st.floats(-1.3, 1.3)),
+    st.tuples(st.floats(1e-9, 1e-3), st.floats(1.0, 50.0), st.just(0.0)),
+    st.tuples(st.floats(1e-6, 100.0), st.floats(0.0, 20.0),
+              st.floats(-1.0, 1.3)),
+)
+
+
+@settings(max_examples=60)
+@given(points=st.lists(_op_points, min_size=1, max_size=12))
+def test_array_induced_velocity_matches_scalar_calls(points):
+    f, v, alpha = (np.array(col) for col in zip(*points))
+    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area,
+                                    v_inf=v, alpha=alpha)
+    scalar = [aeropower.induced_velocity(p[0], TITAN, VEH.rotor_disk_area,
+                                         v_inf=p[1], alpha=p[2])
+              for p in points]
+    assert np.array_equal(nu, scalar)
+    rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
+    lhs = nu * np.hypot(v * np.cos(alpha), v * np.sin(alpha) + nu)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=0.0)

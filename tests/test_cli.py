@@ -167,3 +167,49 @@ def test_tradeoff_map_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "crr,theta_deg,delta_km,fly_km"
     assert len(lines) == 17
+
+
+def test_tradeoff_map_bad_resolution_exits_2(capsys):
+    code, _, err = run(["tradeoff-map", "--resolution", "0"], capsys)
+    assert code == 2
+    assert "--resolution" in err
+
+
+@pytest.mark.parametrize("override", ["rolling_resistance_crr=nan",
+                                      "gravity=inf", "cobot_mass=-inf",
+                                      "ambient_temperature=nan"])
+def test_non_finite_field_exits_2(capsys, override):
+    code, _, err = run(["range-sweep", "--mode", "rolling",
+                        "--set", override], capsys)
+    assert code == 2
+    assert override.split("=")[0] in err
+
+
+def test_solver_error_exits_1(capsys, monkeypatch):
+    from mobilitylab import aeropower, rangeopt
+
+    def diverge(*args, **kwargs):
+        raise aeropower.SolverError("did not converge")
+
+    monkeypatch.setattr(rangeopt, "range_sweep", diverge)
+    code, _, err = run(["range-sweep", "--mode", "flying"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "did not converge" in err
+
+
+def test_earth_preset_with_config_file(tmp_path, capsys):
+    # preset < file keys < --set: the file must not reset the environment
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("cobot_mass = 0.8\n")
+    code, stdout, _ = run(["power-curve", "--env", "earth", "--mode",
+                           "flying", "--config", str(cfg), "--format",
+                           "json"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["min_power_w"] == pytest.approx(207.7,
+                                                              rel=1e-3)
+    code, stdout, _ = run(["power-curve", "--env", "earth", "--mode",
+                           "flying", "--config", str(cfg), "--set",
+                           "gravity=1.352", "--set", "air_density=5.4",
+                           "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["min_power_w"] < 10

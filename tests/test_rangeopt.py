@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mobilitylab import rangeopt
+from mobilitylab import rangeopt, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
 
 CFG = ScenarioConfig()
@@ -92,15 +92,25 @@ def test_rolling_at_least_doubles_flying_range():
     assert roll >= 1.8 * fly
 
 
-def test_parallel_matches_sequential_bitwise():
-    seq = rangeopt.range_sweep(CFG, "rolling",
-                               v_grid=np.linspace(0.05, 1.0, 24))
-    par = rangeopt.range_sweep(CFG, "rolling",
-                               v_grid=np.linspace(0.05, 1.0, 24),
-                               parallel=True)
-    assert np.array_equal(seq.power, par.power)
-    assert np.array_equal(seq.range_km, par.range_km)
-    assert seq.optimum_v == par.optimum_v
+def _pointwise_power(config, mode, v):
+    solve = (steadystate.rolling_equilibrium if mode == "rolling"
+             else steadystate.flying_equilibrium)
+    try:
+        return solve(config, float(v)).total_electrical_power
+    except steadystate.InfeasibleError:
+        return math.nan
+
+
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+def test_batch_matches_pointwise_bitwise(mode):
+    # one infeasible tail on the steep grid checks the NaN pattern too
+    steep = replace(CFG, terrain=TerrainParams(0.05, 0.02),
+                    vehicle=replace(CFG.vehicle, max_rotor_thrust=0.3))
+    for config in (CFG, steep):
+        v_grid = np.linspace(0.05, 1.0, 24)
+        curve = rangeopt.range_sweep(config, mode, v_grid=v_grid)
+        expect = [_pointwise_power(config, mode, v) for v in v_grid]
+        assert np.array_equal(curve.power, expect, equal_nan=True)
 
 
 def test_tradeoff_grid_structure():
