@@ -238,20 +238,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argument_error(args: argparse.Namespace) -> str | None:
+    """The message for a numeric argument outside its range, else None."""
+    if args.subcommand == "simulate":
+        if not (0.0 < args.dt <= dynamics.DT_MAX):
+            return f"--dt must be in (0, {dynamics.DT_MAX}]"
+        if not math.isfinite(args.omega_des):
+            return f"--omega-des must be finite (got {args.omega_des!r})"
+        if not (0.0 < args.duration < math.inf) or args.record_every < 1:
+            return ("--duration must be finite and > 0 and "
+                    "--record-every >= 1")
+    elif args.subcommand == "tradeoff-map" and args.resolution < 1:
+        return "--resolution must be >= 1"
+    elif args.subcommand == "scaling":
+        if args.n_min < 1:
+            return f"--n-min must be >= 1 (got {args.n_min})"
+        if args.n_max < args.n_min:
+            return (f"--n-max must be >= --n-min (got {args.n_max} < "
+                    f"{args.n_min})")
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "simulate":
-        if not (0.0 < args.dt <= dynamics.DT_MAX):
-            print(f"error: --dt must be in (0, {dynamics.DT_MAX}]",
-                  file=sys.stderr)
-            return 2
-        if args.duration <= 0 or args.record_every < 1:
-            print("error: --duration must be > 0 and --record-every >= 1",
-                  file=sys.stderr)
-            return 2
-    if args.subcommand == "tradeoff-map" and args.resolution < 1:
-        print("error: --resolution must be >= 1", file=sys.stderr)
+    message = _argument_error(args)
+    if message:
+        print(f"error: {message}", file=sys.stderr)
         return 2
     try:
         config = _build_config(args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,46 +28,52 @@ class MixerGeometry:
     c: float           # = a / sqrt(2)
     k_tau: float
     matrix_m: np.ndarray
+    inverse_rows: tuple[tuple[float, ...], ...]  # rows of M^-1
 
     @property
     def inverse(self) -> np.ndarray:
-        # M has orthogonal rows: M^-1 = M^T diag(4, 4c^2, 4c^2, 4 k_tau^2)^-1
-        d = np.array([4.0, 4.0 * self.c ** 2, 4.0 * self.c ** 2,
-                      4.0 * self.k_tau ** 2])
-        return self.matrix_m.T / d
+        return np.array(self.inverse_rows)
 
 
 @dataclass(frozen=True)
 class ControlGains:
-    kp: np.ndarray                    # N m s/rad, per axis
-    ki: np.ndarray                    # N m/rad, per axis
+    kp: Sequence[float]               # N m s/rad, per axis
+    ki: Sequence[float]               # N m/rad, per axis
     integrator_limit: float = 0.5     # N m
 
 
 def default_gains() -> ControlGains:
     """Gains tuned so the closed rolling loop tracks a 1 rad/s step to < 2%."""
-    return ControlGains(kp=np.full(3, 0.4), ki=np.full(3, 0.2),
+    return ControlGains(kp=(0.4, 0.4, 0.4), ki=(0.2, 0.2, 0.2),
                         integrator_limit=0.5)
 
 
 @dataclass(frozen=True)
 class ControlCommand:
-    torque_cmd: np.ndarray   # N m, body frame
-    thrust_cmd: float = 0.0  # N; 0 in pure-torque mode
+    torque_cmd: Sequence[float]  # N m, body frame
+    thrust_cmd: float = 0.0      # N; 0 in pure-torque mode
 
 
-def pi_rate_control(omega_des: np.ndarray, omega_meas: np.ndarray,
-                    gains: ControlGains, integrator_state: np.ndarray,
-                    dt: float) -> tuple[ControlCommand, np.ndarray]:
-    """One PI step: tau = Kp e + Ki I, I clamped at +-integrator_limit."""
+def pi_rate_control(omega_des: Sequence[float], omega_meas: Sequence[float],
+                    gains: ControlGains, integrator_state: Sequence[float],
+                    dt: float) -> tuple[ControlCommand, tuple[float, ...]]:
+    """One PI step: tau = Kp e + Ki I, I clamped at +-integrator_limit.
+
+    Takes 3-sequences (tuples or ndarrays); the torque command and the new
+    integrator state are tuples of floats.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    e = np.asarray(omega_des, float) - np.asarray(omega_meas, float)
     limit = gains.integrator_limit
-    integ = np.clip(np.asarray(integrator_state, float) + e * dt,
-                    -limit, limit)
-    torque = gains.kp * e + gains.ki * integ
-    return ControlCommand(torque_cmd=torque, thrust_cmd=0.0), integ
+    torque, integ = [], []
+    for des, meas, i_old, kp, ki in zip(omega_des, omega_meas,
+                                        integrator_state, gains.kp, gains.ki,
+                                        strict=True):
+        e = float(des) - float(meas)
+        i_new = min(max(i_old + e * dt, -limit), limit)
+        torque.append(kp * e + ki * i_new)
+        integ.append(i_new)
+    return ControlCommand(torque_cmd=tuple(torque)), tuple(integ)
 
 
 def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
@@ -74,34 +81,41 @@ def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
     if arm_length_a <= 0 or k_tau <= 0:
         raise ValueError("arm_length_a and k_tau must be > 0")
     c = arm_length_a / math.sqrt(2.0)
-    m = np.array([
-        [1.0, 1.0, 1.0, 1.0],
-        [-c, c, c, -c],
-        [-c, -c, c, c],
-        [-k_tau, k_tau, -k_tau, k_tau],
-    ])
+    rows = ((1.0, 1.0, 1.0, 1.0),
+            (-c, c, c, -c),
+            (-c, -c, c, c),
+            (-k_tau, k_tau, -k_tau, k_tau))
+    # M has orthogonal rows: M^-1 = M^T diag(4, 4c^2, 4c^2, 4 k_tau^2)^-1
+    d = (4.0, 4.0 * c ** 2, 4.0 * c ** 2, 4.0 * k_tau ** 2)
+    inverse = tuple(tuple(m / dj for m, dj in zip(col, d))
+                    for col in zip(*rows))
     return MixerGeometry(arm_length_a=arm_length_a, c=c, k_tau=k_tau,
-                         matrix_m=m)
+                         matrix_m=np.array(rows), inverse_rows=inverse)
 
 
-def allocate(cmd: ControlCommand, mixer: MixerGeometry) -> np.ndarray:
+def allocate(cmd: ControlCommand, mixer: MixerGeometry) -> tuple[float, ...]:
     """Pair forces (f_A..f_D) with M @ f = (thrust_cmd, torque_cmd)."""
-    wrench = np.concatenate(([cmd.thrust_cmd], np.asarray(cmd.torque_cmd,
-                                                          float)))
-    return mixer.inverse @ wrench
+    f = cmd.thrust_cmd
+    tx, ty, tz = cmd.torque_cmd
+    return tuple(a * f + b * tx + c * ty + d * tz
+                 for a, b, c, d in mixer.inverse_rows)
 
 
-def saturate_pair_forces(forces: np.ndarray,
-                         max_rotor_thrust: float) -> tuple[np.ndarray, bool]:
+def saturate_pair_forces(forces: Sequence[float], max_rotor_thrust: float
+                         ) -> tuple[Sequence[float], bool]:
     """Scale pair forces uniformly into the rotor thrust limit.
 
     Uniform scaling preserves the commanded torque direction. Returns the
-    (possibly scaled) forces and a saturation flag.
+    (possibly scaled) forces, of the input's kind (ndarray or tuple), and a
+    saturation flag.
     """
-    peak = float(np.max(np.abs(forces)))
+    peak = max(map(abs, forces))
     if peak <= max_rotor_thrust:
         return forces, False
-    return forces * (max_rotor_thrust / peak), True
+    scale = max_rotor_thrust / peak
+    if isinstance(forces, np.ndarray):
+        return forces * scale, True
+    return tuple(f * scale for f in forces), True
 
 
 def pair_to_rotor_speeds(f_pair: float, k_t: float) -> tuple[float, float]:

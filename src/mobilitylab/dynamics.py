@@ -14,6 +14,14 @@ along the slope-parallel track at trimmed constant height.
 Integration is fixed-step RK4 (deterministic); rolling-resistance torque is
 gated off below |omega| = 1e-6 rad/s so static resistance cannot drive
 motion from rest.
+
+The closed loop's tick is the sequential hot path, so it keeps three
+invariants: no numpy on the tick path (the control law, the RK4 step and the
+scalar rotor power all run on Python floats; numpy costs more per call on
+3-vectors than the arithmetic it does), every config-only term hoisted out
+of the loop once per run (``_rolling_rhs``), and a ``SimState`` built only
+for recorded ticks. ``step_rolling`` and the loop share one RK4 step
+(``_rk4_roll``), so a tick equals a ``step_rolling`` call bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import aeropower, control, steadystate
 from .params import ScenarioConfig
@@ -78,22 +84,49 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt!r}")
 
 
-def _rolling_accel(config: ScenarioConfig, roll_angle: float, omega: float,
-                   torque_y: float) -> float:
+def _rolling_rhs(config: ScenarioConfig
+                 ) -> Callable[[float, float, float], float]:
+    """Roll acceleration (phi, omega, torque_y) -> domega/dt for one config,
+    with every config-only term computed once."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m = config.total_mass
     radius = veh.shell_radius_l
+    cd = veh.drag_coefficient_cd
+    slope_torque = m * env.gravity * math.sin(ter.slope_theta) * radius
     normal = m * env.gravity * math.cos(ter.slope_theta)
-    v = omega * radius
-    area = aeropower.projected_area(veh, roll_angle, "rolling")
-    drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
-    resist_torque = (m * env.gravity * math.sin(ter.slope_theta) * radius
-                     + drag * radius)
-    if abs(omega) > OMEGA_STATIC:
-        resist_torque += math.copysign(
-            ter.rolling_resistance_crr * normal * radius, omega)
+    crr_torque = ter.rolling_resistance_crr * normal * radius
     inertia = rolling_inertia(config) + m * radius ** 2
-    return (torque_y - resist_torque) / inertia
+
+    def accel(phi: float, omega: float, torque_y: float) -> float:
+        area = aeropower.projected_area(veh, phi, "rolling")
+        drag = aeropower.drag_force(env, area, omega * radius, cd=cd)
+        resist_torque = slope_torque + drag * radius
+        if abs(omega) > OMEGA_STATIC:
+            resist_torque += math.copysign(crr_torque, omega)
+        return (torque_y - resist_torque) / inertia
+
+    return accel
+
+
+def _rolling_accel(config: ScenarioConfig, roll_angle: float, omega: float,
+                   torque_y: float) -> float:
+    """One evaluation of the rolling right-hand side."""
+    return _rolling_rhs(config)(roll_angle, omega, torque_y)
+
+
+def _rk4_roll(accel: Callable[[float, float, float], float], phi: float,
+              omega: float, torque_y: float, dt: float) -> tuple[float, float]:
+    """One RK4 step of (phi, omega) with torque_y held over the step."""
+    h = 0.5 * dt
+    a1 = accel(phi, omega, torque_y)
+    om2 = omega + h * a1
+    a2 = accel(phi + h * omega, om2, torque_y)
+    om3 = omega + h * a2
+    a3 = accel(phi + h * om2, om3, torque_y)
+    om4 = omega + dt * a3
+    a4 = accel(phi + dt * om3, om4, torque_y)
+    return (phi + dt / 6.0 * (omega + 2 * om2 + 2 * om3 + om4),
+            omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
 
 
 def rolling_electrical_power(config: ScenarioConfig, torque_y: float,
@@ -103,33 +136,22 @@ def rolling_electrical_power(config: ScenarioConfig, torque_y: float,
 
 
 def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
-                 dt: float, power: float | None = None) -> SimState:
+                 dt: float) -> SimState:
     """One RK4 step of the no-slip rolling reduction under torque_y.
 
-    Energy is charged at ``power`` (default: rolling_electrical_power at the
-    start of the step)."""
+    Energy is charged at rolling_electrical_power at the start of the step.
+    """
     _check_dt(dt)
     radius = config.vehicle.shell_radius_l
-    if power is None:
-        power = rolling_electrical_power(config, torque_y,
-                                         state.roll_rate_omega * radius)
-
-    def deriv(phi: float, omega: float) -> tuple[float, float]:
-        return omega, _rolling_accel(config, phi, omega, torque_y)
-
-    phi, om = state.roll_angle, state.roll_rate_omega
-    k1 = deriv(phi, om)
-    k2 = deriv(phi + 0.5 * dt * k1[0], om + 0.5 * dt * k1[1])
-    k3 = deriv(phi + 0.5 * dt * k2[0], om + 0.5 * dt * k2[1])
-    k4 = deriv(phi + dt * k3[0], om + dt * k3[1])
-    phi_new = phi + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    om_new = om + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-
+    power = rolling_electrical_power(config, torque_y,
+                                     state.roll_rate_omega * radius)
+    phi, om = _rk4_roll(_rolling_rhs(config), state.roll_angle,
+                        state.roll_rate_omega, torque_y, dt)
     return SimState(position_s=state.position_s
-                    + (phi_new - phi) * radius,
-                    speed_v=om_new * radius,
-                    roll_angle=phi_new,
-                    roll_rate_omega=om_new,
+                    + (phi - state.roll_angle) * radius,
+                    speed_v=om * radius,
+                    roll_angle=phi,
+                    roll_rate_omega=om,
                     energy_consumed=state.energy_consumed + power * dt,
                     time=state.time + dt)
 
@@ -175,11 +197,12 @@ def simulate_closed_loop(config: ScenarioConfig,
                          record_every: int = 1) -> Trajectory:
     """PI rate control -> allocation -> rotor power -> rolling step, per tick.
 
-    ``omega_des`` is either a constant desired roll rate (rad/s) or a
+    ``omega_des`` is either a finite constant desired roll rate (rad/s) or a
     callable t -> desired body-rate 3-vector.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration!r}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got "
+                         f"{duration!r}")
     _check_dt(dt)
     if gains is None:
         gains = control.default_gains()
@@ -187,33 +210,43 @@ def simulate_closed_loop(config: ScenarioConfig,
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
     radius = veh.shell_radius_l
+    f_max = veh.max_rotor_thrust
 
     if callable(omega_des):
         desired = omega_des
     else:
-        const = np.array([0.0, float(omega_des), 0.0])
+        if not math.isfinite(omega_des):
+            raise ValueError(f"omega_des must be finite, got {omega_des!r}")
+        const = (0.0, float(omega_des), 0.0)
         desired = lambda t: const  # noqa: E731
 
-    state = SimState()
-    integ = np.zeros(3)
-    states = [state]
+    accel = _rolling_rhs(config)
+    m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
+    phi = omega = position = energy = t = 0.0
+    integ = (0.0, 0.0, 0.0)
+    states = [SimState()]
     powers = [0.0]
     saturated = [False]
     steps = int(round(duration / dt))
-    for i in range(steps):
-        meas = np.array([0.0, state.roll_rate_omega, 0.0])
-        cmd, integ = control.pi_rate_control(desired(state.time), meas,
+    for i in range(1, steps + 1):
+        cmd, integ = control.pi_rate_control(desired(t), (0.0, omega, 0.0),
                                              gains, integ, dt)
-        forces = control.allocate(cmd, mixer)
-        forces, sat = control.saturate_pair_forces(forces,
-                                                   veh.max_rotor_thrust)
+        forces, sat = control.saturate_pair_forces(
+            control.allocate(cmd, mixer), f_max)
         # torque actually realized after saturation
-        torque_y = float(mixer.matrix_m[2] @ forces)
-        power = rolling_electrical_power(config, torque_y,
-                                         state.roll_rate_omega * radius)
-        state = step_rolling(state, torque_y, config, dt, power)
-        if (i + 1) % record_every == 0:
-            states.append(state)
+        f_a, f_b, f_c, f_d = forces
+        torque_y = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d
+        power = rolling_electrical_power(config, torque_y, omega * radius)
+        phi_new, omega = _rk4_roll(accel, phi, omega, torque_y, dt)
+        position += (phi_new - phi) * radius
+        phi = phi_new
+        energy += power * dt
+        t += dt
+        if i % record_every == 0:
+            states.append(SimState(position_s=position,
+                                   speed_v=omega * radius,
+                                   roll_angle=phi, roll_rate_omega=omega,
+                                   energy_consumed=energy, time=t))
             powers.append(power)
             saturated.append(sat)
     return Trajectory(states=states, power=powers, saturated=saturated)

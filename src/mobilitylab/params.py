@@ -157,10 +157,17 @@ def _parse_kv_text(text: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if key == "num_agents":
-        n = int(value)
-        return n
-    return float(value)
+    if key != "num_agents":
+        return float(value)
+    # bool is an int subclass and int() truncates 2.7: take whole counts only
+    if isinstance(value, bool):
+        raise ValueError(f"not an agent count: {value!r}")
+    if isinstance(value, int):
+        return value
+    n = float(value)
+    if not n.is_integer():
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(n)
 
 
 def config_from_mapping(values: dict) -> ScenarioConfig:

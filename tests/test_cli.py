@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from mobilitylab import cli
 
@@ -213,3 +216,38 @@ def test_earth_preset_with_config_file(tmp_path, capsys):
                            "--format", "json"], capsys)
     assert code == 0
     assert json.loads(stdout)["min_power_w"] < 10
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_omega_des_exits_2(capsys, value):
+    code, stdout, err = run(["simulate", f"--omega-des={value}"], capsys)
+    assert code == 2
+    assert "--omega-des" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_duration_exits_2(capsys, value):
+    code, _, err = run(["simulate", "--duration", value], capsys)
+    assert code == 2
+    assert "--duration" in err
+
+
+@given(n_min=st.integers(-5, 15), n_max=st.integers(-5, 15))
+def test_scaling_bad_agent_range_exits_2(n_min, n_max):
+    assume(n_min < 1 or n_max < n_min)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(["scaling", "--n-min", str(n_min),
+                         "--n-max", str(n_max)])
+    assert code == 2
+    assert ("--n-min" if n_min < 1 else "--n-max") in err.getvalue()
+
+
+def test_non_integral_num_agents_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"num_agents": 2.7}')
+    code, _, err = run(["range-sweep", "--mode", "rolling",
+                        "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "num_agents" in err

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mobilitylab import dynamics, steadystate
+from mobilitylab import control, dynamics, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
 
 CFG = ScenarioConfig()
@@ -154,3 +154,114 @@ def test_rk4_order_on_smooth_scenario():
     e2 = abs(final_omega(0.004) - final_omega(0.002))
     order = math.log2(e1 / e2)
     assert order >= 3.5
+
+
+def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
+    """The closed loop as it was written with numpy 3-vectors: np.clip PI,
+    mixer inverse @ wrench, np.max saturation, then step_rolling. Returns
+    the trajectory's CSV rows."""
+    gains = control.default_gains()
+    kp, ki = np.asarray(gains.kp), np.asarray(gains.ki)
+    limit = gains.integrator_limit
+    veh = config.vehicle
+    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
+                                 veh.torque_constant_k_tau)
+    c, k_tau = mixer.c, mixer.k_tau
+    inverse = mixer.matrix_m.T / np.array([4.0, 4.0 * c ** 2, 4.0 * c ** 2,
+                                           4.0 * k_tau ** 2])
+    if not callable(omega_des):
+        const = np.array([0.0, omega_des, 0.0])
+        omega_des = lambda t: const  # noqa: E731
+    radius = veh.shell_radius_l
+    state = dynamics.SimState()
+    integ = np.zeros(3)
+    rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
+    for i in range(int(round(duration / dt))):
+        e = (np.asarray(omega_des(state.time), float)
+             - np.array([0.0, state.roll_rate_omega, 0.0]))
+        integ = np.clip(integ + e * dt, -limit, limit)
+        torque = kp * e + ki * integ
+        forces = inverse @ np.concatenate(([0.0], torque))
+        peak = float(np.max(np.abs(forces)))
+        sat = not peak <= veh.max_rotor_thrust
+        if sat:
+            forces = forces * (veh.max_rotor_thrust / peak)
+        torque_y = float(mixer.matrix_m[2] @ forces)
+        power = dynamics.rolling_electrical_power(
+            config, torque_y, state.roll_rate_omega * radius)
+        state = dynamics.step_rolling(state, torque_y, config, dt)
+        if (i + 1) % record_every == 0:
+            rows.append([state.time, state.position_s, state.speed_v,
+                         state.roll_rate_omega, power,
+                         state.energy_consumed, int(sat)])
+    return rows
+
+
+SLOPED = replace(CFG, terrain=TerrainParams(0.03, math.radians(1.5)))
+WEAK_ROTORS = replace(CFG, vehicle=replace(CFG.vehicle,
+                                           max_rotor_thrust=0.1))
+
+
+def _step_to_16(t):
+    # the x integrator clamps at -limit, the y one at +limit after the step
+    return np.array([-3.0, 16.0 if t >= 2.0 else 0.5, -0.3])
+
+
+def _nan_after_3s(t):
+    return (0.0, math.nan if t >= 3.0 else 0.8, 0.0)
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("config,omega_des", [
+    (CFG, 0.6),
+    (SLOPED, lambda t: np.array([0.3 * math.sin(t),
+                                 0.5 + 0.2 * math.sin(0.7 * t),
+                                 -0.1 * math.cos(t)])),
+    (SLOPED, lambda t: (0.4, 1.0 + 0.5 * math.sin(2.0 * t), 0.05)),
+    (SLOPED, _step_to_16),
+    (WEAK_ROTORS, 1.0),
+    (CFG, _nan_after_3s),
+], ids=["constant", "xyz-array", "xyz-tuple", "saturating-step",
+        "reduced-thrust", "nan-setpoint"])
+def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
+    traj = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
+                                         dt=0.01, record_every=record_every)
+    got = np.array(traj.to_csv_rows(), float)
+    want = np.array(_numpy_tick_reference(config, omega_des, 6.0, 0.01,
+                                          record_every), float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[:, 6], want[:, 6])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_step_rolling_is_one_closed_loop_tick_bitwise():
+    # the loop's tick and step_rolling share one RK4 step: driving
+    # step_rolling with the loop's control law reproduces every state
+    dt = 0.005
+    traj = dynamics.simulate_closed_loop(SLOPED, 1.2, duration=2.0, dt=dt)
+    gains = control.default_gains()
+    veh = SLOPED.vehicle
+    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
+                                 veh.torque_constant_k_tau)
+    row = mixer.matrix_m[2].tolist()
+    state, integ = dynamics.SimState(), (0.0, 0.0, 0.0)
+    for want, want_power in zip(traj.states[1:], traj.power[1:]):
+        cmd, integ = control.pi_rate_control(
+            (0.0, 1.2, 0.0), (0.0, state.roll_rate_omega, 0.0), gains,
+            integ, dt)
+        forces, _ = control.saturate_pair_forces(
+            control.allocate(cmd, mixer), veh.max_rotor_thrust)
+        torque_y = (row[0] * forces[0] + row[1] * forces[1]
+                    + row[2] * forces[2] + row[3] * forces[3])
+        power = dynamics.rolling_electrical_power(
+            SLOPED, torque_y, state.roll_rate_omega * veh.shell_radius_l)
+        state = dynamics.step_rolling(state, torque_y, SLOPED, dt)
+        assert state == want
+        assert power == want_power
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_loop_rejects_non_finite_constant_setpoint(bad):
+    with pytest.raises(ValueError, match="omega_des"):
+        dynamics.simulate_closed_loop(CFG, bad, duration=1.0, dt=0.01)

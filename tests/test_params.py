@@ -110,3 +110,25 @@ def test_round_trip_property(mass, crr, n):
                                       "rolling_resistance_crr": crr,
                                       "num_agents": n})
     assert params.load_config(params.serialize(cfg)) == cfg
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer()))
+def test_num_agents_rejects_non_integral_float(x):
+    with pytest.raises(params.ValidationError, match="num_agents"):
+        params.config_from_mapping({"num_agents": x})
+
+
+@pytest.mark.parametrize("doc", ['{"num_agents": 2.7}',
+                                 '{"num_agents": true}',
+                                 '{"num_agents": "2.5"}',
+                                 "num_agents = 2.7\n"])
+def test_num_agents_not_truncated(doc):
+    with pytest.raises(params.ValidationError, match="num_agents"):
+        params.load_config(doc)
+
+
+@pytest.mark.parametrize("doc", ['{"num_agents": 3}', '{"num_agents": "3"}',
+                                 "num_agents = 3\n"])
+def test_num_agents_whole_counts_accepted(doc):
+    assert params.load_config(doc).num_agents == 3
