@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import EnvironmentParams, VehicleParams
+from .params import AnalysisError, EnvironmentParams, VehicleParams
 
 #: Newton step tolerance on induced velocity, m/s
 INDUCED_TOL = 1e-10
@@ -32,7 +32,7 @@ def _lib(x):
     return math if type(x) in (int, float) else np
 
 
-class SolverError(RuntimeError):
+class SolverError(AnalysisError):
     """An iterative solve (induced velocity, flying trim) did not converge."""
 
 
@@ -149,7 +149,8 @@ def rotor_power(op_point: RotorOperatingPoint, eta_p: float, eta_m: float,
                 eta_c: float):
     """Electrical power P = f (nu - v_inf sin a) / (eta_p eta_m eta_c).
 
-    Clamped at zero: descending-flight windmilling recovery is not modeled.
+    Clamped at zero (NaN stays NaN): descending-flight windmilling
+    recovery is not modeled.
     The operating-point fields may be broadcastable arrays.
     """
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
@@ -161,7 +162,7 @@ def rotor_power(op_point: RotorOperatingPoint, eta_p: float, eta_m: float,
                           * _lib(op.angle_of_attack_alpha).sin(
                               op.angle_of_attack_alpha))
     if _lib(aero) is math:
-        return max(0.0, aero) / (eta_p * eta_m * eta_c)
+        return (0.0 if aero <= 0.0 else aero) / (eta_p * eta_m * eta_c)
     return np.maximum(aero, 0.0) / (eta_p * eta_m * eta_c)
 
 

@@ -6,6 +6,10 @@
 Subcommands: range-sweep, power-curve, tradeoff-map, scaling, simulate,
 thermal. Exit status 2 flags argument/configuration errors, 1 an infeasible
 analysis; outputs are deterministic (byte-identical across runs).
+
+Each subcommand imports the analysis modules it uses only after its
+arguments and config have been checked, so an argument error, and a
+``thermal`` call, never load numpy.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
+from .params import (DT_MAX, AnalysisError, ConfigError, ScenarioConfig,
+                     ValidationError, config_from_mapping, earth_defaults,
+                     parse_document)
 
-from . import aeropower, dynamics, rangeopt, thermal
-from .params import (ConfigError, ScenarioConfig, ValidationError,
-                     config_from_mapping, earth_defaults, parse_document)
-
-#: default thickness sweep for the thermal table, m
-THERMAL_THICKNESS_GRID = np.linspace(0.005, 0.05, 46)
+#: default thickness sweep for the thermal table, m; equal bit for bit to
+#: np.linspace(0.005, 0.05, 46), whose step and endpoint it repeats
+THERMAL_THICKNESS_GRID = ([0.005 + i * ((0.05 - 0.005) / 45)
+                           for i in range(45)] + [0.05])
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_range_sweep(args, config) -> tuple[Table, dict]:
+    from . import rangeopt
     curve = rangeopt.range_sweep(config, args.mode, hotel_w=args.hotel_w,
                                  refine=args.refine)
     rows = [[v, p, r] for v, p, r in zip(curve.velocity, curve.power,
@@ -90,6 +95,8 @@ def _cmd_range_sweep(args, config) -> tuple[Table, dict]:
 
 
 def _cmd_power_curve(args, config) -> tuple[Table, dict]:
+    import numpy as np
+    from . import rangeopt
     curve = rangeopt.range_sweep(config, args.mode, hotel_w=args.hotel_w)
     rows = [[v, p] for v, p in zip(curve.velocity, curve.power)
             if math.isfinite(p)]
@@ -101,6 +108,8 @@ def _cmd_power_curve(args, config) -> tuple[Table, dict]:
 
 
 def _cmd_tradeoff_map(args, config) -> tuple[Table, dict]:
+    import numpy as np
+    from . import rangeopt
     grid = rangeopt.tradeoff_grid(
         config, crr_range=(args.crr_min, args.crr_max),
         theta_range_deg=(args.theta_min_deg, args.theta_max_deg),
@@ -125,6 +134,7 @@ def _cmd_tradeoff_map(args, config) -> tuple[Table, dict]:
 
 
 def _cmd_scaling(args, config) -> tuple[Table, dict]:
+    from . import rangeopt
     curve = rangeopt.scaling_bounds(config,
                                     range(args.n_min, args.n_max + 1))
     rows = [[float(n), lo, up] for n, lo, up in
@@ -136,6 +146,7 @@ def _cmd_scaling(args, config) -> tuple[Table, dict]:
 
 
 def _cmd_simulate(args, config) -> tuple[Table, dict]:
+    from . import dynamics
     traj = dynamics.simulate_closed_loop(config, args.omega_des,
                                          args.duration, args.dt,
                                          record_every=args.record_every)
@@ -149,6 +160,7 @@ def _cmd_simulate(args, config) -> tuple[Table, dict]:
 
 
 def _cmd_thermal(args, config) -> tuple[Table, dict]:
+    from . import thermal
     spec = thermal.ThermalSpec(
         outer_radius_r2=thermal.ThermalSpec().inner_radius_r1 + 0.02,
         outer_temp_t2=config.environment.ambient_temperature)
@@ -238,24 +250,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NON_NEGATIVE = (lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "finite and > 0")
+_SLOPE_DEG = (lambda x: abs(x) < 90.0, "in (-90, 90)")
+_COUNT = (lambda n: n >= 1, ">= 1")
+
+#: the domain of each numeric flag, by dest: (test, what the value must be)
+_DOMAINS = {
+    "hotel_w": _NON_NEGATIVE,
+    "crr_min": _NON_NEGATIVE,
+    "crr_max": _NON_NEGATIVE,
+    "theta_min_deg": _SLOPE_DEG,
+    "theta_max_deg": _SLOPE_DEG,
+    "resolution": _COUNT,
+    "n_min": _COUNT,
+    "omega_des": (math.isfinite, "finite"),
+    "duration": _POSITIVE,
+    "dt": (lambda x: 0.0 < x <= DT_MAX, f"in (0, {DT_MAX}]"),
+    "record_every": _COUNT,
+    "budget_w": _POSITIVE,
+    "thickness_m": _POSITIVE,
+}
+
+
 def _argument_error(args: argparse.Namespace) -> str | None:
-    """The message for a numeric argument outside its range, else None."""
-    if args.subcommand == "simulate":
-        if not (0.0 < args.dt <= dynamics.DT_MAX):
-            return f"--dt must be in (0, {dynamics.DT_MAX}]"
-        if not math.isfinite(args.omega_des):
-            return f"--omega-des must be finite (got {args.omega_des!r})"
-        if not (0.0 < args.duration < math.inf) or args.record_every < 1:
-            return ("--duration must be finite and > 0 and "
-                    "--record-every >= 1")
-    elif args.subcommand == "tradeoff-map" and args.resolution < 1:
-        return "--resolution must be >= 1"
-    elif args.subcommand == "scaling":
-        if args.n_min < 1:
-            return f"--n-min must be >= 1 (got {args.n_min})"
-        if args.n_max < args.n_min:
-            return (f"--n-max must be >= --n-min (got {args.n_max} < "
-                    f"{args.n_min})")
+    """The message for a numeric argument outside its domain, else None."""
+    for dest, (ok, domain) in _DOMAINS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            return (f"--{dest.replace('_', '-')} must be {domain} "
+                    f"(got {value!r})")
+    if args.subcommand == "scaling" and args.n_max < args.n_min:
+        return (f"--n-max must be >= --n-min (got {args.n_max} < "
+                f"{args.n_min})")
     return None
 
 
@@ -273,8 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         table, summary = _COMMANDS[args.subcommand](args, config)
-    except (rangeopt.AllInfeasibleError, aeropower.SolverError,
-            ValueError) as exc:
+    except (AnalysisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":

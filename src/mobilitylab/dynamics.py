@@ -31,10 +31,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import aeropower, control, steadystate
-from .params import ScenarioConfig
+from .params import DT_MAX, ScenarioConfig
 
-#: maximum allowed integration step, s
-DT_MAX = 0.01
 #: rolling resistance is inactive below this roll rate, rad/s
 OMEGA_STATIC = 1e-6
 #: tolerance on the flying trim constraint T cos(tilt) = m g cos(theta), N

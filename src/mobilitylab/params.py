@@ -19,6 +19,15 @@ class ValidationError(ValueError):
     """A parameter invariant is violated. Message names the offending field."""
 
 
+class AnalysisError(RuntimeError):
+    """A valid scenario whose analysis has no result: a solve did not
+    converge, or no point of a sweep is feasible."""
+
+
+#: maximum allowed integration step, s
+DT_MAX = 0.01
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Gravity, atmosphere and ambient temperature of a celestial body."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import aeropower, steadystate
-from .params import ScenarioConfig, TerrainParams
+from .params import AnalysisError, ScenarioConfig, TerrainParams
 
 #: default velocity grids, m/s
 ROLLING_V_GRID = (0.01, 2.0, 200)
@@ -29,7 +29,7 @@ PLATONIC_CIRCUMRADIUS_PER_EDGE = {
 }
 
 
-class AllInfeasibleError(RuntimeError):
+class AllInfeasibleError(AnalysisError):
     """Every point of a sweep exceeded the rotor thrust limit."""
 
 

@@ -133,6 +133,21 @@ def test_rotor_power_efficiency_validation():
             aeropower.rotor_power(op, bad, 0.85, 0.95)
 
 
+# thrust, v_inf, alpha, nu: negative aero power (clamped) and NaN included
+_power_inputs = st.tuples(*[st.floats(-10.0, 10.0) | st.just(math.nan)] * 4)
+
+
+@given(points=st.lists(_power_inputs, min_size=1, max_size=8))
+def test_rotor_power_scalar_matches_array(points):
+    arrays = aeropower.RotorOperatingPoint(
+        *(np.array(col) for col in zip(*points)))
+    batch = aeropower.rotor_power(arrays, 0.6, 0.85, 0.95)
+    scalar = [aeropower.rotor_power(aeropower.RotorOperatingPoint(*p),
+                                    0.6, 0.85, 0.95) for p in points]
+    assert np.array_equal(batch, scalar, equal_nan=True)
+    assert all(p >= 0.0 or math.isnan(p) for p in scalar)
+
+
 @given(f=st.floats(0.01, 10.0))
 def test_power_scales_inverse_with_efficiency(f):
     nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)

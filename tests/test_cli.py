@@ -1,7 +1,13 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -251,3 +257,114 @@ def test_non_integral_num_agents_exits_2(tmp_path, capsys):
                         "--config", str(cfg)], capsys)
     assert code == 2
     assert "num_agents" in err
+
+
+def test_thermal_grid_is_linspace_bitwise():
+    grid = np.array(cli.THERMAL_THICKNESS_GRID)
+    assert grid.tobytes() == np.linspace(0.005, 0.05, 46).tobytes()
+
+
+def _float_flags():
+    """(subcommand, option) for every float-typed option of the parser."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+_REQUIRED = {"range-sweep": ["--mode", "rolling"],
+             "power-curve": ["--mode", "rolling"]}
+
+
+@given(flag=st.sampled_from(_float_flags()),
+       value=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_float_flag_exits_2(flag, value):
+    subcommand, option = flag
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main([subcommand, *_REQUIRED.get(subcommand, []),
+                         f"{option}={value}"])
+    assert code == 2
+    assert option in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff-map", "--theta-max-deg", "120", "--theta-min-deg", "100"],
+    ["tradeoff-map", "--theta-max-deg", "-90"],
+    ["tradeoff-map", "--crr-min", "-0.01"],
+    ["range-sweep", "--mode", "flying", "--hotel-w", "-1"],
+    ["thermal", "--budget-w", "0"],
+    ["thermal", "--thickness-m", "-1"],
+])
+def test_out_of_domain_flag_exits_2(capsys, argv):
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {argv[-2]} must be")
+
+
+# -- cold start: a fresh interpreter loads only what the subcommand needs --
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_ENV = {**{k: v for k, v in os.environ.items() if k != "MOBILITYLAB_CONFIG"},
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+#: runs the CLI, then prints the exit code and the loaded modules on stderr
+_PROBE = """
+import sys
+from mobilitylab.cli import main
+try:
+    code = main()
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules
+                    if m == "numpy" or m.startswith("mobilitylab.")),
+      file=sys.stderr)
+"""
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=_ENV, timeout=120)
+
+
+def _cold(*argv):
+    """Exit code and loaded modules of a CLI call in a fresh interpreter."""
+    code, *loaded = _python("-c", _PROBE, *argv).stderr.splitlines()[-1] \
+        .split()
+    return int(code), set(loaded)
+
+
+def test_import_loads_no_submodule():
+    proc = _python("-c", "import sys, mobilitylab; print(*(m for m in "
+                   "sys.modules if m.startswith('mobilitylab.')))")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["thermal"], 0),
+    (["range-sweep", "--mode", "rolling", "--set", "gravity=-1"], 2),
+    (["range-sweep", "--mode", "sideways"], 2),
+    (["simulate", "--dt", "0.05"], 2),
+])
+def test_cold_call_without_numpy(argv, exit_code):
+    code, loaded = _cold(*argv)
+    assert code == exit_code
+    assert "numpy" not in loaded
+
+
+def test_range_sweep_loads_no_dynamics_or_thermal():
+    code, loaded = _cold("range-sweep", "--mode", "rolling")
+    assert code == 0
+    assert "mobilitylab.rangeopt" in loaded
+    assert not loaded & {"mobilitylab.dynamics", "mobilitylab.thermal"}
+
+
+def test_run_as_module_is_quiet():
+    proc = _python("-m", "mobilitylab.cli", "thermal")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("thickness_m,loss_w,heater_w,mass_kg\n")

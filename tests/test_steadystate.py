@@ -68,6 +68,11 @@ def test_rolling_power_monotone_in_resistance(v, crr, theta):
     assert p1 >= p0
 
 
+def test_rolling_power_keeps_nan_torque():
+    # a NaN torque must not turn into a free 0 W roll
+    assert math.isnan(steadystate.rolling_power(CFG, math.nan, 0.1))
+
+
 def test_rolling_power_increases_with_speed():
     powers = [steadystate.rolling_equilibrium(CFG, v).total_electrical_power
               for v in np.linspace(0.05, 1.5, 10)]
