@@ -63,7 +63,7 @@ def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
 
 
 def drag_force(env: EnvironmentParams, area: float, speed: float,
-               cd: float = 2.1) -> float:
+               cd: float) -> float:
     """Drag 0.5 * cd * rho * A * v |v|, signed with v (it opposes motion)."""
     return 0.5 * cd * env.air_density * area * speed * abs(speed)
 

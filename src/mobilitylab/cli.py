@@ -37,6 +37,20 @@ class Table:
     rows: list[list[float]]
 
 
+def _write(text: str, path: str | None) -> int:
+    """Write text as UTF-8 to ``path``, or to stdout for ``path=None``.
+
+    Returns the number of bytes written.
+    """
+    data = text.encode("utf-8")
+    if path is None:
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    return len(data)
+
+
 def emit_csv(table: Table, path: str | None) -> int:
     """Write a table as UTF-8 CSV with LF endings and %.9g cells.
 
@@ -45,24 +59,7 @@ def emit_csv(table: Table, path: str | None) -> int:
     lines = [",".join(table.header)]
     for row in table.rows:
         lines.append(",".join(f"{cell:.9g}" for cell in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if path is None:
-        sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    return len(data)
-
-
-def _emit_json(summary: dict, path: str | None) -> int:
-    data = (json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            ).encode("utf-8")
-    if path is None:
-        sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    return len(data)
+    return _write("\n".join(lines) + "\n", path)
 
 
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -303,10 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     except (AnalysisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: float overflow, an input is too large: {exc}",
+              file=sys.stderr)
+        return 1
     if args.format == "csv":
         emit_csv(table, args.out)
     else:
-        _emit_json(summary, args.out)
+        _write(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

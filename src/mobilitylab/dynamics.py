@@ -20,8 +20,9 @@ invariants: no numpy on the tick path (the control law, the RK4 step and the
 scalar rotor power all run on Python floats; numpy costs more per call on
 3-vectors than the arithmetic it does), every config-only term hoisted out
 of the loop once per run (``_rolling_rhs``), and a ``SimState`` built only
-for recorded ticks. ``step_rolling`` and the loop share one RK4 step
-(``_rk4_roll``), so a tick equals a ``step_rolling`` call bit for bit.
+for recorded ticks. ``step_rolling``, ``step_flying`` and the loop share
+one RK4 step (``_rk4``), so a tick equals a ``step_rolling`` call bit for
+bit.
 """
 
 from __future__ import annotations
@@ -106,45 +107,34 @@ def _rolling_rhs(config: ScenarioConfig
     return accel
 
 
-def _rolling_accel(config: ScenarioConfig, roll_angle: float, omega: float,
-                   torque_y: float) -> float:
-    """One evaluation of the rolling right-hand side."""
-    return _rolling_rhs(config)(roll_angle, omega, torque_y)
-
-
-def _rk4_roll(accel: Callable[[float, float, float], float], phi: float,
-              omega: float, torque_y: float, dt: float) -> tuple[float, float]:
-    """One RK4 step of (phi, omega) with torque_y held over the step."""
+def _rk4(accel: Callable[[float, float, float], float], x: float, v: float,
+         u: float, dt: float) -> tuple[float, float]:
+    """One RK4 step of x' = v, v' = accel(x, v, u) with u held over the
+    step; shared by the roll (phi, omega) and the flying track (s, v)."""
     h = 0.5 * dt
-    a1 = accel(phi, omega, torque_y)
-    om2 = omega + h * a1
-    a2 = accel(phi + h * omega, om2, torque_y)
-    om3 = omega + h * a2
-    a3 = accel(phi + h * om2, om3, torque_y)
-    om4 = omega + dt * a3
-    a4 = accel(phi + dt * om3, om4, torque_y)
-    return (phi + dt / 6.0 * (omega + 2 * om2 + 2 * om3 + om4),
-            omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
-
-
-def rolling_electrical_power(config: ScenarioConfig, torque_y: float,
-                             v: float) -> float:
-    """Electrical power drawn to hold torque_y while translating at v."""
-    return steadystate.rolling_power(config, torque_y, abs(v))
+    a1 = accel(x, v, u)
+    v2 = v + h * a1
+    a2 = accel(x + h * v, v2, u)
+    v3 = v + h * a2
+    a3 = accel(x + h * v2, v3, u)
+    v4 = v + dt * a3
+    a4 = accel(x + dt * v3, v4, u)
+    return (x + dt / 6.0 * (v + 2 * v2 + 2 * v3 + v4),
+            v + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
 
 
 def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
                  dt: float) -> SimState:
     """One RK4 step of the no-slip rolling reduction under torque_y.
 
-    Energy is charged at rolling_electrical_power at the start of the step.
+    Energy is charged at the rotor power at the start of the step.
     """
     _check_dt(dt)
     radius = config.vehicle.shell_radius_l
-    power = rolling_electrical_power(config, torque_y,
-                                     state.roll_rate_omega * radius)
-    phi, om = _rk4_roll(_rolling_rhs(config), state.roll_angle,
-                        state.roll_rate_omega, torque_y, dt)
+    power = steadystate.rolling_power(config, torque_y,
+                                      abs(state.roll_rate_omega * radius))
+    phi, om = _rk4(_rolling_rhs(config), state.roll_angle,
+                   state.roll_rate_omega, torque_y, dt)
     return SimState(position_s=state.position_s
                     + (phi - state.roll_angle) * radius,
                     speed_v=om * radius,
@@ -167,22 +157,17 @@ def step_flying(state: SimState, thrust: float, tilt: float,
             f"thrust/tilt violate the constant-height trim by "
             f"{height_residual:.3e} N")
 
-    def accel(v: float) -> float:
-        area = aeropower.projected_area(veh, tilt, "flying")
+    area = aeropower.projected_area(veh, tilt, "flying")
+
+    def accel(s: float, v: float, u: float) -> float:
         drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
         along = (thrust * math.sin(tilt) - drag
                  - m * env.gravity * math.sin(ter.slope_theta))
         return along / m
 
-    s, v = state.position_s, state.speed_v
-    k1 = (v, accel(v))
-    k2 = (v + 0.5 * dt * k1[1], accel(v + 0.5 * dt * k1[1]))
-    k3 = (v + 0.5 * dt * k2[1], accel(v + 0.5 * dt * k2[1]))
-    k4 = (v + dt * k3[1], accel(v + dt * k3[1]))
-    s_new = s + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    v_new = v + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-
-    power = aeropower.rotors_power(env, veh, 4, thrust / 4.0, abs(v), tilt)
+    s_new, v_new = _rk4(accel, state.position_s, state.speed_v, thrust, dt)
+    power = aeropower.rotors_power(env, veh, 4, thrust / 4.0,
+                                   abs(state.speed_v), tilt)
     return replace(state, position_s=s_new, speed_v=v_new,
                    energy_consumed=state.energy_consumed + power * dt,
                    time=state.time + dt)
@@ -191,7 +176,6 @@ def step_flying(state: SimState, thrust: float, tilt: float,
 def simulate_closed_loop(config: ScenarioConfig,
                          omega_des: Callable[[float], Sequence[float]] | float,
                          duration: float, dt: float,
-                         gains: control.ControlGains | None = None,
                          record_every: int = 1) -> Trajectory:
     """PI rate control -> allocation -> rotor power -> rolling step, per tick.
 
@@ -202,8 +186,7 @@ def simulate_closed_loop(config: ScenarioConfig,
         raise ValueError(f"duration must be finite and > 0, got "
                          f"{duration!r}")
     _check_dt(dt)
-    if gains is None:
-        gains = control.default_gains()
+    gains = control.default_gains()
     veh = config.vehicle
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
@@ -234,8 +217,9 @@ def simulate_closed_loop(config: ScenarioConfig,
         # torque actually realized after saturation
         f_a, f_b, f_c, f_d = forces
         torque_y = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d
-        power = rolling_electrical_power(config, torque_y, omega * radius)
-        phi_new, omega = _rk4_roll(accel, phi, omega, torque_y, dt)
+        power = steadystate.rolling_power(config, torque_y,
+                                          abs(omega * radius))
+        phi_new, omega = _rk4(accel, phi, omega, torque_y, dt)
         position += (phi_new - phi) * radius
         phi = phi_new
         energy += power * dt

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import aeropower, steadystate
+from . import steadystate
 from .params import AnalysisError, ScenarioConfig, TerrainParams
 
 #: default velocity grids, m/s
@@ -62,9 +62,9 @@ def range_at(power: float, v: float, total_energy: float) -> float:
     """Range in km at constant speed v and electrical power draw."""
     if v == 0.0:
         return 0.0
-    if power <= 0.0:
-        raise ValueError(f"power must be > 0 for v > 0, got {power!r}")
-    return v * total_energy / power * 1e-3
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"power must be finite and > 0, got {power!r}")
+    return float(_ranges(v, power, total_energy))
 
 
 def default_velocity_grid(mode: str) -> np.ndarray:
@@ -101,8 +101,8 @@ def _golden_refine(config: ScenarioConfig, mode: str, hotel_w: float,
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def neg_range(v):
-        p = float(_powers(config, mode, v)) + hotel_w
-        return -range_at(p, v, energy) if np.isfinite(p) else math.inf
+        r = float(_ranges(v, _powers(config, mode, v) + hotel_w, energy))
+        return math.inf if math.isnan(r) else -r
 
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -216,31 +216,26 @@ def scaling_bounds(config: ScenarioConfig,
     grows quickly with n). Flying range is independent of n because n
     independent agents scale power and energy identically.
     """
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    width = veh.shell_width_w
+    width = config.vehicle.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
     v_grid = default_velocity_grid("rolling")
 
-    def best_range(n, radius, area):
+    def best_range(cfg, radius, area):
         # the torque is shared by the 2 n propeller pairs
-        weight = n * veh.cobot_mass * env.gravity
-        resist = (aeropower.drag_force(env, area, v_grid,
-                                       cd=veh.drag_coefficient_cd)
-                  + weight * math.sin(ter.slope_theta)
-                  + ter.rolling_resistance_crr
-                  * (weight * math.cos(ter.slope_theta)))
-        powers = steadystate.rolling_power(config, resist * radius, v_grid,
-                                           2 * n)
-        return _best(_ranges(v_grid, powers, n * veh.battery_energy))
+        resist = steadystate.rolling_resistive_force(cfg, v_grid, area)
+        powers = steadystate.rolling_power(cfg, resist * radius, v_grid,
+                                           2 * cfg.num_agents)
+        return _best(_ranges(v_grid, powers, cfg.total_energy))
 
     ns, lowers, uppers = [], [], []
     for n in n_range:
         if n < 1:
             raise ValueError("agent count must be >= 1")
+        cfg = replace(config, num_agents=n)
         r_up = platonic_shell_radius(n, width)
         r_lo = polygon_prism_radius(n, width)
         ns.append(n)
-        uppers.append(best_range(n, r_up, math.pi * r_up ** 2) / fly_range)
-        lowers.append(best_range(n, r_lo, 2.0 * r_lo * width) / fly_range)
+        uppers.append(best_range(cfg, r_up, math.pi * r_up ** 2) / fly_range)
+        lowers.append(best_range(cfg, r_lo, 2.0 * r_lo * width) / fly_range)
     return ScalingCurve(n=np.array(ns), ratio_lower=np.array(lowers),
                         ratio_upper=np.array(uppers))

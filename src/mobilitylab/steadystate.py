@@ -32,14 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aeropower, control
-from .params import ScenarioConfig
+from .params import AnalysisError, ScenarioConfig
 
 #: fixed-point iteration cap / tolerance for the flying tilt angle
 TRIM_MAX_ITER = 100
 TRIM_TOL = 1e-9
 
 
-class InfeasibleError(RuntimeError):
+class InfeasibleError(AnalysisError):
     """The equilibrium demands more thrust than a rotor can produce."""
 
 
@@ -70,14 +70,17 @@ def average_rolling_area(config: ScenarioConfig) -> float:
                               + 2.0 * veh.shell_radius_l) * veh.shell_width_w
 
 
-def rolling_resistive_force(config: ScenarioConfig, v):
+def rolling_resistive_force(config: ScenarioConfig, v, area=None):
     """Total resistive force the rolling torque must overcome at speed v.
 
+    ``area`` is the drag area, by default the revolution-averaged cylinder.
     Broadcasts over v and over array-valued terrain fields.
     """
     env, ter = config.environment, config.terrain
     weight = config.total_mass * env.gravity
-    drag = aeropower.drag_force(env, average_rolling_area(config), v,
+    if area is None:
+        area = average_rolling_area(config)
+    drag = aeropower.drag_force(env, area, v,
                                 cd=config.vehicle.drag_coefficient_cd)
     return (drag + weight * np.sin(ter.slope_theta)
             + ter.rolling_resistance_crr * (weight * np.cos(ter.slope_theta)))

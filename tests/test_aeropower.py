@@ -41,14 +41,15 @@ def test_projected_area_pi_periodic_and_positive(alpha):
 def test_drag_force_value():
     # rolling, axis-aligned area, v = 1 m/s on Titan
     area = aeropower.projected_area(VEH, 0.0, "rolling")
-    assert aeropower.drag_force(TITAN, area, 1.0) == pytest.approx(
+    assert aeropower.drag_force(TITAN, area, 1.0,
+                                VEH.drag_coefficient_cd) == pytest.approx(
         0.5 * 2.1 * 5.4 * 0.064, rel=1e-12)
 
 
 @given(v=st.floats(0.0, 50.0))
 def test_drag_quadratic_in_speed(v):
-    d1 = aeropower.drag_force(TITAN, 0.1, v)
-    d2 = aeropower.drag_force(TITAN, 0.1, 2 * v)
+    d1 = aeropower.drag_force(TITAN, 0.1, v, VEH.drag_coefficient_cd)
+    d2 = aeropower.drag_force(TITAN, 0.1, 2 * v, VEH.drag_coefficient_cd)
     assert d2 == pytest.approx(4 * d1, rel=1e-9, abs=1e-12)
 
 

@@ -1,10 +1,12 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from mobilitylab import cli
+from mobilitylab.params import ScenarioConfig
 
 
 def run(argv, capsys):
@@ -302,6 +305,50 @@ def test_out_of_domain_flag_exits_2(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith(f"error: {argv[-2]} must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermal", "--thickness-m", "1e308"],
+    ["simulate", "--set", "shell_radius_l=1e200"],
+    ["range-sweep", "--mode", "rolling", "--set", "rotor_disk_radius=1e200"],
+])
+def test_float_overflow_exits_1(capsys, argv):
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _config_fields():
+    """Every config field name, the sections' fields flattened."""
+    config = ScenarioConfig()
+    for f in fields(config):
+        section = getattr(config, f.name)
+        if is_dataclass(section):
+            yield from (g.name for g in fields(section))
+        else:
+            yield f.name
+
+
+_HALF_PI = repr(math.pi / 2)
+#: out-of-domain values of the fields whose domain is not "> 0"
+_OUT_OF_DOMAIN = {"ambient_temperature": [],
+                  "eta_propeller": ["1.5"], "eta_motor": ["1.5"],
+                  "eta_controller": ["1.5"],
+                  "rolling_resistance_crr": ["-0.01"],
+                  "slope_theta": [_HALF_PI, "-" + _HALF_PI],
+                  "num_agents": ["0"]}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in _config_fields()
+    for value in ["nan", "inf", "-inf",
+                  *_OUT_OF_DOMAIN.get(name, ["0", "-1"])]])
+def test_bad_config_field_exits_2(capsys, name, value):
+    code, stdout, err = run(["thermal", "--set", f"{name}={value}"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and name in err
 
 
 # -- cold start: a fresh interpreter loads only what the subcommand needs --

@@ -52,7 +52,7 @@ def test_steady_state_is_a_fixed_point():
     areas = [aeropower.projected_area(CFG.vehicle, a, "rolling")
              for a in angles]
     phi = angles[int(np.argmin(np.abs(np.array(areas) - avg)))]
-    accel = dynamics._rolling_accel(CFG, phi, omega, sol.required_torque)
+    accel = dynamics._rolling_rhs(CFG)(phi, omega, sol.required_torque)
     assert abs(accel) < 1e-4
 
 
@@ -62,8 +62,8 @@ def test_energy_accumulates_power():
     dt = 0.01
     energies = [0.0]
     for _ in range(50):
-        p = dynamics.rolling_electrical_power(
-            CFG, torque, state.roll_rate_omega * 0.2)
+        p = steadystate.rolling_power(
+            CFG, torque, abs(state.roll_rate_omega * 0.2))
         new = dynamics.step_rolling(state, torque, CFG, dt)
         energies.append(energies[-1] + p * dt)
         state = new
@@ -74,7 +74,7 @@ def test_energy_accumulates_power():
 def test_rolling_power_matches_steady_state_module():
     v = 0.3
     sol = steadystate.rolling_equilibrium(CFG, v)
-    p = dynamics.rolling_electrical_power(CFG, sol.required_torque, v)
+    p = steadystate.rolling_power(CFG, sol.required_torque, abs(v))
     assert p == pytest.approx(sol.total_electrical_power, rel=1e-12)
 
 
@@ -187,8 +187,8 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         if sat:
             forces = forces * (veh.max_rotor_thrust / peak)
         torque_y = float(mixer.matrix_m[2] @ forces)
-        power = dynamics.rolling_electrical_power(
-            config, torque_y, state.roll_rate_omega * radius)
+        power = steadystate.rolling_power(
+            config, torque_y, abs(state.roll_rate_omega * radius))
         state = dynamics.step_rolling(state, torque_y, config, dt)
         if (i + 1) % record_every == 0:
             rows.append([state.time, state.position_s, state.speed_v,
@@ -254,8 +254,8 @@ def test_step_rolling_is_one_closed_loop_tick_bitwise():
             control.allocate(cmd, mixer), veh.max_rotor_thrust)
         torque_y = (row[0] * forces[0] + row[1] * forces[1]
                     + row[2] * forces[2] + row[3] * forces[3])
-        power = dynamics.rolling_electrical_power(
-            SLOPED, torque_y, state.roll_rate_omega * veh.shell_radius_l)
+        power = steadystate.rolling_power(
+            SLOPED, torque_y, abs(state.roll_rate_omega * veh.shell_radius_l))
         state = dynamics.step_rolling(state, torque_y, SLOPED, dt)
         assert state == want
         assert power == want_power

@@ -25,6 +25,12 @@ def test_range_at_rejects_nonpositive_power():
         rangeopt.range_at(0.0, 1.0, 870e3)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_range_at_rejects_non_finite_power(power):
+    with pytest.raises(ValueError, match="power"):
+        rangeopt.range_at(power, 1.0, 870e3)
+
+
 @given(p=st.floats(0.1, 100), v=st.floats(0.01, 5), e=st.floats(1e3, 1e7))
 def test_range_proportionality(p, v, e):
     r = rangeopt.range_at(p, v, e)

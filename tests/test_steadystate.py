@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobilitylab import aeropower, steadystate
-from mobilitylab.params import ScenarioConfig, TerrainParams, VehicleParams
+from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
+                               VehicleParams)
 
 CFG = ScenarioConfig()
 
@@ -121,6 +122,20 @@ def test_flying_infeasible_raises():
     weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.01))
     with pytest.raises(steadystate.InfeasibleError):
         steadystate.flying_equilibrium(weak, 1.0)
+
+
+def test_infeasible_error_is_an_analysis_error():
+    # the CLI reports every AnalysisError as exit 1 with an error: line
+    assert issubclass(steadystate.InfeasibleError, AnalysisError)
+
+
+def test_resistive_force_area_changes_drag_only():
+    v, avg = 0.7, steadystate.average_rolling_area(CFG)
+    base = steadystate.rolling_resistive_force(CFG, v)
+    assert steadystate.rolling_resistive_force(CFG, v, avg) == base
+    extra = steadystate.rolling_resistive_force(CFG, v, 3.0 * avg) - base
+    assert extra == pytest.approx(2.0 * aeropower.drag_force(
+        CFG.environment, avg, v, CFG.vehicle.drag_coefficient_cd), rel=1e-12)
 
 
 def test_flying_totals_scale_with_agents():
