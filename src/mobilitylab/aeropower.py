@@ -14,7 +14,6 @@ branch of momentum theory), i.e. with ``alpha = |tilt|``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +33,6 @@ def _lib(x):
 
 class SolverError(AnalysisError):
     """An iterative solve (induced velocity, flying trim) did not converge."""
-
-
-@dataclass(frozen=True)
-class RotorOperatingPoint:
-    thrust_f: float            # N, >= 0
-    freestream_v_inf: float    # m/s, >= 0
-    angle_of_attack_alpha: float  # rad
-    induced_velocity_nu: float    # m/s, >= 0
 
 
 def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
@@ -145,22 +136,19 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
     return float(nu) if nu.ndim == 0 else nu
 
 
-def rotor_power(op_point: RotorOperatingPoint, eta_p: float, eta_m: float,
+def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
                 eta_c: float):
     """Electrical power P = f (nu - v_inf sin a) / (eta_p eta_m eta_c).
 
-    Clamped at zero (NaN stays NaN): descending-flight windmilling
-    recovery is not modeled.
-    The operating-point fields may be broadcastable arrays.
+    Takes thrust f (N, >= 0), freestream v_inf (m/s, >= 0), angle of attack
+    alpha (rad) and induced velocity nu (m/s, >= 0), which may be
+    broadcastable arrays. Clamped at zero (NaN stays NaN): descending-flight
+    windmilling recovery is not modeled.
     """
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
         if not (0.0 < eta <= 1.0):
             raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
-    op = op_point
-    aero = op.thrust_f * (op.induced_velocity_nu
-                          - op.freestream_v_inf
-                          * _lib(op.angle_of_attack_alpha).sin(
-                              op.angle_of_attack_alpha))
+    aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
     if _lib(aero) is math:
         return (0.0 if aero <= 0.0 else aero) / (eta_p * eta_m * eta_c)
     return np.maximum(aero, 0.0) / (eta_p * eta_m * eta_c)
@@ -173,11 +161,9 @@ def rotors_power(env: EnvironmentParams, vehicle: VehicleParams,
     adds to the induced flow. Broadcasts over thrust, v_inf and tilt."""
     nu = induced_velocity(thrust, env, vehicle.rotor_disk_area, v_inf=v_inf,
                           alpha=tilt)
-    op = RotorOperatingPoint(thrust_f=thrust, freestream_v_inf=v_inf,
-                             angle_of_attack_alpha=-tilt,
-                             induced_velocity_nu=nu)
-    return n_rotors * rotor_power(op, vehicle.eta_propeller,
-                                  vehicle.eta_motor, vehicle.eta_controller)
+    return n_rotors * rotor_power(thrust, v_inf, -tilt, nu,
+                                  vehicle.eta_propeller, vehicle.eta_motor,
+                                  vehicle.eta_controller)
 
 
 def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:

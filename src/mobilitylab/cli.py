@@ -69,8 +69,12 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
         values.update(asdict(earth_defaults()))
     path = args.config or os.environ.get("MOBILITYLAB_CONFIG")
     if path:
-        with open(path, encoding="utf-8") as fh:
-            values.update(parse_document(fh.read()))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                values.update(parse_document(fh.read()))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path!r} is not UTF-8 text: "
+                              f"{exc}") from exc
     for item in args.set or []:
         key, sep, val = item.partition("=")
         if not sep:
@@ -159,7 +163,6 @@ def _cmd_simulate(args, config) -> tuple[Table, dict]:
 def _cmd_thermal(args, config) -> tuple[Table, dict]:
     from . import thermal
     spec = thermal.ThermalSpec(
-        outer_radius_r2=thermal.ThermalSpec().inner_radius_r1 + 0.02,
         outer_temp_t2=config.environment.ambient_temperature)
     summary: dict = {"ambient_temp_c": spec.outer_temp_t2}
     if args.budget_w is not None:

@@ -186,7 +186,6 @@ def simulate_closed_loop(config: ScenarioConfig,
         raise ValueError(f"duration must be finite and > 0, got "
                          f"{duration!r}")
     _check_dt(dt)
-    gains = control.default_gains()
     veh = config.vehicle
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
@@ -210,10 +209,10 @@ def simulate_closed_loop(config: ScenarioConfig,
     saturated = [False]
     steps = int(round(duration / dt))
     for i in range(1, steps + 1):
-        cmd, integ = control.pi_rate_control(desired(t), (0.0, omega, 0.0),
-                                             gains, integ, dt)
+        torque, integ = control.pi_rate_control(desired(t), (0.0, omega, 0.0),
+                                                integ, dt)
         forces, sat = control.saturate_pair_forces(
-            control.allocate(cmd, mixer), f_max)
+            control.allocate(torque, mixer), f_max)
         # torque actually realized after saturation
         f_a, f_b, f_c, f_d = forces
         torque_y = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d

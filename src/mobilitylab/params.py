@@ -136,6 +136,15 @@ def validate(config: ScenarioConfig) -> list[str]:
                  "torque_constant_k_tau", "battery_energy",
                  "max_rotor_thrust"):
         _positive(report, name, getattr(veh, name))
+    try:
+        n = float(config.num_agents)
+    except OverflowError:  # an agent count beyond float range
+        n = math.inf
+    for name in ("cobot_mass", "battery_energy"):
+        value = getattr(veh, name)
+        if not abs(n * value) < math.inf:
+            report.append(f"num_agents * {name} must be finite "
+                          f"(got {n:g} * {value!r})")
     for name in ("eta_propeller", "eta_motor", "eta_controller"):
         eta = getattr(veh, name)
         if not (0.0 < eta <= 1.0):

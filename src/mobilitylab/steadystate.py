@@ -123,9 +123,8 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
     # pair k maps to rotors (k, k+4); the first spins for a positive force
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
-    cmd = control.ControlCommand(torque_cmd=np.array([0.0, torque, 0.0]))
     rotor_thrust = np.zeros(8)
-    for k, f_pair in enumerate(control.allocate(cmd, mixer)):
+    for k, f_pair in enumerate(control.allocate((0.0, torque, 0.0), mixer)):
         rotor_thrust[k if f_pair >= 0 else k + 4] = abs(f_pair)
 
     return RollingSolution(speed_v=v, required_torque=torque,

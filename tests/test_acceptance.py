@@ -116,8 +116,7 @@ def test_criterion_07_allocation_oracle():
     worst = 0.0
     for _ in range(1000):
         torque = rng.uniform(-1.0, 1.0, 3)
-        cmd = control.ControlCommand(torque_cmd=torque)
-        forces = control.allocate(cmd, mixer)
+        forces = control.allocate(torque, mixer)
         wrench = mixer.matrix_m @ forces
         target = np.concatenate(([0.0], torque))
         worst = max(worst, np.max(np.abs(wrench - target))

@@ -108,8 +108,7 @@ def test_forward_speed_reduces_edgewise_inflow():
 def test_hover_rotor_power_titan():
     f = 0.8 * 1.352 / 4.0
     nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
-    op = aeropower.RotorOperatingPoint(f, 0.0, 0.0, nu)
-    p = aeropower.rotor_power(op, 0.6, 0.85, 0.95)
+    p = aeropower.rotor_power(f, 0.0, 0.0, nu, 0.6, 0.85, 0.95)
     assert p == pytest.approx(0.6538, rel=1e-3)
 
 
@@ -123,15 +122,13 @@ def test_cobot_hover_power_titan_and_earth():
 
 def test_rotor_power_clamped_nonnegative():
     # windmilling operating point (descent-like): clamp to zero
-    op = aeropower.RotorOperatingPoint(1.0, 10.0, 0.5, 0.01)
-    assert aeropower.rotor_power(op, 0.6, 0.85, 0.95) == 0.0
+    assert aeropower.rotor_power(1.0, 10.0, 0.5, 0.01, 0.6, 0.85, 0.95) == 0.0
 
 
 def test_rotor_power_efficiency_validation():
-    op = aeropower.RotorOperatingPoint(1.0, 0.0, 0.0, 1.0)
     for bad in (0.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            aeropower.rotor_power(op, bad, 0.85, 0.95)
+            aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, bad, 0.85, 0.95)
 
 
 # thrust, v_inf, alpha, nu: negative aero power (clamped) and NaN included
@@ -140,11 +137,9 @@ _power_inputs = st.tuples(*[st.floats(-10.0, 10.0) | st.just(math.nan)] * 4)
 
 @given(points=st.lists(_power_inputs, min_size=1, max_size=8))
 def test_rotor_power_scalar_matches_array(points):
-    arrays = aeropower.RotorOperatingPoint(
-        *(np.array(col) for col in zip(*points)))
-    batch = aeropower.rotor_power(arrays, 0.6, 0.85, 0.95)
-    scalar = [aeropower.rotor_power(aeropower.RotorOperatingPoint(*p),
-                                    0.6, 0.85, 0.95) for p in points]
+    arrays = (np.array(col) for col in zip(*points))
+    batch = aeropower.rotor_power(*arrays, 0.6, 0.85, 0.95)
+    scalar = [aeropower.rotor_power(*p, 0.6, 0.85, 0.95) for p in points]
     assert np.array_equal(batch, scalar, equal_nan=True)
     assert all(p >= 0.0 or math.isnan(p) for p in scalar)
 
@@ -152,9 +147,8 @@ def test_rotor_power_scalar_matches_array(points):
 @given(f=st.floats(0.01, 10.0))
 def test_power_scales_inverse_with_efficiency(f):
     nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
-    op = aeropower.RotorOperatingPoint(f, 0.0, 0.0, nu)
-    p_full = aeropower.rotor_power(op, 1.0, 1.0, 1.0)
-    p_chain = aeropower.rotor_power(op, 0.6, 0.85, 0.95)
+    p_full = aeropower.rotor_power(f, 0.0, 0.0, nu, 1.0, 1.0, 1.0)
+    p_chain = aeropower.rotor_power(f, 0.0, 0.0, nu, 0.6, 0.85, 0.95)
     assert p_chain == pytest.approx(p_full / (0.6 * 0.85 * 0.95), rel=1e-12)
 
 

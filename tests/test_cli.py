@@ -351,6 +351,41 @@ def test_bad_config_field_exits_2(capsys, name, value):
     assert err.startswith("error:") and name in err
 
 
+
+@pytest.mark.parametrize("name, argv", [
+    ("battery_energy", ["--set", "battery_energy=1e308"]),
+    ("cobot_mass", ["--set", "cobot_mass=1e308"]),
+    ("num_agents", ["--config", "agents.json"]),
+])
+def test_agent_total_overflow_exits_2(tmp_path, capsys, monkeypatch, name,
+                                      argv):
+    # finite per agent, but the total over num_agents is not a float
+    (tmp_path / "agents.json").write_text(
+        '{"num_agents": 1' + "0" * 399 + "}")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["range-sweep", "--mode", "rolling", *argv],
+                            capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("via_env", [False, True],
+                         ids=["--config", "MOBILITYLAB_CONFIG"])
+def test_non_utf8_config_exits_2(tmp_path, capsys, monkeypatch, via_env):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"gravity = 1.3\xff\n")
+    if via_env:
+        monkeypatch.setenv("MOBILITYLAB_CONFIG", str(cfg))
+        argv = ["thermal"]
+    else:
+        argv = ["thermal", "--config", str(cfg)]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and str(cfg) in err
+
+
 # -- cold start: a fresh interpreter loads only what the subcommand needs --
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])

@@ -22,7 +22,7 @@ def test_mixer_determinant(mixer):
 
 
 def test_mixer_inverse_is_exact(mixer):
-    ident = mixer.matrix_m @ mixer.inverse
+    ident = mixer.matrix_m @ np.array(mixer.inverse_rows)
     assert np.allclose(ident, np.eye(4), atol=1e-13)
 
 
@@ -35,8 +35,7 @@ def test_mixer_rejects_bad_geometry():
 
 def test_pure_pitch_torque_allocation(mixer):
     # tau_y = 0.1 N m, zero thrust: pair forces +-tau/(4c)
-    cmd = control.ControlCommand(torque_cmd=np.array([0.0, 0.1, 0.0]))
-    forces = control.allocate(cmd, mixer)
+    forces = control.allocate(np.array([0.0, 0.1, 0.0]), mixer)
     c = A / math.sqrt(2.0)
     expect = 0.1 / (4 * c)
     assert np.allclose(np.abs(forces), expect, rtol=1e-12)
@@ -46,28 +45,27 @@ def test_pure_pitch_torque_allocation(mixer):
     assert np.allclose(wrench, [0.0, 0.0, 0.1, 0.0], atol=1e-14)
 
 
-@given(tx=st.floats(-1, 1), ty=st.floats(-1, 1), tz=st.floats(-0.05, 0.05),
-       ft=st.floats(0, 10))
-def test_allocation_round_trip(tx, ty, tz, ft):
+@given(tx=st.floats(-1, 1), ty=st.floats(-1, 1), tz=st.floats(-0.05, 0.05))
+def test_allocation_round_trip(tx, ty, tz):
     mixer = control.mixer_matrix(A, K_TAU)
-    cmd = control.ControlCommand(torque_cmd=np.array([tx, ty, tz]),
-                                 thrust_cmd=ft)
-    forces = control.allocate(cmd, mixer)
+    forces = control.allocate(np.array([tx, ty, tz]), mixer)
     wrench = mixer.matrix_m @ forces
-    assert np.allclose(wrench, [ft, tx, ty, tz], rtol=1e-12, atol=1e-12)
+    assert np.allclose(wrench, [0.0, tx, ty, tz], rtol=1e-12, atol=1e-12)
 
 
 def test_saturation_scales_uniformly():
-    forces = np.array([10.0, -5.0, 2.5, -10.0])
+    forces = (10.0, -5.0, 2.5, -10.0)
     scaled, flag = control.saturate_pair_forces(forces, 8.0)
     assert flag
+    assert type(scaled) is tuple
     assert np.max(np.abs(scaled)) == pytest.approx(8.0)
     # direction preserved
-    assert np.allclose(scaled / scaled[0], forces / forces[0])
+    assert np.allclose(np.divide(scaled, scaled[0]),
+                       np.divide(forces, forces[0]))
 
 
 def test_saturation_noop_inside_limit():
-    forces = np.array([1.0, -1.0, 0.5, -0.5])
+    forces = (1.0, -1.0, 0.5, -0.5)
     scaled, flag = control.saturate_pair_forces(forces, 8.0)
     assert not flag
     assert scaled is forces
@@ -90,28 +88,23 @@ def test_pair_to_rotor_speeds_validation():
 
 
 def test_pi_controller_proportional_term():
-    gains = control.default_gains()
-    cmd, integ = control.pi_rate_control(np.array([0, 1.0, 0]),
-                                         np.zeros(3), gains,
-                                         np.zeros(3), dt=0.01)
+    torque, integ = control.pi_rate_control(np.array([0, 1.0, 0]),
+                                            np.zeros(3), np.zeros(3),
+                                            dt=0.01)
     # tau = Kp e + Ki I with I = e dt
-    assert cmd.torque_cmd[1] == pytest.approx(0.4 * 1.0 + 0.2 * 0.01)
-    assert cmd.thrust_cmd == 0.0
+    assert torque[1] == pytest.approx(0.4 * 1.0 + 0.2 * 0.01)
     assert integ[1] == pytest.approx(0.01)
 
 
 def test_pi_integrator_clamps():
-    gains = control.default_gains()
     integ = np.zeros(3)
     for _ in range(2000):
         _, integ = control.pi_rate_control(np.array([0, 10.0, 0]),
-                                           np.zeros(3), gains, integ,
-                                           dt=0.01)
-    assert integ[1] == pytest.approx(gains.integrator_limit)
+                                           np.zeros(3), integ, dt=0.01)
+    assert integ[1] == pytest.approx(control.INTEGRATOR_LIMIT)
 
 
 def test_pi_rejects_bad_dt():
-    gains = control.default_gains()
     with pytest.raises(ValueError):
-        control.pi_rate_control(np.zeros(3), np.zeros(3), gains,
-                                np.zeros(3), dt=0.0)
+        control.pi_rate_control(np.zeros(3), np.zeros(3), np.zeros(3),
+                                dt=0.0)

@@ -160,13 +160,13 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     """The closed loop as it was written with numpy 3-vectors: np.clip PI,
     mixer inverse @ wrench, np.max saturation, then step_rolling. Returns
     the trajectory's CSV rows."""
-    gains = control.default_gains()
-    kp, ki = np.asarray(gains.kp), np.asarray(gains.ki)
-    limit = gains.integrator_limit
+    kp, ki = control.KP, control.KI
+    limit = control.INTEGRATOR_LIMIT
     veh = config.vehicle
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
-    c, k_tau = mixer.c, mixer.k_tau
+    c = veh.rotor_arm_length_a / math.sqrt(2.0)
+    k_tau = veh.torque_constant_k_tau
     inverse = mixer.matrix_m.T / np.array([4.0, 4.0 * c ** 2, 4.0 * c ** 2,
                                            4.0 * k_tau ** 2])
     if not callable(omega_des):
@@ -240,18 +240,16 @@ def test_step_rolling_is_one_closed_loop_tick_bitwise():
     # step_rolling with the loop's control law reproduces every state
     dt = 0.005
     traj = dynamics.simulate_closed_loop(SLOPED, 1.2, duration=2.0, dt=dt)
-    gains = control.default_gains()
     veh = SLOPED.vehicle
     mixer = control.mixer_matrix(veh.rotor_arm_length_a,
                                  veh.torque_constant_k_tau)
     row = mixer.matrix_m[2].tolist()
     state, integ = dynamics.SimState(), (0.0, 0.0, 0.0)
     for want, want_power in zip(traj.states[1:], traj.power[1:]):
-        cmd, integ = control.pi_rate_control(
-            (0.0, 1.2, 0.0), (0.0, state.roll_rate_omega, 0.0), gains,
-            integ, dt)
+        torque, integ = control.pi_rate_control(
+            (0.0, 1.2, 0.0), (0.0, state.roll_rate_omega, 0.0), integ, dt)
         forces, _ = control.saturate_pair_forces(
-            control.allocate(cmd, mixer), veh.max_rotor_thrust)
+            control.allocate(torque, mixer), veh.max_rotor_thrust)
         torque_y = (row[0] * forces[0] + row[1] * forces[1]
                     + row[2] * forces[2] + row[3] * forces[3])
         power = steadystate.rolling_power(

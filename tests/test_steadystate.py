@@ -45,6 +45,14 @@ def test_rolling_rotor_thrusts_consistent():
     expect = sol.required_torque / (4 * c)
     assert np.count_nonzero(thrusts) == 4
     assert np.allclose(thrusts[thrusts > 0], expect, rtol=1e-12)
+    # pair k maps to rotors (k, k+4): positive torque spins rotors 2..5
+    assert sol.required_torque > 0
+    assert np.flatnonzero(thrusts).tolist() == [2, 3, 4, 5]
+    # downhill with no rolling resistance the torque brakes: the other four
+    downhill = replace(CFG, terrain=TerrainParams(0.0, -0.3))
+    sol = steadystate.rolling_equilibrium(downhill, 0.05)
+    assert sol.required_torque < 0
+    assert np.flatnonzero(sol.per_rotor_thrust).tolist() == [0, 1, 6, 7]
 
 
 def test_rolling_rejects_negative_speed():
