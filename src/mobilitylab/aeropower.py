@@ -111,14 +111,6 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
     if disk_area <= 0:
         raise ValueError(f"disk_area must be > 0, got {disk_area!r}")
     rho2a = 2.0 * env.air_density * disk_area
-    if _lib(thrust) is _lib(v_inf) is _lib(alpha) is math and alpha == 0.0:
-        # the closed loop's per-tick path: plain float arithmetic
-        if thrust < 0:
-            raise ValueError(f"thrust must be >= 0, got {thrust!r}")
-        if thrust == 0.0:
-            return 0.0
-        return _edgewise_inflow(thrust / rho2a, v_inf, math.sqrt)
-
     shape = np.broadcast_shapes(np.shape(thrust), np.shape(v_inf),
                                 np.shape(alpha))
     thrust, v_inf, alpha = (np.broadcast_to(x, shape).astype(float).ravel()
@@ -127,9 +119,9 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
         raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
     rhs = thrust / rho2a
     vx, vz = v_inf * np.cos(alpha), v_inf * np.sin(alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nu = _edgewise_inflow(rhs, vx, np.sqrt)
-        tilted = (vz != 0.0) & (thrust > 0.0)
+        tilted = (np.abs(vz) > 0.0) & (thrust > 0.0)  # NaN vz stays edgewise
         if tilted.any():
             nu[tilted] = _tilted_inflow(rhs[tilted], vx[tilted], vz[tilted])
     nu = np.where(thrust > 0.0, nu, 0.0).reshape(shape)
@@ -145,13 +137,18 @@ def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
     broadcastable arrays. Clamped at zero (NaN stays NaN): descending-flight
     windmilling recovery is not modeled.
     """
+    eta = _chain_efficiency(eta_p, eta_m, eta_c)
+    aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
+    if _lib(aero) is math:
+        return (0.0 if aero <= 0.0 else aero) / eta
+    return np.maximum(aero, 0.0) / eta
+
+
+def _chain_efficiency(eta_p: float, eta_m: float, eta_c: float) -> float:
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
         if not (0.0 < eta <= 1.0):
             raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
-    aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
-    if _lib(aero) is math:
-        return (0.0 if aero <= 0.0 else aero) / (eta_p * eta_m * eta_c)
-    return np.maximum(aero, 0.0) / (eta_p * eta_m * eta_c)
+    return eta_p * eta_m * eta_c
 
 
 def rotors_power(env: EnvironmentParams, vehicle: VehicleParams,

@@ -43,14 +43,21 @@ def pi_rate_control(omega_des: Sequence[float], omega_meas: Sequence[float],
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    torque, integ = [], []
-    for des, meas, i_old in zip(omega_des, omega_meas, integrator_state,
-                                strict=True):
-        e = float(des) - float(meas)
-        i_new = min(max(i_old + e * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
-        torque.append(KP * e + KI * i_new)
-        integ.append(i_new)
-    return tuple(torque), tuple(integ)
+    if type(omega_des) is np.ndarray:  # unpacking yields slow numpy scalars
+        omega_des = omega_des.tolist()
+    try:
+        (d_x, d_y, d_z), (m_x, m_y, m_z), (i_x, i_y, i_z) = (
+            omega_des, omega_meas, integrator_state)
+    except ValueError:
+        raise ValueError("omega_des, omega_meas and integrator_state must "
+                         "each have 3 entries") from None
+    e_x, e_y, e_z = (float(d_x) - float(m_x), float(d_y) - float(m_y),
+                     float(d_z) - float(m_z))
+    i_x = min(max(i_x + e_x * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
+    i_y = min(max(i_y + e_y * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
+    i_z = min(max(i_z + e_z * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
+    return ((KP * e_x + KI * i_x, KP * e_y + KI * i_y, KP * e_z + KI * i_z),
+            (i_x, i_y, i_z))
 
 
 def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
@@ -73,8 +80,10 @@ def allocate(torque: Sequence[float], mixer: MixerGeometry
              ) -> tuple[float, ...]:
     """Pair forces (f_A..f_D) with M @ f = (0, torque)."""
     tx, ty, tz = torque
-    return tuple(b * tx + c * ty + d * tz
-                 for _, b, c, d in mixer.inverse_rows)
+    (_, b_a, c_a, d_a), (_, b_b, c_b, d_b), (_, b_c, c_c, d_c), \
+        (_, b_d, c_d, d_d) = mixer.inverse_rows
+    return (b_a * tx + c_a * ty + d_a * tz, b_b * tx + c_b * ty + d_b * tz,
+            b_c * tx + c_c * ty + d_c * tz, b_d * tx + c_d * ty + d_d * tz)
 
 
 def saturate_pair_forces(forces: Sequence[float], max_rotor_thrust: float

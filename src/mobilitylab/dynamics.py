@@ -15,12 +15,12 @@ Integration is fixed-step RK4 (deterministic); rolling-resistance torque is
 gated off below |omega| = 1e-6 rad/s so static resistance cannot drive
 motion from rest.
 
-The closed loop's tick is the sequential hot path, so it keeps three
-invariants: no numpy on the tick path (the control law, the RK4 step and the
-scalar rotor power all run on Python floats; numpy costs more per call on
-3-vectors than the arithmetic it does), every config-only term hoisted out
-of the loop once per run (``_rolling_rhs``), and a ``SimState`` built only
-for recorded ticks. ``step_rolling``, ``step_flying`` and the loop share
+The closed loop's tick is the sequential hot path. It runs on Python floats
+with no numpy (numpy costs more per call on 3-vectors than the arithmetic it
+does), the control law is written out per axis and per pair, every
+config-only term is computed once per run (``_rolling_rhs``,
+``steadystate.rolling_power_fn``), and a ``SimState`` (a NamedTuple) is built
+only for recorded ticks. ``step_rolling``, ``step_flying`` and the loop share
 one RK4 step (``_rk4``), so a tick equals a ``step_rolling`` call bit for
 bit.
 """
@@ -28,8 +28,8 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from . import aeropower, control, steadystate
 from .params import DT_MAX, ScenarioConfig
@@ -44,8 +44,7 @@ class TrimError(ValueError):
     """step_flying was handed a thrust/tilt pair violating height trim."""
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     position_s: float = 0.0      # m along slope
     speed_v: float = 0.0         # m/s
     roll_angle: float = 0.0      # rad
@@ -61,12 +60,9 @@ class Trajectory:
     saturated: list[bool]
 
     def to_csv_rows(self) -> list[list[float]]:
-        rows = []
-        for st, p, sat in zip(self.states, self.power, self.saturated):
-            rows.append([st.time, st.position_s, st.speed_v,
-                         st.roll_rate_omega, p, st.energy_consumed,
-                         int(sat)])
-        return rows
+        return [[st.time, st.position_s, st.speed_v, st.roll_rate_omega, p,
+                 st.energy_consumed, int(sat)]
+                for st, p, sat in zip(self.states, self.power, self.saturated)]
 
 
 CSV_HEADER = ["time_s", "position_m", "speed_mps", "omega_radps",
@@ -135,13 +131,11 @@ def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
                                       abs(state.roll_rate_omega * radius))
     phi, om = _rk4(_rolling_rhs(config), state.roll_angle,
                    state.roll_rate_omega, torque_y, dt)
-    return SimState(position_s=state.position_s
-                    + (phi - state.roll_angle) * radius,
-                    speed_v=om * radius,
-                    roll_angle=phi,
-                    roll_rate_omega=om,
-                    energy_consumed=state.energy_consumed + power * dt,
-                    time=state.time + dt)
+    return SimState(
+        position_s=state.position_s + (phi - state.roll_angle) * radius,
+        speed_v=om * radius, roll_angle=phi, roll_rate_omega=om,
+        energy_consumed=state.energy_consumed + power * dt,
+        time=state.time + dt)
 
 
 def step_flying(state: SimState, thrust: float, tilt: float,
@@ -168,9 +162,9 @@ def step_flying(state: SimState, thrust: float, tilt: float,
     s_new, v_new = _rk4(accel, state.position_s, state.speed_v, thrust, dt)
     power = aeropower.rotors_power(env, veh, 4, thrust / 4.0,
                                    abs(state.speed_v), tilt)
-    return replace(state, position_s=s_new, speed_v=v_new,
-                   energy_consumed=state.energy_consumed + power * dt,
-                   time=state.time + dt)
+    return state._replace(position_s=s_new, speed_v=v_new,
+                          energy_consumed=state.energy_consumed + power * dt,
+                          time=state.time + dt)
 
 
 def simulate_closed_loop(config: ScenarioConfig,
@@ -201,12 +195,11 @@ def simulate_closed_loop(config: ScenarioConfig,
         desired = lambda t: const  # noqa: E731
 
     accel = _rolling_rhs(config)
+    rotor_power = steadystate.rolling_power_fn(config)
     m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
     phi = omega = position = energy = t = 0.0
     integ = (0.0, 0.0, 0.0)
-    states = [SimState()]
-    powers = [0.0]
-    saturated = [False]
+    states, powers, saturated = [SimState()], [0.0], [False]
     steps = int(round(duration / dt))
     for i in range(1, steps + 1):
         torque, integ = control.pi_rate_control(desired(t), (0.0, omega, 0.0),
@@ -216,18 +209,15 @@ def simulate_closed_loop(config: ScenarioConfig,
         # torque actually realized after saturation
         f_a, f_b, f_c, f_d = forces
         torque_y = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d
-        power = steadystate.rolling_power(config, torque_y,
-                                          abs(omega * radius))
+        power = rotor_power(torque_y, abs(omega * radius))
         phi_new, omega = _rk4(accel, phi, omega, torque_y, dt)
         position += (phi_new - phi) * radius
         phi = phi_new
         energy += power * dt
         t += dt
         if i % record_every == 0:
-            states.append(SimState(position_s=position,
-                                   speed_v=omega * radius,
-                                   roll_angle=phi, roll_rate_omega=omega,
-                                   energy_consumed=energy, time=t))
+            states.append(SimState(position, omega * radius, phi, omega,
+                                   energy, t))
             powers.append(power)
             saturated.append(sat)
     return Trajectory(states=states, power=powers, saturated=saturated)

@@ -85,9 +85,12 @@ def _powers(config: ScenarioConfig, mode: str, v):
 
 def _ranges(v, powers, energy: float):
     """Range in km at each speed; NaN where the power is NaN or not > 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isfinite(powers) & (powers > 0),
-                        v * energy / powers * 1e-3, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ranges = np.where(np.isfinite(powers) & (powers > 0),
+                          v * energy / powers * 1e-3, np.nan)
+    if np.isinf(ranges).any():
+        raise OverflowError("range v * E / P is beyond float range")
+    return ranges
 
 
 def _best(ranges):

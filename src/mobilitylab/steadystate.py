@@ -86,22 +86,48 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
             + ter.rolling_resistance_crr * (weight * np.cos(ter.slope_theta)))
 
 
+def _pair_force_terms(vehicle, n_pairs: int) -> tuple[float, float]:
+    """Lever n a/sqrt(2) from roll torque to pair force; pair-force limit."""
+    return (n_pairs * vehicle.rotor_arm_length_a / math.sqrt(2.0),
+            vehicle.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0)))
+
+
 def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     """Total electrical power of a pure roll torque held at speed v.
 
-    The torque loads ``n_pairs`` propeller pairs equally at lever a/sqrt(2);
-    one edgewise rotor per pair spins. Broadcasts over torque and v; NaN
-    where the pair force exceeds the rotor thrust limit by more than a few
-    ulps (the closed loop's uniform saturation lands on the limit only to
-    within rounding).
+    The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
+    per pair spins. Broadcasts over torque and v; NaN, masked before the
+    power chain runs, where the pair force exceeds the rotor thrust limit by
+    more than a few ulps (the closed loop's uniform saturation lands on the
+    limit only to within rounding). Python numbers take ``rolling_power_fn``.
     """
-    veh = config.vehicle
-    f = abs(torque) / (n_pairs * veh.rotor_arm_length_a / math.sqrt(2.0))
-    power = aeropower.rotors_power(config.environment, veh, n_pairs, f, v)
-    limit = veh.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0))
-    if type(power) is float:
-        return math.nan if f > limit else power
-    return np.where(f > limit, np.nan, power)
+    if aeropower._lib(torque) is aeropower._lib(v) is math:
+        return rolling_power_fn(config, n_pairs)(torque, v)
+    lever, limit = _pair_force_terms(config.vehicle, n_pairs)
+    f = abs(torque) / lever
+    return aeropower.rotors_power(config.environment, config.vehicle, n_pairs,
+                                  np.where(f > limit, np.nan, f), v)
+
+
+def rolling_power_fn(config: ScenarioConfig, n_pairs: int = 4):
+    """``rolling_power`` on Python floats for one config: a function
+    (torque, v) -> W with every config-only term computed once."""
+    env, veh = config.environment, config.vehicle
+    lever, limit = _pair_force_terms(veh, n_pairs)
+    rho2a = 2.0 * env.air_density * veh.rotor_disk_area
+    eta = aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
+                                      veh.eta_controller)
+
+    def power(torque: float, v: float) -> float:
+        f = abs(torque) / lever
+        if f > limit:
+            return math.nan
+        nu = (aeropower._edgewise_inflow(f / rho2a, v, math.sqrt)
+              if f != 0.0 else 0.0)
+        # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
+        return n_pairs * (f * (nu - v * 0.0) / eta)
+
+    return power
 
 
 def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:

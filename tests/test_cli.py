@@ -412,6 +412,19 @@ def _python(*args):
                           text=True, env=_ENV, timeout=120)
 
 
+@pytest.mark.parametrize("argv", [
+    ["range-sweep", "--mode", "rolling", "--set", "num_agents=1e300"],
+    ["scaling", "--set", "battery_energy=1e307"],
+], ids=["thrust-far-beyond-limit", "range-overflow"])
+def test_huge_input_exits_1_without_runtime_warning(argv):
+    # a fresh process: stderr is what a user sees, warning filters included
+    proc = _python("-m", "mobilitylab.cli", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def _cold(*argv):
     """Exit code and loaded modules of a CLI call in a fresh interpreter."""
     code, *loaded = _python("-c", _PROBE, *argv).stderr.splitlines()[-1] \

@@ -259,7 +259,23 @@ def test_step_rolling_is_one_closed_loop_tick_bitwise():
         assert power == want_power
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("omega_des", [
+    0.7,
+    lambda t: (0.1, 0.7 + 0.2 * math.sin(t), 0.0),
+    lambda t: np.array([0.1, 0.7 + 0.2 * math.sin(t), 0.0]),
+], ids=["constant", "tuple", "ndarray"])
+def test_closed_loop_records_python_floats(omega_des):
+    # the tick stays on Python floats whatever the setpoint's type
+    traj = dynamics.simulate_closed_loop(CFG, omega_des, duration=0.5,
+                                         dt=0.01)
+    values = [*traj.power, *(x for st in traj.states for x in st)]
+    assert {type(x) for x in values} == {float}
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(lambda t: (0.0, 1.0), id="wrong-length-callable"),
+])
 def test_closed_loop_rejects_non_finite_constant_setpoint(bad):
     with pytest.raises(ValueError, match="omega_des"):
         dynamics.simulate_closed_loop(CFG, bad, duration=1.0, dt=0.01)

@@ -82,6 +82,41 @@ def test_rolling_power_keeps_nan_torque():
     assert math.isnan(steadystate.rolling_power(CFG, math.nan, 0.1))
 
 
+#: torques at zero, inside and beyond the thrust limit (about 3.2 N m on
+#: four pairs), non-finite; speeds around the rolling range, and NaN
+_TORQUES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]),
+                     st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
+_SPEEDS = st.one_of(st.just(math.nan), st.floats(-100.0, 100.0))
+
+
+def _same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+@given(points=st.lists(st.tuples(_TORQUES, _SPEEDS), min_size=1, max_size=8),
+       n_pairs=st.integers(1, 24))
+def test_rolling_power_fn_matches_rolling_power_bitwise(points, n_pairs):
+    power = steadystate.rolling_power_fn(CFG, n_pairs)
+    torque, v = (np.array(x) for x in zip(*points))
+    array = steadystate.rolling_power(CFG, torque, v, n_pairs)
+    for (t, s), p in zip(points, array):
+        got = power(t, s)
+        want = steadystate.rolling_power(CFG, t, s, n_pairs)
+        assert type(got) is float and type(want) is float
+        assert _same_bits(got, want)
+        assert _same_bits(got, float(p))
+
+
+def test_rolling_power_masks_beyond_limit_before_power_chain():
+    # a thrust far beyond the limit is NaN without overflowing (warnings
+    # are errors here) on the array path and on the scalar one
+    torque = np.array([1e300, 0.1])
+    power = steadystate.rolling_power(CFG, torque, np.array([0.1, 0.1]))
+    assert math.isnan(power[0]) and power[1] > 0.0
+    assert math.isnan(steadystate.rolling_power(CFG, 1e300, 0.1))
+
+
 def test_rolling_power_increases_with_speed():
     powers = [steadystate.rolling_equilibrium(CFG, v).total_electrical_power
               for v in np.linspace(0.05, 1.5, 10)]
