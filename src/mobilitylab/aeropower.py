@@ -35,18 +35,19 @@ class SolverError(AnalysisError):
     """An iterative solve (induced velocity, flying trim) did not converge."""
 
 
+def _body_height(vehicle: VehicleParams, mode: str) -> float:
+    if mode not in ("rolling", "flying"):
+        raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
+    return getattr(vehicle, f"body_height_h_{mode}")
+
+
 def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
     """Body area projected on the plane orthogonal to the velocity vector.
 
     A = (h|cos a| + 2 l |sin a|) w, with h selected by ``mode`` ("rolling"
     or "flying"). Pi-periodic and strictly positive; broadcasts over alpha.
     """
-    if mode == "rolling":
-        h = vehicle.body_height_h_rolling
-    elif mode == "flying":
-        h = vehicle.body_height_h_flying
-    else:
-        raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
+    h = _body_height(vehicle, mode)
     lib = _lib(alpha)
     return (h * abs(lib.cos(alpha))
             + 2.0 * vehicle.shell_radius_l * abs(lib.sin(alpha))
@@ -57,6 +58,21 @@ def drag_force(env: EnvironmentParams, area: float, speed: float,
                cd: float) -> float:
     """Drag 0.5 * cd * rho * A * v |v|, signed with v (it opposes motion)."""
     return 0.5 * cd * env.air_density * area * speed * abs(speed)
+
+
+def drag_fn(env: EnvironmentParams, vehicle: VehicleParams, mode: str):
+    """``drag_force(env, projected_area(vehicle, alpha, mode), v, cd)`` on
+    Python floats, (alpha, v) -> N, with the config-only factors computed
+    once and the operation order kept, so bit for bit equal."""
+    h, two_l = _body_height(vehicle, mode), 2.0 * vehicle.shell_radius_l
+    w = vehicle.shell_width_w
+    k = 0.5 * vehicle.drag_coefficient_cd * env.air_density
+
+    def drag(alpha: float, v: float) -> float:
+        area = (h * abs(math.cos(alpha)) + two_l * abs(math.sin(alpha))) * w
+        return k * area * v * abs(v)
+
+    return drag
 
 
 def _edgewise_inflow(rhs, vx, sqrt):
@@ -118,8 +134,8 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
     if np.any(thrust < 0):
         raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
     rhs = thrust / rho2a
-    vx, vz = v_inf * np.cos(alpha), v_inf * np.sin(alpha)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vx, vz = v_inf * np.cos(alpha), v_inf * np.sin(alpha)
         nu = _edgewise_inflow(rhs, vx, np.sqrt)
         tilted = (np.abs(vz) > 0.0) & (thrust > 0.0)  # NaN vz stays edgewise
         if tilted.any():
@@ -138,7 +154,8 @@ def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
     windmilling recovery is not modeled.
     """
     eta = _chain_efficiency(eta_p, eta_m, eta_c)
-    aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
+    with np.errstate(invalid="ignore"):  # inf * sin(0) is NaN, as on floats
+        aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
     if _lib(aero) is math:
         return (0.0 if aero <= 0.0 else aero) / eta
     return np.maximum(aero, 0.0) / eta

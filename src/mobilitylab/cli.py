@@ -283,6 +283,10 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     if args.subcommand == "scaling" and args.n_max < args.n_min:
         return (f"--n-max must be >= --n-min (got {args.n_max} < "
                 f"{args.n_min})")
+    if args.subcommand == "simulate" and args.duration / args.dt < math.inf \
+            and round(args.duration / args.dt) < args.record_every:
+        return (f"--duration / --dt gives fewer than --record-every "
+                f"{args.record_every} steps: nothing after t = 0 is recorded")
     return None
 
 

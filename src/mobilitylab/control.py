@@ -12,13 +12,16 @@ with M as printed below; allocation solves pure torque (f_cmd = 0).
 Rotor-index convention: pair A = rotors (1, 5), B = (2, 6), C = (3, 7),
 D = (4, 8); the first index of each pair spins for a positive pair force.
 Any column permutation consistent with M would be equally valid.
+
+``rate_loop`` builds the closed loop's per-run control tick (PI law,
+``allocate``, uniform saturation) on Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,33 +34,6 @@ KP, KI, INTEGRATOR_LIMIT = 0.4, 0.2, 0.5
 class MixerGeometry:
     matrix_m: np.ndarray
     inverse_rows: tuple[tuple[float, ...], ...]  # rows of M^-1
-
-
-def pi_rate_control(omega_des: Sequence[float], omega_meas: Sequence[float],
-                    integrator_state: Sequence[float], dt: float
-                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One PI step: tau = KP e + KI I, I clamped at +-INTEGRATOR_LIMIT.
-
-    Takes 3-sequences (tuples or ndarrays); returns the body torque and the
-    new integrator state as tuples.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    if type(omega_des) is np.ndarray:  # unpacking yields slow numpy scalars
-        omega_des = omega_des.tolist()
-    try:
-        (d_x, d_y, d_z), (m_x, m_y, m_z), (i_x, i_y, i_z) = (
-            omega_des, omega_meas, integrator_state)
-    except ValueError:
-        raise ValueError("omega_des, omega_meas and integrator_state must "
-                         "each have 3 entries") from None
-    e_x, e_y, e_z = (float(d_x) - float(m_x), float(d_y) - float(m_y),
-                     float(d_z) - float(m_z))
-    i_x = min(max(i_x + e_x * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
-    i_y = min(max(i_y + e_y * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
-    i_z = min(max(i_z + e_z * dt, -INTEGRATOR_LIMIT), INTEGRATOR_LIMIT)
-    return ((KP * e_x + KI * i_x, KP * e_y + KI * i_y, KP * e_z + KI * i_z),
-            (i_x, i_y, i_z))
 
 
 def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
@@ -86,19 +62,44 @@ def allocate(torque: Sequence[float], mixer: MixerGeometry
             b_c * tx + c_c * ty + d_c * tz, b_d * tx + c_d * ty + d_d * tz)
 
 
-def saturate_pair_forces(forces: Sequence[float], max_rotor_thrust: float
-                         ) -> tuple[Sequence[float], bool]:
-    """Scale pair forces uniformly into the rotor thrust limit.
-
-    Uniform scaling preserves the commanded torque direction. Returns the
-    forces (the input itself when inside the limit, else a scaled tuple)
-    and a saturation flag.
+def rate_loop(mixer: MixerGeometry, max_rotor_thrust: float, dt: float
+              ) -> Callable[[Sequence[float], float], tuple[float, bool]]:
+    """The closed loop's control tick for one run, (omega_des, omega_y) ->
+    (torque_y, saturated): PI on the body-rate error (measured rates other
+    than omega_y are zero), ``allocate``, then uniform scaling of the pair
+    forces into the thrust limit, which keeps the torque direction.
     """
-    peak = max(map(abs, forces))
-    if peak <= max_rotor_thrust:
-        return forces, False
-    scale = max_rotor_thrust / peak
-    return tuple(f * scale for f in forces), True
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
+    lo, hi = -INTEGRATOR_LIMIT, INTEGRATOR_LIMIT
+    i_x = i_y = i_z = 0.0
+
+    def tick(omega_des, omega_y: float) -> tuple[float, bool]:
+        nonlocal i_x, i_y, i_z
+        if type(omega_des) is np.ndarray:  # unpacking yields numpy scalars
+            omega_des = omega_des.tolist()
+        try:
+            d_x, d_y, d_z = omega_des
+        except ValueError:
+            raise ValueError("omega_des must have 3 entries") from None
+        e_x, e_y, e_z = float(d_x), float(d_y) - omega_y, float(d_z)
+        i_x, i_y, i_z = i_x + e_x * dt, i_y + e_y * dt, i_z + e_z * dt
+        # min(max(i, lo), hi) written out: the builtin calls cost more
+        i_x = lo if i_x < lo else hi if i_x > hi else i_x
+        i_y = lo if i_y < lo else hi if i_y > hi else i_y
+        i_z = lo if i_z < lo else hi if i_z > hi else i_z
+        f_a, f_b, f_c, f_d = allocate(
+            (KP * e_x + KI * i_x, KP * e_y + KI * i_y, KP * e_z + KI * i_z),
+            mixer)
+        peak = max(abs(f_a), abs(f_b), abs(f_c), abs(f_d))
+        if peak <= max_rotor_thrust:
+            return m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d, False
+        s = max_rotor_thrust / peak
+        return (m_a * (f_a * s) + m_b * (f_b * s) + m_c * (f_c * s)
+                + m_d * (f_d * s)), True
+
+    return tick
 
 
 def pair_to_rotor_speeds(f_pair: float, k_t: float) -> tuple[float, float]:

@@ -17,12 +17,12 @@ motion from rest.
 
 The closed loop's tick is the sequential hot path. It runs on Python floats
 with no numpy (numpy costs more per call on 3-vectors than the arithmetic it
-does), the control law is written out per axis and per pair, every
-config-only term is computed once per run (``_rolling_rhs``,
-``steadystate.rolling_power_fn``), and a ``SimState`` (a NamedTuple) is built
-only for recorded ticks. ``step_rolling``, ``step_flying`` and the loop share
-one RK4 step (``_rk4``), so a tick equals a ``step_rolling`` call bit for
-bit.
+does). Config-only terms are computed once per run in closures, and a tick
+calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
+``_rk4`` on ``_rolling_rhs`` (drag from ``aeropower.drag_fn``). A
+``SimState`` (a NamedTuple) is built only for recorded ticks. The loop,
+``step_rolling`` and ``step_flying`` share one RK4 step (``_rk4``), so a
+tick equals a ``step_rolling`` call bit for bit.
 """
 
 from __future__ import annotations
@@ -86,16 +86,14 @@ def _rolling_rhs(config: ScenarioConfig
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m = config.total_mass
     radius = veh.shell_radius_l
-    cd = veh.drag_coefficient_cd
+    drag = aeropower.drag_fn(env, veh, "rolling")
     slope_torque = m * env.gravity * math.sin(ter.slope_theta) * radius
     normal = m * env.gravity * math.cos(ter.slope_theta)
     crr_torque = ter.rolling_resistance_crr * normal * radius
     inertia = rolling_inertia(config) + m * radius ** 2
 
     def accel(phi: float, omega: float, torque_y: float) -> float:
-        area = aeropower.projected_area(veh, phi, "rolling")
-        drag = aeropower.drag_force(env, area, omega * radius, cd=cd)
-        resist_torque = slope_torque + drag * radius
+        resist_torque = slope_torque + drag(phi, omega * radius) * radius
         if abs(omega) > OMEGA_STATIC:
             resist_torque += math.copysign(crr_torque, omega)
         return (torque_y - resist_torque) / inertia
@@ -151,11 +149,10 @@ def step_flying(state: SimState, thrust: float, tilt: float,
             f"thrust/tilt violate the constant-height trim by "
             f"{height_residual:.3e} N")
 
-    area = aeropower.projected_area(veh, tilt, "flying")
+    drag = aeropower.drag_fn(env, veh, "flying")
 
     def accel(s: float, v: float, u: float) -> float:
-        drag = aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
-        along = (thrust * math.sin(tilt) - drag
+        along = (thrust * math.sin(tilt) - drag(tilt, v)
                  - m * env.gravity * math.sin(ter.slope_theta))
         return along / m
 
@@ -174,17 +171,22 @@ def simulate_closed_loop(config: ScenarioConfig,
     """PI rate control -> allocation -> rotor power -> rolling step, per tick.
 
     ``omega_des`` is either a finite constant desired roll rate (rad/s) or a
-    callable t -> desired body-rate 3-vector.
+    callable t -> desired body-rate 3-vector. A run must record a state
+    after t = 0: 1 <= record_every <= round(duration / dt).
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got "
                          f"{duration!r}")
     _check_dt(dt)
+    steps = int(round(duration / dt))
+    if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
+        raise ValueError(f"record_every must be in [1, round(duration / dt)"
+                         f" = {steps}], got {record_every!r}")
     veh = config.vehicle
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
     radius = veh.shell_radius_l
-    f_max = veh.max_rotor_thrust
+    tick = control.rate_loop(control.mixer_matrix(veh.rotor_arm_length_a,
+                                                  veh.torque_constant_k_tau),
+                             veh.max_rotor_thrust, dt)
 
     if callable(omega_des):
         desired = omega_des
@@ -196,19 +198,10 @@ def simulate_closed_loop(config: ScenarioConfig,
 
     accel = _rolling_rhs(config)
     rotor_power = steadystate.rolling_power_fn(config)
-    m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
     phi = omega = position = energy = t = 0.0
-    integ = (0.0, 0.0, 0.0)
     states, powers, saturated = [SimState()], [0.0], [False]
-    steps = int(round(duration / dt))
     for i in range(1, steps + 1):
-        torque, integ = control.pi_rate_control(desired(t), (0.0, omega, 0.0),
-                                                integ, dt)
-        forces, sat = control.saturate_pair_forces(
-            control.allocate(torque, mixer), f_max)
-        # torque actually realized after saturation
-        f_a, f_b, f_c, f_d = forces
-        torque_y = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d
+        torque_y, sat = tick(desired(t), omega)
         power = rotor_power(torque_y, abs(omega * radius))
         phi_new, omega = _rk4(accel, phi, omega, torque_y, dt)
         position += (phi_new - phi) * radius

@@ -138,6 +138,27 @@ def test_simulate_csv(tmp_path, capsys):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("argv", [
+    ["--duration", "1e-9"],
+    ["--duration", "0.004"],
+    ["--duration", "1", "--record-every", "1000", "--format", "json"],
+    ["--duration", "1", "--dt", "0.005", "--record-every", "201"],
+])
+def test_simulate_recording_nothing_exits_2(capsys, argv):
+    code, stdout, err = run(["simulate", *argv], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "--duration" in err and "--record-every" in err
+
+
+def test_simulate_records_at_exactly_record_every_steps(capsys):
+    code, stdout, _ = run(["simulate", "--duration", "1", "--dt", "0.005",
+                           "--record-every", "200", "--format", "json"],
+                          capsys)
+    assert code == 0
+    assert json.loads(stdout)["final_time_s"] == pytest.approx(1.0)
+
+
 def test_simulate_bad_dt_exits_2(capsys):
     code, _, err = run(["simulate", "--dt", "0.5"], capsys)
     assert code == 2

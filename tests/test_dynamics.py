@@ -237,26 +237,30 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
 
 def test_step_rolling_is_one_closed_loop_tick_bitwise():
     # the loop's tick and step_rolling share one RK4 step: driving
-    # step_rolling with the loop's control law reproduces every state
+    # step_rolling with the loop's control tick reproduces every state,
+    # inside the thrust limit and saturated
     dt = 0.005
-    traj = dynamics.simulate_closed_loop(SLOPED, 1.2, duration=2.0, dt=dt)
-    veh = SLOPED.vehicle
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
-    row = mixer.matrix_m[2].tolist()
-    state, integ = dynamics.SimState(), (0.0, 0.0, 0.0)
-    for want, want_power in zip(traj.states[1:], traj.power[1:]):
-        torque, integ = control.pi_rate_control(
-            (0.0, 1.2, 0.0), (0.0, state.roll_rate_omega, 0.0), integ, dt)
-        forces, _ = control.saturate_pair_forces(
-            control.allocate(torque, mixer), veh.max_rotor_thrust)
-        torque_y = (row[0] * forces[0] + row[1] * forces[1]
-                    + row[2] * forces[2] + row[3] * forces[3])
-        power = steadystate.rolling_power(
-            SLOPED, torque_y, abs(state.roll_rate_omega * veh.shell_radius_l))
-        state = dynamics.step_rolling(state, torque_y, SLOPED, dt)
-        assert state == want
-        assert power == want_power
+    for config, omega_des in ((SLOPED, 1.2), (WEAK_ROTORS, 1.0)):
+        traj = dynamics.simulate_closed_loop(config, omega_des, duration=2.0,
+                                             dt=dt)
+        veh = config.vehicle
+        tick = control.rate_loop(
+            control.mixer_matrix(veh.rotor_arm_length_a,
+                                 veh.torque_constant_k_tau),
+            veh.max_rotor_thrust, dt)
+        state = dynamics.SimState()
+        for want, want_power, want_sat in zip(
+                traj.states[1:], traj.power[1:], traj.saturated[1:]):
+            torque_y, sat = tick((0.0, omega_des, 0.0),
+                                 state.roll_rate_omega)
+            power = steadystate.rolling_power(
+                config, torque_y,
+                abs(state.roll_rate_omega * veh.shell_radius_l))
+            state = dynamics.step_rolling(state, torque_y, config, dt)
+            assert state == want
+            assert power == want_power
+            assert sat == want_sat
+        assert any(traj.saturated) is (config is WEAK_ROTORS)
 
 
 @pytest.mark.parametrize("omega_des", [
@@ -279,3 +283,23 @@ def test_closed_loop_records_python_floats(omega_des):
 def test_closed_loop_rejects_non_finite_constant_setpoint(bad):
     with pytest.raises(ValueError, match="omega_des"):
         dynamics.simulate_closed_loop(CFG, bad, duration=1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("duration, record_every", [
+    (1e-9, 1),      # rounds to zero ticks
+    (0.004, 1),     # 0.4 of a tick rounds to zero
+    (1.0, 1000),    # 100 ticks, none recorded
+    (1.0, 0),
+    (1.0, -30),
+])
+def test_closed_loop_rejects_runs_that_record_nothing(duration, record_every):
+    with pytest.raises(ValueError, match="record_every"):
+        dynamics.simulate_closed_loop(CFG, 0.5, duration, 0.01,
+                                      record_every=record_every)
+
+
+def test_closed_loop_records_exactly_record_every_ticks():
+    traj = dynamics.simulate_closed_loop(CFG, 0.5, 1.0, 0.01,
+                                         record_every=100)
+    assert len(traj.states) == 2
+    assert traj.states[-1].time == pytest.approx(1.0)

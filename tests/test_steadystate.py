@@ -83,10 +83,11 @@ def test_rolling_power_keeps_nan_torque():
 
 
 #: torques at zero, inside and beyond the thrust limit (about 3.2 N m on
-#: four pairs), non-finite; speeds around the rolling range, and NaN
+#: four pairs), non-finite; speeds around the rolling range, NaN and ±inf
 _TORQUES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]),
                      st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
-_SPEEDS = st.one_of(st.just(math.nan), st.floats(-100.0, 100.0))
+_SPEEDS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                    st.floats(-100.0, 100.0))
 
 
 def _same_bits(a, b):
@@ -106,6 +107,14 @@ def test_rolling_power_fn_matches_rolling_power_bitwise(points, n_pairs):
         assert type(got) is float and type(want) is float
         assert _same_bits(got, want)
         assert _same_bits(got, float(p))
+
+
+def test_rolling_power_infinite_speed_is_nan_without_warning():
+    # v sin(0) is NaN at |v| = inf; warnings are errors here
+    for v in (math.inf, -math.inf):
+        assert math.isnan(steadystate.rolling_power(CFG, 0.5, v))
+        assert np.isnan(steadystate.rolling_power(CFG, np.array([0.5]),
+                                                  np.array([v]))).all()
 
 
 def test_rolling_power_masks_beyond_limit_before_power_chain():
