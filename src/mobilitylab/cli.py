@@ -115,6 +115,9 @@ def _cmd_tradeoff_map(args, config) -> tuple[Table, dict]:
         config, crr_range=(args.crr_min, args.crr_max),
         theta_range_deg=(args.theta_min_deg, args.theta_max_deg),
         resolution=args.resolution)
+    if np.isnan(grid.flying_range_km).all():
+        raise rangeopt.AllInfeasibleError(
+            "tradeoff map: flying is infeasible at every grid point")
     rows = []
     for i, crr in enumerate(grid.crr):
         for j, th in enumerate(grid.theta_deg):
@@ -218,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "power, W")
         if name == "range-sweep":
             p.add_argument("--refine", action="store_true",
-                           help="golden-section refinement of the optimum")
+                           help="refine the optimum on a fine grid over "
+                                "its coarse grid neighbours")
 
     p = sub.add_parser("tradeoff-map")
     common(p)
@@ -283,11 +287,30 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     if args.subcommand == "scaling" and args.n_max < args.n_min:
         return (f"--n-max must be >= --n-min (got {args.n_max} < "
                 f"{args.n_min})")
+    if args.subcommand == "tradeoff-map" and args.crr_max < args.crr_min:
+        return (f"--crr-max must be >= --crr-min (got {args.crr_max} < "
+                f"{args.crr_min})")
+    if args.subcommand == "tradeoff-map" and \
+            args.theta_max_deg < args.theta_min_deg:
+        return (f"--theta-max-deg must be >= --theta-min-deg (got "
+                f"{args.theta_max_deg} < {args.theta_min_deg})")
     if args.subcommand == "simulate" and args.duration / args.dt < math.inf \
             and round(args.duration / args.dt) < args.record_every:
         return (f"--duration / --dt gives fewer than --record-every "
                 f"{args.record_every} steps: nothing after t = 0 is recorded")
     return None
+
+
+def _json_safe(value):
+    """``value`` with each non-finite float as None, which JSON writes as
+    null (``json.dumps`` would write the non-standard NaN / Infinity)."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "csv":
         emit_csv(table, args.out)
     else:
-        _write(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
+        _write(json.dumps(_json_safe(summary), indent=2, sort_keys=True)
+               + "\n", args.out)
     return 0
 
 

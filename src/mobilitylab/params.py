@@ -65,10 +65,6 @@ class VehicleParams:
     max_rotor_thrust: float = 8.0        # N per rotor (32 N over 4 rotors)
 
     @property
-    def efficiency_chain(self) -> float:
-        return self.eta_propeller * self.eta_motor * self.eta_controller
-
-    @property
     def rotor_disk_area(self) -> float:
         return math.pi * self.rotor_disk_radius ** 2
 

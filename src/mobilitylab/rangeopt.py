@@ -1,9 +1,10 @@
 """Range sweeps, terrain trade-off grid and multi-agent scaling bounds.
 
 Range is defined as v * E / P: distance covered before the usable battery
-energy is exhausted at constant speed. Optima are grid argmaxima (an
-optional golden-section refinement is available); infeasible points are
-excluded. Each sweep evaluates its powers in one array call.
+energy is exhausted at constant speed. Optima are grid argmaxima; the
+optional refinement re-sweeps a fine grid over the coarse optimum's bracket
+and takes that argmax. Infeasible points are excluded. Each sweep evaluates
+its powers in one array call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .params import AnalysisError, ScenarioConfig, TerrainParams
 #: default velocity grids, m/s
 ROLLING_V_GRID = (0.01, 2.0, 200)
 FLYING_V_GRID = (0.05, 5.0, 200)
+#: points of the refinement grid; odd, so a uniform grid's coarse optimum
+#: sits in its middle
+REFINE_POINTS = 1001
 
 #: circumradius / edge length of the platonic solids, keyed by face count
 PLATONIC_CIRCUMRADIUS_PER_EDGE = {
@@ -58,15 +62,6 @@ class ScalingCurve:
     ratio_upper: np.ndarray   # rolling/flying range, best-case geometry
 
 
-def range_at(power: float, v: float, total_energy: float) -> float:
-    """Range in km at constant speed v and electrical power draw."""
-    if v == 0.0:
-        return 0.0
-    if not 0.0 < power < math.inf:
-        raise ValueError(f"power must be finite and > 0, got {power!r}")
-    return float(_ranges(v, power, total_energy))
-
-
 def default_velocity_grid(mode: str) -> np.ndarray:
     lo, hi, num = ROLLING_V_GRID if mode == "rolling" else FLYING_V_GRID
     return np.linspace(lo, hi, num)
@@ -98,34 +93,6 @@ def _best(ranges):
     return np.fmax.reduce(ranges, axis=-1)
 
 
-def _golden_refine(config: ScenarioConfig, mode: str, hotel_w: float,
-                   energy: float, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of range over [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def neg_range(v):
-        r = float(_ranges(v, _powers(config, mode, v) + hotel_w, energy))
-        return math.inf if math.isnan(r) else -r
-
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = neg_range(c), neg_range(d)
-    for _ in range(200):
-        if b - a < 1e-6:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = neg_range(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = neg_range(d)
-    v = 0.5 * (a + b)
-    return v, -neg_range(v)
-
-
 def range_sweep(config: ScenarioConfig, mode: str,
                 v_grid: np.ndarray | None = None, hotel_w: float = 0.0,
                 refine: bool = False) -> RangeCurve:
@@ -145,9 +112,13 @@ def range_sweep(config: ScenarioConfig, mode: str,
     i = int(np.nanargmax(ranges))
     opt_v, opt_r = float(v_grid[i]), float(ranges[i])
     if refine:
-        lo = float(v_grid[max(0, i - 1)])
-        hi = float(v_grid[min(len(v_grid) - 1, i + 1)])
-        opt_v, opt_r = _golden_refine(config, mode, hotel_w, energy, lo, hi)
+        # the coarse optimum's two grid neighbours bracket the maximum
+        fine = np.linspace(v_grid[max(0, i - 1)],
+                           v_grid[min(len(v_grid) - 1, i + 1)], REFINE_POINTS)
+        fine_ranges = _ranges(fine, _powers(config, mode, fine) + hotel_w,
+                              energy)
+        k = int(np.nanargmax(fine_ranges))
+        opt_v, opt_r = float(fine[k]), float(fine_ranges[k])
     return RangeCurve(mode=mode, velocity=v_grid, power=powers,
                       range_km=ranges, optimum_v=opt_v,
                       optimum_range_km=opt_r)
@@ -159,8 +130,9 @@ def tradeoff_grid(config: ScenarioConfig,
                   resolution: int = 20) -> TradeoffGrid:
     """Rolling-minus-flying optimum range over a (C_rr, slope) grid.
 
-    The flying optimum depends on the slope only: one sweep per theta. The
-    rolling optima take one array call per C_rr row over (theta x v).
+    The flying optimum depends on the slope only: one array call over
+    (theta x v). The rolling optima take one array call per C_rr row over
+    (theta x v), which keeps the peak memory at one row's arrays.
     """
     crr_axis = np.linspace(crr_range[0], crr_range[1], resolution)
     theta_axis = np.linspace(theta_range_deg[0], theta_range_deg[1],
@@ -172,8 +144,8 @@ def tradeoff_grid(config: ScenarioConfig,
         cfg = replace(config, terrain=terrain)
         return _best(_ranges(v, _powers(cfg, mode, v), config.total_energy))
 
-    fly_by_theta = np.array([best_range(TerrainParams(crr_axis[0], th),
-                                        "flying") for th in theta_rad])
+    fly_by_theta = best_range(TerrainParams(crr_axis[0], theta_rad[:, None]),
+                              "flying")
     delta = np.array([best_range(TerrainParams(crr, theta_rad[:, None]),
                                  "rolling") - fly_by_theta
                       for crr in crr_axis])

@@ -163,19 +163,21 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
 
 def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     """Tilt, per-agent drag and thrust, and total power (NaN where
-    infeasible) at speeds v. An element of the tilt fixed point stops
-    updating once its step is below TRIM_TOL, so results are elementwise."""
+    infeasible) at speeds v, broadcast over array-valued slopes. An element
+    of the tilt fixed point stops updating once its step is below TRIM_TOL,
+    so results are elementwise."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m = veh.cobot_mass
-    along_weight = m * env.gravity * math.sin(ter.slope_theta)
-    normal_weight = m * env.gravity * math.cos(ter.slope_theta)
+    along_weight = m * env.gravity * np.sin(ter.slope_theta)
+    normal_weight = m * env.gravity * np.cos(ter.slope_theta)
 
     def drag_at(alpha):
         area = aeropower.projected_area(veh, alpha, "flying")
         return aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
 
-    alpha = np.zeros_like(v)
-    active = np.ones(v.shape, bool)
+    shape = np.broadcast_shapes(v.shape, np.shape(ter.slope_theta))
+    alpha = np.zeros(shape)
+    active = np.ones(shape, bool)
     for _ in range(TRIM_MAX_ITER):
         new_alpha = np.arctan2(drag_at(alpha) + along_weight, normal_weight)
         step = np.abs(new_alpha - alpha)
@@ -185,7 +187,8 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
             break
     else:
         raise aeropower.SolverError(
-            f"flying trim fixed point did not converge at v={v[active]}")
+            f"flying trim fixed point did not converge at "
+            f"v={np.broadcast_to(v, shape)[active]}")
 
     # re-evaluate at the converged tilt so the trim residuals are exact
     drag = drag_at(alpha)
@@ -200,7 +203,8 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
 
 
 def flying_power(config: ScenarioConfig, v):
-    """Total flying power at speed(s) v; NaN where a rotor saturates."""
+    """Total flying power at speed(s) v; NaN where a rotor saturates.
+    Broadcasts over v and over an array-valued slope."""
     return _flying_trim(config, np.asarray(v, float))[3]
 
 

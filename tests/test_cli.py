@@ -208,6 +208,42 @@ def test_tradeoff_map_bad_resolution_exits_2(capsys):
     assert "--resolution" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--crr-min", "0.2", "--crr-max", "0.01"],
+     "--crr-max must be >= --crr-min (got 0.01 < 0.2)"),
+    (["--theta-min-deg", "2", "--theta-max-deg", "-0.5"],
+     "--theta-max-deg must be >= --theta-min-deg (got -0.5 < 2.0)"),
+], ids=["crr", "theta"])
+def test_tradeoff_map_reversed_box_exits_2(capsys, argv, message):
+    code, stdout, err = run(["tradeoff-map", *argv], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
+def test_tradeoff_map_without_feasible_flying_point_exits_1(capsys):
+    code, stdout, err = run(["tradeoff-map", "--resolution", "3", "--set",
+                             "max_rotor_thrust=1e-9", "--format", "json"],
+                            capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "flying" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_summary_writes_non_finite_as_null(capsys):
+    # rolling is infeasible for the larger prisms at this resistance
+    code, stdout, _ = run(["scaling", "--set", "rolling_resistance_crr=3",
+                           "--format", "json"], capsys)
+    assert code == 0
+    summary = json.loads(stdout, parse_constant=_reject_constant)
+    assert None in summary["ratio_lower"]
+    assert all(r is None or r > 0 for r in summary["ratio_lower"])
+
+
 @pytest.mark.parametrize("override", ["rolling_resistance_crr=nan",
                                       "gravity=inf", "cobot_mass=-inf",
                                       "ambient_temperature=nan"])

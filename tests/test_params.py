@@ -39,11 +39,6 @@ def test_rotor_disk_area():
     assert veh.rotor_disk_area == pytest.approx(math.pi * 0.0762 ** 2)
 
 
-def test_efficiency_chain():
-    veh = params.VehicleParams()
-    assert veh.efficiency_chain == pytest.approx(0.6 * 0.85 * 0.95)
-
-
 def test_validate_default_is_clean():
     assert params.validate(params.ScenarioConfig()) == []
 

@@ -1,41 +1,14 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mobilitylab import rangeopt, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
 
 CFG = ScenarioConfig()
-
-
-def test_range_at_arithmetic():
-    # compare the solved-power headline numbers discussed elsewhere
-    assert rangeopt.range_at(10.0, 1.7, 870e3) == pytest.approx(147.9,
-                                                                rel=1e-3)
-    assert rangeopt.range_at(5.0, 1.7, 870e3) == pytest.approx(2 * 147.9,
-                                                               rel=1e-3)
-    assert rangeopt.range_at(1.0, 0.0, 870e3) == 0.0
-
-
-def test_range_at_rejects_nonpositive_power():
-    with pytest.raises(ValueError):
-        rangeopt.range_at(0.0, 1.0, 870e3)
-
-
-@pytest.mark.parametrize("power", [math.nan, math.inf])
-def test_range_at_rejects_non_finite_power(power):
-    with pytest.raises(ValueError, match="power"):
-        rangeopt.range_at(power, 1.0, 870e3)
-
-
-@given(p=st.floats(0.1, 100), v=st.floats(0.01, 5), e=st.floats(1e3, 1e7))
-def test_range_proportionality(p, v, e):
-    r = rangeopt.range_at(p, v, e)
-    assert rangeopt.range_at(p / 2, v, e) == pytest.approx(2 * r, rel=1e-12)
-    assert rangeopt.range_at(p, v, 2 * e) == pytest.approx(2 * r, rel=1e-12)
 
 
 def test_grid_validation():
@@ -77,13 +50,67 @@ def test_hotel_load_shrinks_range():
     assert loaded.optimum_v >= base.optimum_v
 
 
+def _bracket_grid(v_grid, optimum_v):
+    """The fine grid a refined sweep searches around the coarse optimum."""
+    i = int(np.flatnonzero(v_grid == optimum_v)[0])
+    return np.linspace(v_grid[max(0, i - 1)],
+                       v_grid[min(len(v_grid) - 1, i + 1)],
+                       rangeopt.REFINE_POINTS)
+
+
 def test_golden_refinement_improves_optimum():
-    coarse = rangeopt.range_sweep(CFG, "flying",
-                                  v_grid=np.linspace(0.1, 3.0, 30))
-    refined = rangeopt.range_sweep(CFG, "flying",
-                                   v_grid=np.linspace(0.1, 3.0, 30),
-                                   refine=True)
-    assert refined.optimum_range_km >= coarse.optimum_range_km - 1e-9
+    # the refined optimum is the bracket grid's sweep optimum, bit for bit
+    for mode, hotel_w, v_grid in itertools.product(
+            ("rolling", "flying"), (0.0, 2.0),
+            (np.linspace(0.1, 3.0, 30), None)):
+        coarse = rangeopt.range_sweep(CFG, mode, v_grid=v_grid,
+                                      hotel_w=hotel_w)
+        refined = rangeopt.range_sweep(CFG, mode, v_grid=v_grid,
+                                       hotel_w=hotel_w, refine=True)
+        fine = _bracket_grid(coarse.velocity, coarse.optimum_v)
+        direct = rangeopt.range_sweep(CFG, mode, v_grid=fine,
+                                      hotel_w=hotel_w)
+        assert refined.optimum_v == direct.optimum_v
+        assert refined.optimum_range_km == direct.optimum_range_km
+        assert refined.optimum_range_km >= coarse.optimum_range_km
+        assert fine[0] <= refined.optimum_v <= fine[-1]
+        # the coarse curve itself is left as it was
+        assert np.array_equal(refined.range_km, coarse.range_km,
+                              equal_nan=True)
+
+
+def test_refinement_of_one_point_grid_is_that_point():
+    for mode in ("rolling", "flying"):
+        curve = rangeopt.range_sweep(CFG, mode, v_grid=np.array([0.3]),
+                                     refine=True)
+        assert curve.optimum_v == 0.3
+        assert curve.optimum_range_km == curve.range_km[0]
+
+
+def _count_powers(monkeypatch):
+    calls = []
+    powers = rangeopt._powers
+
+    def counted(*args):
+        calls.append(args[1])
+        return powers(*args)
+
+    monkeypatch.setattr(rangeopt, "_powers", counted)
+    return calls
+
+
+def test_refined_sweep_is_two_array_calls(monkeypatch):
+    calls = _count_powers(monkeypatch)
+    for mode in ("rolling", "flying"):
+        rangeopt.range_sweep(CFG, mode, refine=True)
+    assert calls == ["rolling", "rolling", "flying", "flying"]
+
+
+def test_tradeoff_grid_is_one_flying_call_and_one_call_per_crr_row(
+        monkeypatch):
+    calls = _count_powers(monkeypatch)
+    rangeopt.tradeoff_grid(CFG, resolution=5)
+    assert calls == ["flying"] + ["rolling"] * 5
 
 
 def test_all_infeasible_raises():

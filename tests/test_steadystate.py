@@ -170,6 +170,30 @@ def test_flying_tilt_grows_with_speed():
     assert all(0 < t < math.pi / 2 for t in tilts)
 
 
+def _on_slopes(config, theta):
+    return replace(config, terrain=TerrainParams(0.01, theta))
+
+
+def test_flying_power_broadcasts_over_slope_bitwise():
+    # each row of an array-slope call is that slope's call, NaN included
+    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.4))
+    theta = np.radians(np.linspace(-0.5, 20.0, 9))
+    v = np.linspace(0.0, 3.0, 40)
+    rows = steadystate.flying_power(_on_slopes(weak, theta[:, None]), v)
+    per_slope = [steadystate.flying_power(_on_slopes(weak, float(th)), v)
+                 for th in theta]
+    assert rows.shape == (9, 40)
+    assert np.isnan(rows).any() and np.isfinite(rows).any()
+    assert np.array_equal(rows, per_slope, equal_nan=True)
+
+
+def test_flying_trim_failure_names_broadcast_speeds(monkeypatch):
+    monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 1)
+    theta = np.radians([0.0, 1.0])[:, None]
+    with pytest.raises(aeropower.SolverError, match=r"v=\[0\.5 1\. "):
+        steadystate.flying_power(_on_slopes(CFG, theta), [0.5, 1.0])
+
+
 def test_flying_infeasible_raises():
     weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.01))
     with pytest.raises(steadystate.InfeasibleError):
