@@ -1,10 +1,10 @@
 """Range sweeps, terrain trade-off grid and multi-agent scaling bounds.
 
 Range is defined as v * E / P: distance covered before the usable battery
-energy is exhausted at constant speed. Optima are grid argmaxima; the
-optional refinement re-sweeps a fine grid over the coarse optimum's bracket
-and takes that argmax. Infeasible points are excluded. Each sweep evaluates
-its powers in one array call.
+energy is exhausted at constant speed. One private sweep owns the optimum:
+the grid argmax, NaN where no speed is feasible, optionally refined by a
+re-sweep of its bracket. ``best_range`` exposes it, broadcast over terrain
+arrays; each sweep evaluates its powers in one array call.
 """
 
 from __future__ import annotations
@@ -67,12 +67,18 @@ def default_velocity_grid(mode: str) -> np.ndarray:
     return np.linspace(lo, hi, num)
 
 
-def _powers(config: ScenarioConfig, mode: str, v):
-    """Total electrical power at speed(s) v; NaN where infeasible."""
+def _powers(config: ScenarioConfig, mode: str, v, shell=None):
+    """Total electrical power at speed(s) v; NaN where infeasible.
+
+    A rolling ``shell`` is (radius, drag area, propeller pairs). Rolling
+    sweeps and the trade-off map use the docked cylinder, whose torque loads
+    its 4 pairs for any ``num_agents``; ``scaling_bounds`` gives n agents
+    2 n pairs. Mass and energy scale with ``num_agents`` in both.
+    """
     if mode == "rolling":
-        torque = (steadystate.rolling_resistive_force(config, v)
-                  * config.vehicle.shell_radius_l)
-        return steadystate.rolling_power(config, torque, v)
+        radius, area, pairs = shell or (config.vehicle.shell_radius_l, None, 4)
+        torque = steadystate.rolling_resistive_force(config, v, area) * radius
+        return steadystate.rolling_power(config, torque, v, pairs)
     if mode == "flying":
         return steadystate.flying_power(config, v)
     raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
@@ -88,9 +94,33 @@ def _ranges(v, powers, energy: float):
     return ranges
 
 
-def _best(ranges):
-    """Largest finite range along the last axis; NaN where there is none."""
-    return np.fmax.reduce(ranges, axis=-1)
+def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
+           refine: bool = False, shell=None):
+    """Powers, ranges and optimum (v*, R*) over speeds v: the first largest
+    finite range along the last axis, NaN where no speed is feasible.
+    ``refine`` re-sweeps ``REFINE_POINTS`` speeds between the optimum's two
+    neighbours on the 1-D grid v."""
+    powers = _powers(config, mode, v, shell) + hotel_w
+    ranges = _ranges(v, powers, config.total_energy)
+    opt_r = np.fmax.reduce(ranges, axis=-1)
+    i = np.argmax(ranges == opt_r[..., None], axis=-1)  # first optimum
+    opt_v = (v[i] if v.ndim == 1
+             else np.take_along_axis(v, i[..., None], -1)[..., 0])
+    if refine:
+        lo, hi = v[np.clip([i - 1, i + 1], 0, len(v) - 1)]
+        fine = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
+        opt_v, opt_r = np.where(np.isnan(opt_r), np.nan, _sweep(
+            config, mode, fine, hotel_w, shell=shell)[2:])
+    return powers, ranges, np.where(np.isnan(opt_r), np.nan, opt_v), opt_r
+
+
+def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
+               refine: bool = False):
+    """Optimum (v*, R*) over the mode's default speed grid. Array-valued
+    terrain fields broadcast against a trailing speed axis (shape them
+    (..., 1)); infeasible elements give (NaN, NaN)."""
+    return _sweep(config, mode, default_velocity_grid(mode), hotel_w,
+                  refine)[2:]
 
 
 def range_sweep(config: ScenarioConfig, mode: str,
@@ -103,52 +133,31 @@ def range_sweep(config: ScenarioConfig, mode: str,
     if len(v_grid) < 1 or np.any(v_grid <= 0) or np.any(np.diff(v_grid) <= 0):
         raise ValueError("v_grid must be strictly increasing and positive")
 
-    powers = _powers(config, mode, v_grid) + hotel_w
-    energy = config.total_energy
-    ranges = _ranges(v_grid, powers, energy)
-    if not np.any(np.isfinite(ranges)):
+    powers, ranges, opt_v, opt_r = _sweep(config, mode, v_grid, hotel_w,
+                                          refine)
+    if np.isnan(opt_r):
         raise AllInfeasibleError(
             f"{mode} sweep: every grid point is infeasible")
-    i = int(np.nanargmax(ranges))
-    opt_v, opt_r = float(v_grid[i]), float(ranges[i])
-    if refine:
-        # the coarse optimum's two grid neighbours bracket the maximum
-        fine = np.linspace(v_grid[max(0, i - 1)],
-                           v_grid[min(len(v_grid) - 1, i + 1)], REFINE_POINTS)
-        fine_ranges = _ranges(fine, _powers(config, mode, fine) + hotel_w,
-                              energy)
-        k = int(np.nanargmax(fine_ranges))
-        opt_v, opt_r = float(fine[k]), float(fine_ranges[k])
     return RangeCurve(mode=mode, velocity=v_grid, power=powers,
-                      range_km=ranges, optimum_v=opt_v,
-                      optimum_range_km=opt_r)
+                      range_km=ranges, optimum_v=float(opt_v),
+                      optimum_range_km=float(opt_r))
 
 
 def tradeoff_grid(config: ScenarioConfig,
                   crr_range: tuple[float, float] = (0.01, 0.2),
                   theta_range_deg: tuple[float, float] = (-0.5, 2.0),
                   resolution: int = 20) -> TradeoffGrid:
-    """Rolling-minus-flying optimum range over a (C_rr, slope) grid.
-
-    The flying optimum depends on the slope only: one array call over
-    (theta x v). The rolling optima take one array call per C_rr row over
-    (theta x v), which keeps the peak memory at one row's arrays.
-    """
-    crr_axis = np.linspace(crr_range[0], crr_range[1], resolution)
-    theta_axis = np.linspace(theta_range_deg[0], theta_range_deg[1],
-                             resolution)
-    theta_rad = np.radians(theta_axis)
-
-    def best_range(terrain, mode):
-        v = default_velocity_grid(mode)
-        cfg = replace(config, terrain=terrain)
-        return _best(_ranges(v, _powers(cfg, mode, v), config.total_energy))
-
-    fly_by_theta = best_range(TerrainParams(crr_axis[0], theta_rad[:, None]),
-                              "flying")
-    delta = np.array([best_range(TerrainParams(crr, theta_rad[:, None]),
-                                 "rolling") - fly_by_theta
-                      for crr in crr_axis])
+    """Rolling-minus-flying optimum range over a (C_rr, slope) grid: one
+    flying ``best_range`` call over (theta x v), since flying ignores C_rr,
+    and one rolling call per C_rr row, which keeps the peak memory at one
+    row's arrays."""
+    crr_axis = np.linspace(*crr_range, resolution)
+    theta_axis = np.linspace(*theta_range_deg, resolution)
+    slopes = np.radians(theta_axis)[:, None]
+    fly_by_theta = best_range(replace(config, terrain=TerrainParams(
+        crr_axis[0], slopes)), "flying")[1]
+    delta = np.array([best_range(replace(config, terrain=TerrainParams(
+        crr, slopes)), "rolling")[1] - fly_by_theta for crr in crr_axis])
     fly = np.tile(fly_by_theta, (resolution, 1))
     return TradeoffGrid(crr=crr_axis, theta_deg=theta_axis,
                         delta_range_km=delta, flying_range_km=fly)
@@ -194,14 +203,6 @@ def scaling_bounds(config: ScenarioConfig,
     width = config.vehicle.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
     v_grid = default_velocity_grid("rolling")
-
-    def best_range(cfg, radius, area):
-        # the torque is shared by the 2 n propeller pairs
-        resist = steadystate.rolling_resistive_force(cfg, v_grid, area)
-        powers = steadystate.rolling_power(cfg, resist * radius, v_grid,
-                                           2 * cfg.num_agents)
-        return _best(_ranges(v_grid, powers, cfg.total_energy))
-
     ns, lowers, uppers = [], [], []
     for n in n_range:
         if n < 1:
@@ -210,7 +211,10 @@ def scaling_bounds(config: ScenarioConfig,
         r_up = platonic_shell_radius(n, width)
         r_lo = polygon_prism_radius(n, width)
         ns.append(n)
-        uppers.append(best_range(cfg, r_up, math.pi * r_up ** 2) / fly_range)
-        lowers.append(best_range(cfg, r_lo, 2.0 * r_lo * width) / fly_range)
+        # the torque is shared by the 2 n propeller pairs
+        uppers.append(_sweep(cfg, "rolling", v_grid, shell=(
+            r_up, math.pi * r_up ** 2, 2 * n))[3] / fly_range)
+        lowers.append(_sweep(cfg, "rolling", v_grid, shell=(
+            r_lo, 2.0 * r_lo * width, 2 * n))[3] / fly_range)
     return ScalingCurve(n=np.array(ns), ratio_lower=np.array(lowers),
                         ratio_upper=np.array(uppers))

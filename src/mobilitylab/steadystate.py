@@ -186,9 +186,10 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
         if not active.any():
             break
     else:
+        stuck = np.broadcast_to(v, shape)[active]
         raise aeropower.SolverError(
-            f"flying trim fixed point did not converge at "
-            f"v={np.broadcast_to(v, shape)[active]}")
+            f"flying trim fixed point did not converge at {stuck.size} "
+            f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
 
     # re-evaluate at the converged tilt so the trim residuals are exact
     drag = drag_at(alpha)

@@ -266,6 +266,15 @@ def test_solver_error_exits_1(capsys, monkeypatch):
     assert err.startswith("error:") and "did not converge" in err
 
 
+def test_unconverged_flying_trim_is_one_error_line(capsys):
+    code, out, err = run(["range-sweep", "--mode", "flying",
+                          "--set", "slope_theta=-0.5"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: flying trim fixed point did not converge "
+                          "at 19 speed(s), v = ")
+
+
 def test_earth_preset_with_config_file(tmp_path, capsys):
     # preset < file keys < --set: the file must not reset the environment
     cfg = tmp_path / "cfg.txt"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobilitylab import rangeopt, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
@@ -91,9 +92,9 @@ def _count_powers(monkeypatch):
     calls = []
     powers = rangeopt._powers
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1])
-        return powers(*args)
+        return powers(*args, **kwargs)
 
     monkeypatch.setattr(rangeopt, "_powers", counted)
     return calls
@@ -111,6 +112,70 @@ def test_tradeoff_grid_is_one_flying_call_and_one_call_per_crr_row(
     calls = _count_powers(monkeypatch)
     rangeopt.tradeoff_grid(CFG, resolution=5)
     assert calls == ["flying"] + ["rolling"] * 5
+
+
+def test_scaling_bounds_is_one_flying_call_and_two_rolling_calls_per_n(
+        monkeypatch):
+    calls = _count_powers(monkeypatch)
+    rangeopt.scaling_bounds(CFG, range(1, 4))
+    assert calls == ["flying"] + ["rolling"] * 2 * 3
+
+
+def test_default_rolling_shell_is_the_docked_cylinder():
+    v = rangeopt.default_velocity_grid("rolling")
+    shell = (CFG.vehicle.shell_radius_l,
+             steadystate.average_rolling_area(CFG), 4)
+    assert np.array_equal(rangeopt._powers(CFG, "rolling", v),
+                          rangeopt._powers(CFG, "rolling", v, shell),
+                          equal_nan=True)
+
+
+def _on_terrain(config, crr, theta):
+    return replace(config, terrain=TerrainParams(crr, theta))
+
+
+# the flying trim fixed point does not converge at slopes of -0.2 rad and
+# below, so the slopes start at -0.1 rad
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(("rolling", "flying")), refine=st.booleans(),
+       terrain=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-0.1, 0.6)),
+                        min_size=1, max_size=4),
+       hotel_w=st.floats(0.0, 5.0),
+       limit=st.sampled_from((8.0, 0.3, 0.25)))
+def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
+                                                    hotel_w, limit):
+    # thrust limit 0.3 N leaves steep rolling rows infeasible, 0.25 N
+    # every flying row
+    config = replace(CFG, vehicle=replace(CFG.vehicle,
+                                          max_rotor_thrust=limit))
+    crr, theta = np.array(terrain).T
+    v_opt, r_opt = rangeopt.best_range(
+        _on_terrain(config, crr[:, None], theta[:, None]), mode, hotel_w,
+        refine)
+    assert v_opt.shape == r_opt.shape == (len(terrain),)
+    for k, (c, th) in enumerate(terrain):
+        one = _on_terrain(config, c, th)
+        v1, r1 = rangeopt.best_range(one, mode, hotel_w, refine)
+        assert np.array_equal([v_opt[k], r_opt[k]], [v1, r1], equal_nan=True)
+        if np.isnan(r1):
+            assert np.isnan(v1)
+            with pytest.raises(rangeopt.AllInfeasibleError):
+                rangeopt.range_sweep(one, mode, hotel_w=hotel_w,
+                                     refine=refine)
+        else:
+            curve = rangeopt.range_sweep(one, mode, hotel_w=hotel_w,
+                                         refine=refine)
+            assert curve.optimum_v == v1
+            assert curve.optimum_range_km == r1
+
+
+def test_best_range_marks_infeasible_without_raising():
+    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-9))
+    for mode, refine in itertools.product(("rolling", "flying"),
+                                          (False, True)):
+        v_opt, r_opt = rangeopt.best_range(
+            _on_terrain(weak, 0.01, np.zeros((3, 1))), mode, refine=refine)
+        assert np.isnan(v_opt).all() and np.isnan(r_opt).all()
 
 
 def test_all_infeasible_raises():

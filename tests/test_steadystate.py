@@ -190,7 +190,8 @@ def test_flying_power_broadcasts_over_slope_bitwise():
 def test_flying_trim_failure_names_broadcast_speeds(monkeypatch):
     monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 1)
     theta = np.radians([0.0, 1.0])[:, None]
-    with pytest.raises(aeropower.SolverError, match=r"v=\[0\.5 1\. "):
+    with pytest.raises(aeropower.SolverError,
+                       match=r"at 4 speed\(s\), v = 0\.5 to 1 m/s$"):
         steadystate.flying_power(_on_slopes(CFG, theta), [0.5, 1.0])
 
 
