@@ -19,9 +19,15 @@ Rolling drag area: the cylinder's attitude rotates continuously, so the
 steady-state drag area is the time average over one revolution,
 (2/pi) (h + 2 l) w.
 
-Flying trim uses the full vector balance in slope-aligned axes (thrust
-magnitude and tilt as unknowns); no small-angle approximation, since drag is
-comparable to weight at the speeds of interest in a dense atmosphere.
+Flying trim uses the full vector balance in slope-aligned axes, thrust T
+and tilt a unknown: T sin(a) = drag(a) + W sin(theta) along the slope and
+T cos(a) = W cos(theta) normal to it, W = m g, with the projected area a
+function of a. No small-angle approximation: drag is comparable to weight at
+the speeds of interest in a dense atmosphere. The tilt is a root of
+r(a) = a - atan2(drag(a) + W sin(theta), W cos(theta)), and r(-pi/2) < 0 <
+r(pi/2). The fixed-point step from a = 0 picks by its sign the half
+[0, pi/2] or [-pi/2, 0] that holds a root; safeguarded Newton steps solve in
+it, bisecting when a step leaves the bracket.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from . import aeropower, control
 from .params import AnalysisError, ScenarioConfig
 
-#: fixed-point iteration cap / tolerance for the flying tilt angle
+#: Newton iteration cap / step tolerance (rad) of the flying tilt
 TRIM_MAX_ITER = 100
 TRIM_TOL = 1e-9
 
@@ -86,10 +92,14 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
             + ter.rolling_resistance_crr * (weight * np.cos(ter.slope_theta)))
 
 
-def _pair_force_terms(vehicle, n_pairs: int) -> tuple[float, float]:
-    """Lever n a/sqrt(2) from roll torque to pair force; pair-force limit."""
-    return (n_pairs * vehicle.rotor_arm_length_a / math.sqrt(2.0),
-            vehicle.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0)))
+def _pair_terms(config: ScenarioConfig, n_pairs: int):
+    """Lever n a/sqrt(2), pair-force limit, 2 rho A and chain efficiency."""
+    env, veh = config.environment, config.vehicle
+    return (n_pairs * veh.rotor_arm_length_a / math.sqrt(2.0),
+            veh.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0)),
+            2.0 * env.air_density * veh.rotor_disk_area,
+            aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
+                                        veh.eta_controller))
 
 
 def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
@@ -99,24 +109,24 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     per pair spins. Broadcasts over torque and v; NaN, masked before the
     power chain runs, where the pair force exceeds the rotor thrust limit by
     more than a few ulps (the closed loop's uniform saturation lands on the
-    limit only to within rounding). Python numbers take ``rolling_power_fn``.
+    limit only to within rounding). Python numbers take ``rolling_power_fn``,
+    whose arithmetic this follows elementwise.
     """
     if aeropower._lib(torque) is aeropower._lib(v) is math:
         return rolling_power_fn(config, n_pairs)(torque, v)
-    lever, limit = _pair_force_terms(config.vehicle, n_pairs)
+    lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
-    return aeropower.rotors_power(config.environment, config.vehicle, n_pairs,
-                                  np.where(f > limit, np.nan, f), v)
+    f = np.where(f > limit, np.nan, f)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nu = np.where(f != 0.0,
+                      aeropower._edgewise_inflow(f / rho2a, v, np.sqrt), 0.0)
+        return n_pairs * (f * (nu - v * 0.0) / eta)
 
 
 def rolling_power_fn(config: ScenarioConfig, n_pairs: int = 4):
     """``rolling_power`` on Python floats for one config: a function
     (torque, v) -> W with every config-only term computed once."""
-    env, veh = config.environment, config.vehicle
-    lever, limit = _pair_force_terms(veh, n_pairs)
-    rho2a = 2.0 * env.air_density * veh.rotor_disk_area
-    eta = aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
-                                      veh.eta_controller)
+    lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
 
     def power(torque: float, v: float) -> float:
         f = abs(torque) / lever
@@ -164,31 +174,37 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
 def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     """Tilt, per-agent drag and thrust, and total power (NaN where
     infeasible) at speeds v, broadcast over array-valued slopes. An element
-    of the tilt fixed point stops updating once its step is below TRIM_TOL,
-    so results are elementwise."""
+    of the Newton solve stops updating once its step is below TRIM_TOL, so
+    results are elementwise."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = veh.cobot_mass
-    along_weight = m * env.gravity * np.sin(ter.slope_theta)
-    normal_weight = m * env.gravity * np.cos(ter.slope_theta)
+    along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
+    normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
 
-    def drag_at(alpha):
-        area = aeropower.projected_area(veh, alpha, "flying")
-        return aeropower.drag_force(env, area, v, cd=veh.drag_coefficient_cd)
+    def drag_at(alpha, area=aeropower.projected_area):
+        return aeropower.drag_force(env, area(veh, alpha, "flying"), v,
+                                    cd=veh.drag_coefficient_cd)
 
-    shape = np.broadcast_shapes(v.shape, np.shape(ter.slope_theta))
-    alpha = np.zeros(shape)
-    active = np.ones(shape, bool)
+    alpha = np.arctan2(drag_at(0.0) + along_weight, normal_weight)
+    lo = np.where(alpha > 0.0, 0.0, -0.5 * math.pi)
+    hi, active = lo + 0.5 * math.pi, np.ones(alpha.shape, bool)
     for _ in range(TRIM_MAX_ITER):
-        new_alpha = np.arctan2(drag_at(alpha) + along_weight, normal_weight)
-        step = np.abs(new_alpha - alpha)
-        alpha = np.where(active, new_alpha, alpha)
+        along = drag_at(alpha) + along_weight
+        res = alpha - np.arctan2(along, normal_weight)
+        lo, hi = np.where(res < 0.0, alpha, lo), np.where(res > 0.0, alpha, hi)
+        drag_slope = drag_at(alpha, aeropower.projected_area_slope)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = alpha - res / (1.0 - normal_weight * drag_slope
+                                 / (along * along + normal_weight ** 2))
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        step = np.abs(new - alpha)
+        alpha = np.where(active, new, alpha)
         active &= ~(step < TRIM_TOL)
         if not active.any():
             break
     else:
-        stuck = np.broadcast_to(v, shape)[active]
+        stuck = np.broadcast_to(v, alpha.shape)[active]
         raise aeropower.SolverError(
-            f"flying trim fixed point did not converge at {stuck.size} "
+            f"flying trim did not converge at {stuck.size} "
             f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
 
     # re-evaluate at the converged tilt so the trim residuals are exact
@@ -213,10 +229,7 @@ def flying_equilibrium(config: ScenarioConfig, v: float) -> FlyingSolution:
     """Constant-height-above-slope trim of the flying agents at speed v.
 
     Each of the ``num_agents`` agents flies independently; reported thrust,
-    drag and power are totals over all agents. In slope-aligned axes the
-    trim is T sin(a) = drag + m g sin(theta) along the slope and
-    T cos(a) = m g cos(theta) normal to it, with the projected area itself a
-    function of the solved tilt a.
+    drag and power are totals over all agents.
     """
     if v < 0:
         raise ValueError(f"v must be >= 0, got {v!r}")

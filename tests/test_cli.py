@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mobilitylab import cli
+from mobilitylab import cli, steadystate
 from mobilitylab.params import ScenarioConfig
 
 
@@ -266,13 +266,19 @@ def test_solver_error_exits_1(capsys, monkeypatch):
     assert err.startswith("error:") and "did not converge" in err
 
 
-def test_unconverged_flying_trim_is_one_error_line(capsys):
+def test_unconverged_flying_trim_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 1)
+    code, out, err = run(["range-sweep", "--mode", "flying"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: flying trim did not converge at 200 speed(s), "
+                   "v = 0.05 to 5 m/s\n")
+
+
+def test_steep_downhill_flying_sweep_converges(capsys):
     code, out, err = run(["range-sweep", "--mode", "flying",
                           "--set", "slope_theta=-0.5"], capsys)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: flying trim fixed point did not converge "
-                          "at 19 speed(s), v = ")
+    assert code == 0 and err == ""
+    assert out.startswith("v_mps,")
 
 
 def test_earth_preset_with_config_file(tmp_path, capsys):

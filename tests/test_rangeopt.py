@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilitylab import rangeopt, steadystate
+from mobilitylab import params, rangeopt, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
 
 CFG = ScenarioConfig()
@@ -134,11 +134,9 @@ def _on_terrain(config, crr, theta):
     return replace(config, terrain=TerrainParams(crr, theta))
 
 
-# the flying trim fixed point does not converge at slopes of -0.2 rad and
-# below, so the slopes start at -0.1 rad
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(("rolling", "flying")), refine=st.booleans(),
-       terrain=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-0.1, 0.6)),
+       terrain=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-0.5, 0.6)),
                         min_size=1, max_size=4),
        hotel_w=st.floats(0.0, 5.0),
        limit=st.sampled_from((8.0, 0.3, 0.25)))
@@ -167,6 +165,24 @@ def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
                                          refine=refine)
             assert curve.optimum_v == v1
             assert curve.optimum_range_km == r1
+
+
+@pytest.mark.parametrize("env, agents, theta_deg", [
+    ("titan", 2, (-0.5, 2.0)), ("titan", 2, (-0.4, 5.0)),
+    ("earth", 2, (-0.4, 5.0)), ("earth", 8, (-0.5, 6.5))])
+def test_flying_trim_converges_in_few_iterations(monkeypatch, env, agents,
+                                                 theta_deg):
+    # the benchmark's boxes take at most 7 Newton iterations; a cap of 8
+    # makes a return to linear convergence (about 32) fail here
+    monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 8)
+    config = replace(CFG, num_agents=agents)
+    if env == "earth":
+        config = replace(config, environment=params.earth_defaults())
+    grid = rangeopt.tradeoff_grid(config, (0.01, 0.25), theta_deg, 7)
+    assert np.isfinite(grid.flying_range_km).all()
+    for theta in np.radians(theta_deg):
+        rangeopt.range_sweep(_on_terrain(config, 0.01, theta), "flying",
+                             refine=True)
 
 
 def test_best_range_marks_infeasible_without_raising():

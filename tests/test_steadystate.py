@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilitylab import aeropower, steadystate
+from mobilitylab import aeropower, rangeopt, steadystate
 from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
-                               VehicleParams)
+                               VehicleParams, earth_defaults)
 
 CFG = ScenarioConfig()
 
@@ -141,19 +141,67 @@ def test_downhill_needs_braking_torque():
     assert sol.total_electrical_power > 0
 
 
+def _trim_residuals(config, sol):
+    env, ter = config.environment, config.terrain
+    m = config.vehicle.cobot_mass
+    thrust = sol.total_thrust / config.num_agents
+    drag = sol.drag / config.num_agents
+    along = (thrust * math.sin(sol.tilt_alpha) - drag
+             - m * env.gravity * math.sin(ter.slope_theta))
+    normal = (thrust * math.cos(sol.tilt_alpha)
+              - m * env.gravity * math.cos(ter.slope_theta))
+    return along, normal
+
+
 def test_flying_trim_residuals():
-    env, ter = CFG.environment, CFG.terrain
-    m = CFG.vehicle.cobot_mass
     for v in (0.0, 0.5, 1.0, 2.0):
-        sol = steadystate.flying_equilibrium(CFG, v)
-        thrust = sol.total_thrust / CFG.num_agents
-        drag = sol.drag / CFG.num_agents
-        along = (thrust * math.sin(sol.tilt_alpha) - drag
-                 - m * env.gravity * math.sin(ter.slope_theta))
-        normal = (thrust * math.cos(sol.tilt_alpha)
-                  - m * env.gravity * math.cos(ter.slope_theta))
+        along, normal = _trim_residuals(CFG, steadystate.flying_equilibrium(
+            CFG, v))
         assert abs(along) < 1e-9
         assert abs(normal) < 1e-9
+
+
+def test_steep_downhill_trim_takes_lowest_power_root():
+    # at 1.45 m/s on a -0.5 rad slope the tilt balance has three roots,
+    # near -0.0481, 0.1497 and 0.9103 rad; the first needs the least power
+    steep = replace(CFG, terrain=TerrainParams(0.01, -0.5))
+    sol = steadystate.flying_equilibrium(steep, 1.45)
+    assert sol.tilt_alpha == pytest.approx(-0.0481, abs=5e-5)
+    assert max(map(abs, _trim_residuals(steep, sol))) < 1e-9
+    assert sol.total_electrical_power / CFG.num_agents == pytest.approx(
+        1.34, abs=5e-3)
+
+
+def _fixed_point_flying_power(config, v, steps=400):
+    """Flying power from the plain tilt fixed point run for many steps."""
+    env, veh, ter = config.environment, config.vehicle, config.terrain
+    along = veh.cobot_mass * env.gravity * math.sin(ter.slope_theta)
+    normal = veh.cobot_mass * env.gravity * math.cos(ter.slope_theta)
+
+    def drag_at(alpha):
+        return aeropower.drag_force(
+            env, aeropower.projected_area(veh, alpha, "flying"), v,
+            veh.drag_coefficient_cd)
+
+    alpha = np.zeros_like(v)
+    for _ in range(steps):
+        alpha = np.arctan2(drag_at(alpha) + along, normal)
+    thrust = np.hypot(drag_at(alpha) + along, normal)
+    return config.num_agents * aeropower.rotors_power(
+        env, veh, 4, thrust / 4.0, v, alpha)
+
+
+@pytest.mark.parametrize("env", ["titan", "earth"])
+@pytest.mark.parametrize("theta_deg", [-0.5, 0.0, 1.0, 3.0, 6.5])
+def test_flying_power_matches_long_fixed_point(env, theta_deg):
+    config = replace(CFG, terrain=TerrainParams(0.01, math.radians(theta_deg)))
+    if env == "earth":
+        config = replace(config, environment=earth_defaults())
+    v = rangeopt.default_velocity_grid("flying")
+    got = steadystate.flying_power(config, v)
+    want = _fixed_point_flying_power(config, v)
+    assert np.isfinite(want).all()
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_flying_at_zero_speed_is_hover():
