@@ -94,29 +94,43 @@ def _edgewise_inflow(rhs, vx, sqrt):
     return sqrt(rhs / (q + sqrt(1.0 + q * q)))
 
 
+def _newton(residual, x, lo, hi, tol, max_iter):
+    """Safeguarded Newton (rtsafe, Numerical Recipes 9.4) on arrays, with
+    ``residual(x)`` -> (r, dr/dx), r < 0 at lo and r > 0 at hi. Each step
+    narrows the bracket by the sign of r and bisects where the Newton step
+    leaves it. An element stops updating once its step is below tol, so
+    results are elementwise. Returns x and the mask still moving."""
+    active = np.ones(np.shape(x), bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            r, slope = residual(x)
+            lo, hi = np.where(r < 0.0, x, lo), np.where(r > 0.0, x, hi)
+            new = x - r / slope
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            step = np.abs(new - x)
+            x = np.where(active, new, x)
+            active &= ~(step < tol)
+            if not active.any():
+                break
+    return x, active
+
+
 def _tilted_inflow(rhs, vx, vz):
-    """Bracket-safeguarded Newton solve of nu |(vx, vz + nu)| = rhs. An
-    element stops updating once its step is below INDUCED_TOL, so results
-    do not depend on the other elements."""
-    lo, hi = np.zeros_like(rhs), np.sqrt(rhs) + np.maximum(0.0, -vz)
-    # for vz > 0 the residual is convex and the edgewise root lies above
-    # the tilted one, so Newton descends monotonically from it
-    nu = _edgewise_inflow(rhs, np.hypot(vx, vz), np.sqrt)
-    active = np.ones(rhs.shape, bool)
-    for _ in range(INDUCED_MAX_ITER):
+    """Root of nu |(vx, vz + nu)| = rhs in [0, sqrt(rhs) + max(0, -vz)]."""
+    def residual(nu):
         w = vz + nu
         s = np.sqrt(vx * vx + w * w)
-        res = nu * s - rhs
-        lo, hi = np.where(res < 0.0, nu, lo), np.where(res > 0.0, nu, hi)
-        new = nu - res / (s + nu * w / s)
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        step = np.abs(new - nu)
-        nu = np.where(active, new, nu)
-        active &= ~(step < INDUCED_TOL)
-        if not active.any():
-            return nu
-    raise SolverError(f"induced velocity Newton solve did not converge to "
-                      f"{INDUCED_TOL} in {INDUCED_MAX_ITER} iterations")
+        return nu * s - rhs, s + nu * w / s
+
+    # for vz > 0 the residual is convex and the edgewise root lies above
+    # the tilted one, so Newton descends monotonically from it
+    nu, moving = _newton(
+        residual, _edgewise_inflow(rhs, np.hypot(vx, vz), np.sqrt), 0.0,
+        np.sqrt(rhs) + np.maximum(0.0, -vz), INDUCED_TOL, INDUCED_MAX_ITER)
+    if moving.any():
+        raise SolverError(f"induced velocity Newton solve did not converge "
+                          f"to {INDUCED_TOL} in {INDUCED_MAX_ITER} iterations")
+    return nu
 
 
 def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
@@ -175,18 +189,17 @@ def _chain_efficiency(eta_p: float, eta_m: float, eta_c: float) -> float:
     return eta_p * eta_m * eta_c
 
 
-def rotors_power(env: EnvironmentParams, vehicle: VehicleParams,
-                 n_rotors: int, thrust, v_inf=0.0, tilt=0.0):
-    """Electrical power of ``n_rotors`` rotors, each at ``thrust``, in a
+def rotors_power(env: EnvironmentParams, vehicle: VehicleParams, thrust,
+                 v_inf=0.0, tilt=0.0):
+    """Electrical power of one agent's four rotors, each at ``thrust``, in a
     freestream v_inf at propulsive tilt (0: edgewise) whose axial component
     adds to the induced flow. Broadcasts over thrust, v_inf and tilt."""
     nu = induced_velocity(thrust, env, vehicle.rotor_disk_area, v_inf=v_inf,
                           alpha=tilt)
-    return n_rotors * rotor_power(thrust, v_inf, -tilt, nu,
-                                  vehicle.eta_propeller, vehicle.eta_motor,
-                                  vehicle.eta_controller)
+    return 4 * rotor_power(thrust, v_inf, -tilt, nu, vehicle.eta_propeller,
+                           vehicle.eta_motor, vehicle.eta_controller)
 
 
 def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:
     """Total electrical hover power of one agent (4 rotors, v_inf = 0)."""
-    return rotors_power(env, vehicle, 4, vehicle.cobot_mass * env.gravity / 4.0)
+    return rotors_power(env, vehicle, vehicle.cobot_mass * env.gravity / 4.0)

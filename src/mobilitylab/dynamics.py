@@ -157,7 +157,7 @@ def step_flying(state: SimState, thrust: float, tilt: float,
         return along / m
 
     s_new, v_new = _rk4(accel, state.position_s, state.speed_v, thrust, dt)
-    power = aeropower.rotors_power(env, veh, 4, thrust / 4.0,
+    power = aeropower.rotors_power(env, veh, thrust / 4.0,
                                    abs(state.speed_v), tilt)
     return state._replace(position_s=s_new, speed_v=v_new,
                           energy_consumed=state.energy_consumed + power * dt,

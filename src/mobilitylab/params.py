@@ -125,13 +125,9 @@ def validate(config: ScenarioConfig) -> list[str]:
         return report
     _positive(report, "gravity", env.gravity)
     _positive(report, "air_density", env.air_density)
-    for name in ("cobot_mass", "shell_radius_l", "shell_width_w",
-                 "body_height_h_rolling", "body_height_h_flying",
-                 "drag_coefficient_cd", "rotor_disk_radius",
-                 "rotor_arm_length_a", "thrust_constant_k_t",
-                 "torque_constant_k_tau", "battery_energy",
-                 "max_rotor_thrust"):
-        _positive(report, name, getattr(veh, name))
+    for f in fields(veh):  # every vehicle field but the efficiencies
+        if not f.name.startswith("eta_"):
+            _positive(report, f.name, getattr(veh, f.name))
     try:
         n = float(config.num_agents)
     except OverflowError:  # an agent count beyond float range

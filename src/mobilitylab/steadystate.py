@@ -26,8 +26,8 @@ function of a. No small-angle approximation: drag is comparable to weight at
 the speeds of interest in a dense atmosphere. The tilt is a root of
 r(a) = a - atan2(drag(a) + W sin(theta), W cos(theta)), and r(-pi/2) < 0 <
 r(pi/2). The fixed-point step from a = 0 picks by its sign the half
-[0, pi/2] or [-pi/2, 0] that holds a root; safeguarded Newton steps solve in
-it, bisecting when a step leaves the bracket.
+[0, pi/2] or [-pi/2, 0] that holds a root; ``aeropower._newton``, the
+bracketed Newton solver of the tilted inflow too, solves in it.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
 
 def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     """Tilt, per-agent drag and thrust, and total power (NaN where
-    infeasible) at speeds v, broadcast over array-valued slopes. An element
-    of the Newton solve stops updating once its step is below TRIM_TOL, so
-    results are elementwise."""
+    infeasible) at speeds v, broadcast over array-valued slopes; the tilt is
+    ``aeropower._newton``'s root, elementwise."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
     normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
@@ -184,25 +183,18 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
         return aeropower.drag_force(env, area(veh, alpha, "flying"), v,
                                     cd=veh.drag_coefficient_cd)
 
+    def residual(alpha):
+        along = drag_at(alpha) + along_weight
+        slope = normal_weight * drag_at(alpha, aeropower.projected_area_slope)
+        return (alpha - np.arctan2(along, normal_weight),
+                1.0 - slope / (along * along + normal_weight ** 2))
+
     alpha = np.arctan2(drag_at(0.0) + along_weight, normal_weight)
     lo = np.where(alpha > 0.0, 0.0, -0.5 * math.pi)
-    hi, active = lo + 0.5 * math.pi, np.ones(alpha.shape, bool)
-    for _ in range(TRIM_MAX_ITER):
-        along = drag_at(alpha) + along_weight
-        res = alpha - np.arctan2(along, normal_weight)
-        lo, hi = np.where(res < 0.0, alpha, lo), np.where(res > 0.0, alpha, hi)
-        drag_slope = drag_at(alpha, aeropower.projected_area_slope)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = alpha - res / (1.0 - normal_weight * drag_slope
-                                 / (along * along + normal_weight ** 2))
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        step = np.abs(new - alpha)
-        alpha = np.where(active, new, alpha)
-        active &= ~(step < TRIM_TOL)
-        if not active.any():
-            break
-    else:
-        stuck = np.broadcast_to(v, alpha.shape)[active]
+    alpha, moving = aeropower._newton(residual, alpha, lo, lo + 0.5 * math.pi,
+                                      TRIM_TOL, TRIM_MAX_ITER)
+    if moving.any():
+        stuck = np.broadcast_to(v, alpha.shape)[moving]
         raise aeropower.SolverError(
             f"flying trim did not converge at {stuck.size} "
             f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
@@ -213,7 +205,7 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     alpha = np.arctan2(drag + along_weight, normal_weight)
 
     f = thrust / 4.0
-    per_agent = aeropower.rotors_power(env, veh, 4, f, v, alpha)
+    per_agent = aeropower.rotors_power(env, veh, f, v, alpha)
     power = np.where(f > veh.max_rotor_thrust, np.nan,
                      config.num_agents * per_agent)
     return alpha, drag, thrust, power

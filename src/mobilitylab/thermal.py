@@ -73,13 +73,12 @@ def thickness_for_budget(budget: float, spec: ThermalSpec) -> float:
 
     The target loss is budget * heater_efficiency (the heater converts the
     electrical budget with that efficiency). Solved in closed form:
-    r2 = Q r1 / (Q - 4 pi k r1 dT). Budgets at or below the r2 -> infinity
-    asymptote have no finite solution and raise ValueError.
+    r2 = Q r1 / (Q - Q_min), with Q_min the ``minimum_loss`` asymptote.
+    Budgets at or below it have no finite solution and raise ValueError.
     """
     if budget <= 0:
         raise ValueError(f"budget must be > 0, got {budget!r}")
-    q = budget * spec.heater_efficiency
-    k, r1 = spec.conductivity_k, spec.inner_radius_r1
+    q, r1 = budget * spec.heater_efficiency, spec.inner_radius_r1
     dt = spec.inner_temp_t1 - spec.outer_temp_t2
     if dt <= 0:
         raise ValueError("inner_temp_t1 must exceed outer_temp_t2")
@@ -88,7 +87,7 @@ def thickness_for_budget(budget: float, spec: ThermalSpec) -> float:
         raise ValueError(
             f"target loss {q:.4g} W is at or below the infinite-thickness "
             f"asymptote {q_min:.4g} W; no finite thickness suffices")
-    r2 = q * r1 / (q - 4.0 * math.pi * k * r1 * dt)
+    r2 = q * r1 / (q - q_min)
     return r2 - r1
 
 

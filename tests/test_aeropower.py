@@ -135,6 +135,43 @@ def test_forward_speed_reduces_edgewise_inflow():
     assert nu1 < nu0
 
 
+# --- bracketed Newton -------------------------------------------------------
+
+def _cube_root_of(c, slope_sign=1.0):
+    """x^3 - c and its slope (times slope_sign): r < 0 at 0, r > 0 at 2."""
+    return lambda x: (x ** 3 - c, slope_sign * 3.0 * x ** 2)
+
+
+def test_newton_bisects_past_a_wrong_signed_slope():
+    # every Newton step points away from the root and leaves the bracket
+    c = np.array([0.5, 2.0, 7.0])
+    x, moving = aeropower._newton(_cube_root_of(c, -1.0), np.ones(3), 0.0,
+                                  2.0, 1e-12, 200)
+    assert not moving.any()
+    np.testing.assert_allclose(x, np.cbrt(c), rtol=0.0, atol=1e-11)
+
+
+@given(c=st.lists(st.floats(1e-6, 7.99), min_size=1, max_size=8))
+def test_newton_array_call_equals_element_calls(c):
+    # a converged element is frozen while the others still move
+    c = np.array(c)
+    x, moving = aeropower._newton(_cube_root_of(c), np.ones_like(c), 0.0,
+                                  2.0, 1e-12, 200)
+    each = [aeropower._newton(_cube_root_of(ci), np.ones(1), 0.0, 2.0,
+                              1e-12, 200)[0][0] for ci in c]
+    assert not moving.any()
+    assert np.array_equal(x, each)
+    np.testing.assert_allclose(x, np.cbrt(c), rtol=1e-12)
+
+
+def test_newton_returns_still_moving_mask_without_raising():
+    c = np.array([1.0, 0.001, 7.0])
+    x, moving = aeropower._newton(_cube_root_of(c), np.ones(3), 0.0, 2.0,
+                                  1e-12, 2)
+    assert moving.shape == (3,) and moving[1:].all()
+    assert ((x >= 0.0) & (x <= 2.0)).all()
+
+
 # --- rotor power ------------------------------------------------------------
 
 def test_hover_rotor_power_titan():

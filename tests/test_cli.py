@@ -274,6 +274,16 @@ def test_unconverged_flying_trim_is_one_error_line(capsys, monkeypatch):
                    "v = 0.05 to 5 m/s\n")
 
 
+def test_unconverged_inflow_is_one_error_line(capsys, monkeypatch):
+    from mobilitylab import aeropower
+
+    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 1)
+    code, out, err = run(["range-sweep", "--mode", "flying"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: induced velocity Newton solve did not converge "
+                   "to 1e-10 in 1 iterations\n")
+
+
 def test_steep_downhill_flying_sweep_converges(capsys):
     code, out, err = run(["range-sweep", "--mode", "flying",
                           "--set", "slope_theta=-0.5"], capsys)

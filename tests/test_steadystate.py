@@ -188,7 +188,7 @@ def _fixed_point_flying_power(config, v, steps=400):
         alpha = np.arctan2(drag_at(alpha) + along, normal)
     thrust = np.hypot(drag_at(alpha) + along, normal)
     return config.num_agents * aeropower.rotors_power(
-        env, veh, 4, thrust / 4.0, v, alpha)
+        env, veh, thrust / 4.0, v, alpha)
 
 
 @pytest.mark.parametrize("env", ["titan", "earth"])
@@ -241,6 +241,31 @@ def test_flying_trim_failure_names_broadcast_speeds(monkeypatch):
     with pytest.raises(aeropower.SolverError,
                        match=r"at 4 speed\(s\), v = 0\.5 to 1 m/s$"):
         steadystate.flying_power(_on_slopes(CFG, theta), [0.5, 1.0])
+
+
+def test_unconverged_inflow_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 1)
+    with pytest.raises(aeropower.SolverError,
+                       match=r"^induced velocity Newton solve did not "
+                             r"converge to 1e-10 in 1 iterations$"):
+        steadystate.flying_power(CFG, rangeopt.default_velocity_grid(
+            "flying"))
+
+
+@pytest.mark.parametrize("env", ["titan", "earth"])
+@pytest.mark.parametrize("agents", [1, 2, 8])
+def test_flying_inflow_converges_in_few_iterations(monkeypatch, env,
+                                                   agents):
+    # the default flying grid takes at most 5 inflow Newton iterations over
+    # these slopes; a cap of 6 makes a slide to bisection (about 35) fail
+    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 6)
+    config = replace(CFG, num_agents=agents)
+    if env == "earth":
+        config = replace(config, environment=earth_defaults())
+    theta = np.radians(np.linspace(-0.5, 6.5, 15))[:, None]
+    power = steadystate.flying_power(_on_slopes(config, theta),
+                                     rangeopt.default_velocity_grid("flying"))
+    assert np.isfinite(power).any()
 
 
 def test_flying_infeasible_raises():
