@@ -67,21 +67,6 @@ def drag_force(env: EnvironmentParams, area: float, speed: float,
     return 0.5 * cd * env.air_density * area * speed * abs(speed)
 
 
-def drag_fn(env: EnvironmentParams, vehicle: VehicleParams, mode: str):
-    """``drag_force(env, projected_area(vehicle, alpha, mode), v, cd)`` on
-    Python floats, (alpha, v) -> N, with the config-only factors computed
-    once and the operation order kept, so bit for bit equal."""
-    h, two_l = _body_height(vehicle, mode), 2.0 * vehicle.shell_radius_l
-    w = vehicle.shell_width_w
-    k = 0.5 * vehicle.drag_coefficient_cd * env.air_density
-
-    def drag(alpha: float, v: float) -> float:
-        area = (h * abs(math.cos(alpha)) + two_l * abs(math.sin(alpha))) * w
-        return k * area * v * abs(v)
-
-    return drag
-
-
 def _edgewise_inflow(rhs, vx, sqrt):
     """Root of nu^2 (nu^2 + vx^2) = rhs^2, a quadratic in nu^2.
 

@@ -19,10 +19,10 @@ The closed loop's tick is the sequential hot path. It runs on Python floats
 with no numpy (numpy costs more per call on 3-vectors than the arithmetic it
 does). Config-only terms are computed once per run in closures, and a tick
 calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
-``_rk4`` on ``_rolling_rhs`` (drag from ``aeropower.drag_fn``). A
-``SimState`` (a NamedTuple) is built only for recorded ticks. The loop,
-``step_rolling`` and ``step_flying`` share one RK4 step (``_rk4``), so a
-tick equals a ``step_rolling`` call bit for bit.
+``_rk4`` on ``_rolling_rhs`` (which writes the drag out itself). A
+``SimState`` (a NamedTuple) is built, by ``tuple.__new__``, only for
+recorded ticks. The loop, ``step_rolling`` and ``step_flying`` share one
+RK4 step (``_rk4``), so a tick equals a ``step_rolling`` call bit for bit.
 """
 
 from __future__ import annotations
@@ -86,16 +86,22 @@ def _rolling_rhs(config: ScenarioConfig
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m = config.total_mass
     radius = veh.shell_radius_l
-    drag = aeropower.drag_fn(env, veh, "rolling")
+    # drag_force(projected_area(phi), omega r) * r, same operation order
+    h, two_l, w = veh.body_height_h_rolling, 2.0 * radius, veh.shell_width_w
+    k = 0.5 * veh.drag_coefficient_cd * env.air_density
+    cos, sin, copysign = math.cos, math.sin, math.copysign
+    omega_static = OMEGA_STATIC
     slope_torque = m * env.gravity * math.sin(ter.slope_theta) * radius
     normal = m * env.gravity * math.cos(ter.slope_theta)
     crr_torque = ter.rolling_resistance_crr * normal * radius
     inertia = rolling_inertia(config) + m * radius ** 2
 
     def accel(phi: float, omega: float, torque_y: float) -> float:
-        resist_torque = slope_torque + drag(phi, omega * radius) * radius
-        if abs(omega) > OMEGA_STATIC:
-            resist_torque += math.copysign(crr_torque, omega)
+        v = omega * radius
+        area = (h * abs(cos(phi)) + two_l * abs(sin(phi))) * w
+        resist_torque = slope_torque + k * area * v * abs(v) * radius
+        if abs(omega) > omega_static:
+            resist_torque += copysign(crr_torque, omega)
         return (torque_y - resist_torque) / inertia
 
     return accel
@@ -149,10 +155,11 @@ def step_flying(state: SimState, thrust: float, tilt: float,
             f"thrust/tilt violate the constant-height trim by "
             f"{height_residual:.3e} N")
 
-    drag = aeropower.drag_fn(env, veh, "flying")
+    area = aeropower.projected_area(veh, float(tilt), "flying")  # not numpy
 
     def accel(s: float, v: float, u: float) -> float:
-        along = (thrust * math.sin(tilt) - drag(tilt, v)
+        along = (thrust * math.sin(tilt)
+                 - aeropower.drag_force(env, area, v, veh.drag_coefficient_cd)
                  - m * env.gravity * math.sin(ter.slope_theta))
         return along / m
 
@@ -198,6 +205,7 @@ def simulate_closed_loop(config: ScenarioConfig,
 
     accel = _rolling_rhs(config)
     rotor_power = steadystate.rolling_power_fn(config)
+    new_tuple = tuple.__new__
     phi = omega = position = energy = t = 0.0
     states, powers, saturated = [SimState()], [0.0], [False]
     for i in range(1, steps + 1):
@@ -209,8 +217,8 @@ def simulate_closed_loop(config: ScenarioConfig,
         energy += power * dt
         t += dt
         if i % record_every == 0:
-            states.append(SimState(position, omega * radius, phi, omega,
-                                   energy, t))
+            states.append(new_tuple(SimState, (position, omega * radius, phi,
+                                               omega, energy, t)))
             powers.append(power)
             saturated.append(sat)
     return Trajectory(states=states, power=powers, saturated=saturated)

@@ -127,13 +127,13 @@ def rolling_power_fn(config: ScenarioConfig, n_pairs: int = 4):
     """``rolling_power`` on Python floats for one config: a function
     (torque, v) -> W with every config-only term computed once."""
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
+    inflow, sqrt = aeropower._edgewise_inflow, math.sqrt
 
     def power(torque: float, v: float) -> float:
         f = abs(torque) / lever
         if f > limit:
             return math.nan
-        nu = (aeropower._edgewise_inflow(f / rho2a, v, math.sqrt)
-              if f != 0.0 else 0.0)
+        nu = inflow(f / rho2a, v, sqrt) if f != 0.0 else 0.0
         # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
         return n_pairs * (f * (nu - v * 0.0) / eta)
 

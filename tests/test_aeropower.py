@@ -26,8 +26,6 @@ def test_projected_area_axis_aligned():
 def test_projected_area_rejects_bad_mode():
     with pytest.raises(ValueError):
         aeropower.projected_area(VEH, 0.0, "swimming")
-    with pytest.raises(ValueError, match="mode"):
-        aeropower.drag_fn(TITAN, VEH, "swimming")
 
 
 @given(alpha=st.floats(-10.0, 10.0))
@@ -71,18 +69,6 @@ def test_drag_quadratic_in_speed(v):
     d1 = aeropower.drag_force(TITAN, 0.1, v, VEH.drag_coefficient_cd)
     d2 = aeropower.drag_force(TITAN, 0.1, 2 * v, VEH.drag_coefficient_cd)
     assert d2 == pytest.approx(4 * d1, rel=1e-9, abs=1e-12)
-
-
-@given(alpha=st.floats(allow_nan=False, allow_infinity=False),
-       v=st.floats(allow_nan=False, allow_infinity=False),
-       mode=st.sampled_from(["rolling", "flying"]),
-       env=st.sampled_from([TITAN, EARTH]))
-def test_drag_fn_matches_drag_force_bitwise(alpha, v, mode, env):
-    got = aeropower.drag_fn(env, VEH, mode)(alpha, v)
-    area = aeropower.projected_area(VEH, alpha, mode)
-    want = aeropower.drag_force(env, area, v, VEH.drag_coefficient_cd)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --- induced velocity -------------------------------------------------------

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from mobilitylab import control, dynamics, steadystate
-from mobilitylab.params import ScenarioConfig, TerrainParams
+from mobilitylab import aeropower, control, dynamics, steadystate
+from mobilitylab.params import ScenarioConfig, TerrainParams, earth_defaults
 
 CFG = ScenarioConfig()
 
@@ -46,7 +47,6 @@ def test_steady_state_is_a_fixed_point():
     omega = v / 0.2
     # instantaneous drag area differs from the revolution average; pick the
     # roll angle where they coincide so the comparison is exact
-    from mobilitylab import aeropower
     avg = steadystate.average_rolling_area(CFG)
     angles = np.linspace(0, math.pi / 2, 20001)
     areas = [aeropower.projected_area(CFG.vehicle, a, "rolling")
@@ -198,6 +198,7 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
 
 
 SLOPED = replace(CFG, terrain=TerrainParams(0.03, math.radians(1.5)))
+DOWNHILL = replace(CFG, terrain=TerrainParams(0.05, -0.2))
 WEAK_ROTORS = replace(CFG, vehicle=replace(CFG.vehicle,
                                            max_rotor_thrust=0.1))
 
@@ -233,6 +234,50 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
     np.testing.assert_array_equal(got[:, 6], want[:, 6])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+_OMEGA_GATE = dynamics.OMEGA_STATIC
+
+
+@given(phi=st.floats(-1e6, 1e6),
+       omega=st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+           [0.0, -0.0, _OMEGA_GATE, -_OMEGA_GATE,
+            math.nextafter(_OMEGA_GATE, 1.0),
+            -math.nextafter(_OMEGA_GATE, 1.0)])),
+       torque=st.floats(-1e3, 1e3),
+       config=st.sampled_from([CFG, replace(CFG, environment=earth_defaults()),
+                               SLOPED, DOWNHILL]))
+def test_rolling_rhs_is_the_drag_and_resistance_composition(phi, omega,
+                                                            torque, config):
+    # the roll ODE writes the drag out: it must equal drag_force on
+    # projected_area, and the slope and rolling-resistance torques, bitwise
+    env, veh, ter = config.environment, config.vehicle, config.terrain
+    m, r = config.total_mass, veh.shell_radius_l
+    drag = aeropower.drag_force(
+        env, aeropower.projected_area(veh, phi, "rolling"), omega * r,
+        veh.drag_coefficient_cd)
+    resist = m * env.gravity * math.sin(ter.slope_theta) * r + drag * r
+    if abs(omega) > dynamics.OMEGA_STATIC:
+        normal = m * env.gravity * math.cos(ter.slope_theta)
+        resist += math.copysign(ter.rolling_resistance_crr * normal * r,
+                                omega)
+    want = (torque - resist) / (dynamics.rolling_inertia(config) + m * r ** 2)
+    got = dynamics._rolling_rhs(config)(phi, omega, torque)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_closed_loop_records_are_simstates(record_every):
+    # records are built with tuple.__new__; they must stay SimStates
+    traj = dynamics.simulate_closed_loop(SLOPED, 0.8, duration=1.0, dt=0.01,
+                                         record_every=record_every)
+    assert len(traj.states) == 1 + 100 // record_every
+    for state in traj.states:
+        assert type(state) is dynamics.SimState
+        assert tuple(state._asdict()) == (
+            "position_s", "speed_v", "roll_angle", "roll_rate_omega",
+            "energy_consumed", "time")
 
 
 def test_step_rolling_is_one_closed_loop_tick_bitwise():
