@@ -247,10 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermal")
     common(p)
-    p.add_argument("--budget-w", type=float,
-                   help="heater budget; solve for the thickness")
-    p.add_argument("--thickness-m", type=float,
-                   help="evaluate a single insulation thickness")
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--budget-w", type=float,
+                        help="heater budget; solve for the thickness")
+    choice.add_argument("--thickness-m", type=float,
+                        help="evaluate a single insulation thickness")
     return parser
 
 
@@ -334,11 +335,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: float overflow, an input is too large: {exc}",
               file=sys.stderr)
         return 1
-    if args.format == "csv":
-        emit_csv(table, args.out)
-    else:
-        _write(json.dumps(_json_safe(summary), indent=2, sort_keys=True)
-               + "\n", args.out)
+    try:
+        if args.format == "csv":
+            emit_csv(table, args.out)
+        else:
+            _write(json.dumps(_json_safe(summary), indent=2, sort_keys=True)
+                   + "\n", args.out)
+    except OSError as exc:
+        if args.out is None:  # stdout itself failed, such as a closed pipe
+            raise
+        print(f"error: --out {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,4 +1,4 @@
-"""PI body-rate control, torque allocation and thrust-to-speed mapping.
+"""PI body-rate control and torque allocation.
 
 The PI gains are the module constants KP, KI (the same on every axis) and
 INTEGRATOR_LIMIT. The 8-rotor two-agent vehicle is actuated through four
@@ -106,12 +106,3 @@ def rate_loop(mixer: MixerGeometry, max_rotor_thrust: float, dt: float
                 + m_d * (f_d * s)), True
 
     return tick
-
-
-def pair_to_rotor_speeds(f_pair: float, k_t: float) -> tuple[float, float]:
-    """Rotor speeds (n_i, n_j) of a pair; exactly one spins, f = k_t n^2."""
-    if k_t <= 0:
-        raise ValueError(f"k_t must be > 0, got {k_t!r}")
-    if f_pair >= 0:
-        return math.sqrt(f_pair / k_t), 0.0
-    return 0.0, math.sqrt(-f_pair / k_t)

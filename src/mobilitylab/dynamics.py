@@ -1,4 +1,4 @@
-"""Planar time-domain simulation of the rolling vehicle and a flying agent.
+"""Planar time-domain simulation of the rolling vehicle.
 
 The full 6-DOF contact simulation is out of scope; the steady-state analysis
 only needs planar motion. The rolling vehicle is reduced to a single no-slip
@@ -8,8 +8,7 @@ degree of freedom about the roll axis:
 
 with N = m g cos(theta) and v = omega l tied by the no-slip constraint.
 The traction-force moment of the contact reaction is exactly the m l^2 term
-absorbed into the effective inertia. The flying agent is a point mass moving
-along the slope-parallel track at trimmed constant height.
+absorbed into the effective inertia.
 
 Integration is fixed-step RK4 (deterministic); rolling-resistance torque is
 gated off below |omega| = 1e-6 rad/s so static resistance cannot drive
@@ -21,8 +20,8 @@ does). Config-only terms are computed once per run in closures, and a tick
 calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
 ``_rk4`` on ``_rolling_rhs`` (which writes the drag out itself). A
 ``SimState`` (a NamedTuple) is built, by ``tuple.__new__``, only for
-recorded ticks. The loop, ``step_rolling`` and ``step_flying`` share one
-RK4 step (``_rk4``), so a tick equals a ``step_rolling`` call bit for bit.
+recorded ticks. The loop and ``step_rolling`` share one RK4 step
+(``_rk4``), so a tick equals a ``step_rolling`` call bit for bit.
 """
 
 from __future__ import annotations
@@ -31,17 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from . import aeropower, control, steadystate
+from . import control, steadystate
 from .params import DT_MAX, ScenarioConfig
 
 #: rolling resistance is inactive below this roll rate, rad/s
 OMEGA_STATIC = 1e-6
-#: tolerance on the flying trim constraint T cos(tilt) = m g cos(theta), N
-FLY_TRIM_TOL = 1e-6
-
-
-class TrimError(ValueError):
-    """step_flying was handed a thrust/tilt pair violating height trim."""
 
 
 class SimState(NamedTuple):
@@ -110,7 +103,7 @@ def _rolling_rhs(config: ScenarioConfig
 def _rk4(accel: Callable[[float, float, float], float], x: float, v: float,
          u: float, dt: float) -> tuple[float, float]:
     """One RK4 step of x' = v, v' = accel(x, v, u) with u held over the
-    step; shared by the roll (phi, omega) and the flying track (s, v)."""
+    step, here the roll (phi, omega) under torque u."""
     h = 0.5 * dt
     a1 = accel(x, v, u)
     v2 = v + h * a1
@@ -140,35 +133,6 @@ def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
         speed_v=om * radius, roll_angle=phi, roll_rate_omega=om,
         energy_consumed=state.energy_consumed + power * dt,
         time=state.time + dt)
-
-
-def step_flying(state: SimState, thrust: float, tilt: float,
-                config: ScenarioConfig, dt: float) -> SimState:
-    """One RK4 step of a single agent along the slope at constant height."""
-    _check_dt(dt)
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = veh.cobot_mass
-    height_residual = (thrust * math.cos(tilt)
-                       - m * env.gravity * math.cos(ter.slope_theta))
-    if abs(height_residual) > FLY_TRIM_TOL:
-        raise TrimError(
-            f"thrust/tilt violate the constant-height trim by "
-            f"{height_residual:.3e} N")
-
-    area = aeropower.projected_area(veh, float(tilt), "flying")  # not numpy
-
-    def accel(s: float, v: float, u: float) -> float:
-        along = (thrust * math.sin(tilt)
-                 - aeropower.drag_force(env, area, v, veh.drag_coefficient_cd)
-                 - m * env.gravity * math.sin(ter.slope_theta))
-        return along / m
-
-    s_new, v_new = _rk4(accel, state.position_s, state.speed_v, thrust, dt)
-    power = aeropower.rotors_power(env, veh, thrust / 4.0,
-                                   abs(state.speed_v), tilt)
-    return state._replace(position_s=s_new, speed_v=v_new,
-                          energy_consumed=state.energy_consumed + power * dt,
-                          time=state.time + dt)
 
 
 def simulate_closed_loop(config: ScenarioConfig,

@@ -43,9 +43,11 @@ class VehicleParams:
 
     ``body_height_h_rolling`` is the rotor-to-opposite-rotor height of the
     docked two-agent cylinder; ``body_height_h_flying`` the rotor-to-base
-    height of one agent. ``thrust_constant_k_t`` maps squared rotor speed to
-    thrust (f = k_t * n^2); ``torque_constant_k_tau`` maps rotor thrust to
-    aerodynamic torque (tau = k_tau * f).
+    height of one agent. ``thrust_constant_k_t`` is the paper's map from
+    squared rotor speed to thrust (f = k_t * n^2); it is validated, so
+    config files may set it, but no analysis reads it.
+    ``torque_constant_k_tau`` maps rotor thrust to aerodynamic torque
+    (tau = k_tau * f).
     """
 
     cobot_mass: float = 0.8              # kg

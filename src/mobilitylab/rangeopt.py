@@ -130,8 +130,10 @@ def range_sweep(config: ScenarioConfig, mode: str,
     if v_grid is None:
         v_grid = default_velocity_grid(mode)
     v_grid = np.asarray(v_grid, float)
-    if len(v_grid) < 1 or np.any(v_grid <= 0) or np.any(np.diff(v_grid) <= 0):
-        raise ValueError("v_grid must be strictly increasing and positive")
+    if len(v_grid) < 1 or not np.isfinite(v_grid).all() \
+            or np.any(v_grid <= 0) or np.any(np.diff(v_grid) <= 0):
+        raise ValueError(
+            "v_grid must be finite, strictly increasing and positive")
 
     powers, ranges, opt_v, opt_r = _sweep(config, mode, v_grid, hotel_w,
                                           refine)

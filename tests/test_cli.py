@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,6 +182,37 @@ def test_thermal_budget_solution(capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["thickness_m"] == pytest.approx(0.010, rel=2e-2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("target", ["a directory", "a missing directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target, fmt):
+    out = tmp_path if target == "a directory" else tmp_path / "no" / "x.out"
+    code, stdout, err = run(["thermal", "--format", fmt, "--out", str(out)],
+                            capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+
+
+def test_failed_stdout_write_is_not_an_out_error(monkeypatch):
+    class ClosedPipe:
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli.sys, "stdout",
+                        SimpleNamespace(buffer=ClosedPipe()))
+    with pytest.raises(BrokenPipeError):
+        cli.main(["thermal"])
+
+
+def test_thermal_budget_and_thickness_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["thermal", "--budget-w", "6", "--thickness-m", "0.02"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--budget-w" in out.err and "--thickness-m" in out.err
 
 
 def test_scaling_csv(capsys):

@@ -53,22 +53,6 @@ def test_allocation_round_trip(tx, ty, tz):
     assert np.allclose(wrench, [0.0, tx, ty, tz], rtol=1e-12, atol=1e-12)
 
 
-def test_pair_to_rotor_speeds_one_spins():
-    k_t = 2.0e-6
-    n_i, n_j = control.pair_to_rotor_speeds(8.0, k_t)
-    assert n_j == 0.0
-    assert k_t * n_i ** 2 == pytest.approx(8.0, rel=1e-12)
-    assert n_i == pytest.approx(2000.0, rel=1e-12)  # 8 N at 2000 rad/s
-    n_i, n_j = control.pair_to_rotor_speeds(-0.5, k_t)
-    assert n_i == 0.0
-    assert k_t * n_j ** 2 == pytest.approx(0.5, rel=1e-12)
-
-
-def test_pair_to_rotor_speeds_validation():
-    with pytest.raises(ValueError):
-        control.pair_to_rotor_speeds(1.0, 0.0)
-
-
 def _tick(max_rotor_thrust=math.inf, dt=0.01):
     return control.rate_loop(control.mixer_matrix(A, K_TAU),
                              max_rotor_thrust, dt)

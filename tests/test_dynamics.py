@@ -78,33 +78,6 @@ def test_rolling_power_matches_steady_state_module():
     assert p == pytest.approx(sol.total_electrical_power, rel=1e-12)
 
 
-def test_step_flying_rejects_untrimmed_input():
-    with pytest.raises(dynamics.TrimError):
-        dynamics.step_flying(dynamics.SimState(), thrust=5.0, tilt=0.0,
-                             config=CFG, dt=0.01)
-
-
-def test_flying_equilibrium_holds_speed():
-    v = 1.0
-    sol = steadystate.flying_equilibrium(CFG, v)
-    thrust = sol.total_thrust / CFG.num_agents
-    state = dynamics.SimState(speed_v=v)
-    for _ in range(100):
-        state = dynamics.step_flying(state, thrust, sol.tilt_alpha, CFG, 0.01)
-    assert state.speed_v == pytest.approx(v, abs=1e-9)
-    assert state.position_s == pytest.approx(v * 1.0, rel=1e-9)
-    assert state.energy_consumed == pytest.approx(
-        sol.total_electrical_power / CFG.num_agents * 1.0, rel=1e-9)
-
-
-def test_flying_accelerates_from_below_trim_speed():
-    sol = steadystate.flying_equilibrium(CFG, 1.0)
-    thrust = sol.total_thrust / CFG.num_agents
-    state = dynamics.SimState(speed_v=0.5)
-    state = dynamics.step_flying(state, thrust, sol.tilt_alpha, CFG, 0.01)
-    assert state.speed_v > 0.5
-
-
 def test_closed_loop_tracks_rate_command():
     traj = dynamics.simulate_closed_loop(CFG, omega_des=0.6, duration=30.0,
                                          dt=0.01)

@@ -13,9 +13,11 @@ CFG = ScenarioConfig()
 
 
 def test_grid_validation():
-    for bad in ([], [0.0, 1.0], [1.0, 0.5]):
-        with pytest.raises(ValueError):
-            rangeopt.range_sweep(CFG, "rolling", np.array(bad))
+    for bad in ([], [0.0, 1.0], [1.0, 0.5], [0.1, np.nan, 0.3],
+                [0.1, 0.2, np.inf], [-np.inf, 0.1, 0.2]):
+        for mode in ("rolling", "flying"):
+            with pytest.raises(ValueError, match="v_grid must be"):
+                rangeopt.range_sweep(CFG, mode, np.array(bad))
     with pytest.raises(ValueError):
         rangeopt.range_sweep(CFG, "hopping")
 
