@@ -49,9 +49,9 @@ def main() -> None:
             raise SystemExit(f"{name}: exit {status}")
         print(f"wrote {path}")
 
-    spec = thermal.ThermalSpec()
+    ambient = ScenarioConfig().environment.ambient_temperature  # Titan
     for budget in (2.0, 5.68, 10.42):
-        t = thermal.thickness_for_budget(budget, spec)
+        t = thermal.thickness_for_budget(budget, ambient)
         print(f"heater budget {budget:5.2f} W -> thickness {t * 1e3:.1f} mm")
 
     rows = csv.DictReader((OUT / "closed_loop_rolling.csv").read_text(

@@ -13,8 +13,6 @@ branch of momentum theory), i.e. with ``alpha = |tilt|``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import AnalysisError, EnvironmentParams, VehicleParams
@@ -23,12 +21,6 @@ from .params import AnalysisError, EnvironmentParams, VehicleParams
 INDUCED_TOL = 1e-10
 #: iteration cap for the induced-velocity Newton solve
 INDUCED_MAX_ITER = 200
-
-
-def _lib(x):
-    """math for Python numbers, numpy for anything else (numpy scalars too,
-    so 0-d and n-d inputs share numpy's kernels)."""
-    return math if type(x) in (int, float) else np
 
 
 class SolverError(AnalysisError):
@@ -48,9 +40,8 @@ def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
     or "flying"). Pi-periodic and strictly positive; broadcasts over alpha.
     """
     h = _body_height(vehicle, mode)
-    lib = _lib(alpha)
-    return (h * abs(lib.cos(alpha))
-            + 2.0 * vehicle.shell_radius_l * abs(lib.sin(alpha))
+    return (h * abs(np.cos(alpha))
+            + 2.0 * vehicle.shell_radius_l * abs(np.sin(alpha))
             ) * vehicle.shell_width_w
 
 
@@ -160,10 +151,8 @@ def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
     windmilling recovery is not modeled.
     """
     eta = _chain_efficiency(eta_p, eta_m, eta_c)
-    with np.errstate(invalid="ignore"):  # inf * sin(0) is NaN, as on floats
-        aero = thrust * (nu - v_inf * _lib(alpha).sin(alpha))
-    if _lib(aero) is math:
-        return (0.0 if aero <= 0.0 else aero) / eta
+    with np.errstate(invalid="ignore"):  # inf * sin(0) is NaN
+        aero = thrust * (nu - v_inf * np.sin(alpha))
     return np.maximum(aero, 0.0) / eta
 
 

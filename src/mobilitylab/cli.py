@@ -165,11 +165,10 @@ def _cmd_simulate(args, config) -> tuple[Table, dict]:
 
 def _cmd_thermal(args, config) -> tuple[Table, dict]:
     from . import thermal
-    spec = thermal.ThermalSpec(
-        outer_temp_t2=config.environment.ambient_temperature)
-    summary: dict = {"ambient_temp_c": spec.outer_temp_t2}
+    ambient = config.environment.ambient_temperature
+    summary: dict = {"ambient_temp_c": ambient}
     if args.budget_w is not None:
-        t = thermal.thickness_for_budget(args.budget_w, spec)
+        t = thermal.thickness_for_budget(args.budget_w, ambient)
         thicknesses = [t]
         summary["budget_w"] = args.budget_w
         summary["thickness_m"] = t
@@ -177,7 +176,7 @@ def _cmd_thermal(args, config) -> tuple[Table, dict]:
         thicknesses = [args.thickness_m]
     else:
         thicknesses = THERMAL_THICKNESS_GRID
-    rows = thermal.sizing_table(spec, thicknesses)
+    rows = thermal.sizing_table(ambient, thicknesses)
     summary["rows"] = len(rows)
     return Table(["thickness_m", "loss_w", "heater_w", "mass_kg"],
                  rows), summary

@@ -20,8 +20,9 @@ does). Config-only terms are computed once per run in closures, and a tick
 calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
 ``_rk4`` on ``_rolling_rhs`` (which writes the drag out itself). A
 ``SimState`` (a NamedTuple) is built, by ``tuple.__new__``, only for
-recorded ticks. The loop and ``step_rolling`` share one RK4 step
-(``_rk4``), so a tick equals a ``step_rolling`` call bit for bit.
+recorded ticks. The loop and ``step_rolling`` share the RK4 step
+(``_rk4``) and the power closure, so a tick equals a ``step_rolling``
+call bit for bit.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
     """
     _check_dt(dt)
     radius = config.vehicle.shell_radius_l
-    power = steadystate.rolling_power(config, torque_y,
-                                      abs(state.roll_rate_omega * radius))
+    power = steadystate.rolling_power_fn(config)(
+        torque_y, abs(state.roll_rate_omega * radius))
     phi, om = _rk4(_rolling_rhs(config), state.roll_angle,
                    state.roll_rate_omega, torque_y, dt)
     return SimState(

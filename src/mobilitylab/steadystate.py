@@ -109,11 +109,9 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     per pair spins. Broadcasts over torque and v; NaN, masked before the
     power chain runs, where the pair force exceeds the rotor thrust limit by
     more than a few ulps (the closed loop's uniform saturation lands on the
-    limit only to within rounding). Python numbers take ``rolling_power_fn``,
-    whose arithmetic this follows elementwise.
+    limit only to within rounding). ``rolling_power_fn`` is the same
+    arithmetic on Python floats, for the closed-loop tick.
     """
-    if aeropower._lib(torque) is aeropower._lib(v) is math:
-        return rolling_power_fn(config, n_pairs)(torque, v)
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
     f = np.where(f > limit, np.nan, f)
@@ -125,7 +123,8 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
 
 def rolling_power_fn(config: ScenarioConfig, n_pairs: int = 4):
     """``rolling_power`` on Python floats for one config: a function
-    (torque, v) -> W with every config-only term computed once."""
+    (torque, v) -> W with every config-only term computed once, equal to
+    ``rolling_power`` bit for bit."""
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     inflow, sqrt = aeropower._edgewise_inflow, math.sqrt
 

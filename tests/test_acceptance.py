@@ -9,7 +9,6 @@ implemented faithfully at the stated tolerances and are expected to fail.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,16 +200,15 @@ def test_criterion_09_cross_module_consistency():
 
 
 def test_criterion_10_thermal_pin():
-    spec = thermal.ThermalSpec()  # k=0.004, r1=0.1, r2=0.12, dT=179
-    q = thermal.conduction_loss(spec)
+    ambient = CFG.environment.ambient_temperature  # dT = 179 K
+    q = thermal.sizing_table(ambient, [0.02])[0][1]  # r1=0.1, r2=0.12
     pin_ok = abs(q - 5.40) / 5.40 < 0.005
     worst = 0.0
     for budget in np.linspace(1.2, 50.0, 25):
-        t = thermal.thickness_for_budget(budget, spec)
-        back = thermal.conduction_loss(
-            replace(spec, outer_radius_r2=spec.inner_radius_r1 + t))
-        worst = max(worst, abs(back - budget * spec.heater_efficiency)
-                    / (budget * spec.heater_efficiency))
+        t = thermal.thickness_for_budget(budget, ambient)
+        back = thermal.sizing_table(ambient, [t])[0][1]
+        target = budget * thermal.HEATER_EFFICIENCY
+        worst = max(worst, abs(back - target) / target)
     ok = pin_ok and worst < 1e-9
     assert _verdict(10, ok, f"conduction loss {q:.4f} W (5.40 +-0.5%); "
                             f"inversion round-trip rel err {worst:.2e} "

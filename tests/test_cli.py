@@ -433,6 +433,20 @@ def test_float_overflow_exits_1(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["thermal", "--env", "earth", "--budget-w", "5"], "ambient_temperature"),
+    (["thermal", "--budget-w", "1e308"], "budget"),
+    (["thermal", "--thickness-m", "1e-300"], "thickness"),
+], ids=["warm-ambient", "huge-budget", "tiny-thickness"])
+def test_thermal_error_names_a_settable_input(capsys, argv, name):
+    # a warm ambient, or a thickness (given or solved) below float
+    # resolution at the cavity radius, is named as the input that caused it
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and name in err
+
+
 def _config_fields():
     """Every config field name, the sections' fields flattened."""
     config = ScenarioConfig()

@@ -104,7 +104,7 @@ def test_rolling_power_fn_matches_rolling_power_bitwise(points, n_pairs):
     for (t, s), p in zip(points, array):
         got = power(t, s)
         want = steadystate.rolling_power(CFG, t, s, n_pairs)
-        assert type(got) is float and type(want) is float
+        assert type(got) is float
         assert _same_bits(got, want)
         assert _same_bits(got, float(p))
 

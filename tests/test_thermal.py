@@ -1,50 +1,41 @@
 import math
-from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mobilitylab import thermal
 
-DEFAULT = thermal.ThermalSpec()
+TITAN = -179.0  # degC, the Titan preset's ambient temperature
 
 
-def test_conduction_loss_pins():
-    thin = replace(DEFAULT, outer_radius_r2=0.11)
-    assert thermal.conduction_loss(thin) == pytest.approx(9.90, rel=5e-3)
-    assert thermal.conduction_loss(DEFAULT) == pytest.approx(5.40, rel=5e-3)
+def _row(t, ambient=TITAN):
+    return thermal.sizing_table(ambient, [t])[0]
+
+
+def _loss(t, ambient=TITAN):
+    return _row(t, ambient)[1]
+
+
+def test_loss_pins():
+    assert _loss(0.01) == pytest.approx(9.90, rel=5e-3)
+    assert _loss(0.02) == pytest.approx(5.40, rel=5e-3)
 
 
 def test_no_gradient_no_loss():
-    iso = replace(DEFAULT, outer_temp_t2=DEFAULT.inner_temp_t1)
-    assert thermal.conduction_loss(iso) == 0.0
+    assert _loss(0.02, ambient=thermal.SET_POINT) == 0.0
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        thermal.conduction_loss(replace(DEFAULT, outer_radius_r2=0.05))
-    with pytest.raises(ValueError):
-        thermal.conduction_loss(replace(DEFAULT, conductivity_k=0.0))
-    with pytest.raises(ValueError):
-        thermal.conduction_loss(replace(DEFAULT, heater_efficiency=1.5))
+    # r2 = r1 + t must exceed r1: no zero, negative, NaN or sub-resolution t
+    for t in (0.0, -0.05, math.nan, 1e-300):
+        with pytest.raises(ValueError, match="thickness"):
+            thermal.sizing_table(TITAN, [t])
 
 
-def test_heater_power():
-    assert thermal.heater_power(5.40, 0.95) == pytest.approx(5.68, rel=1e-3)
-    assert thermal.heater_power(3.3, 1.0) == 3.3
-    assert thermal.heater_power(0.0, 0.95) == 0.0
-    with pytest.raises(ValueError):
-        thermal.heater_power(1.0, 0.0)
-
-
-@given(k=st.floats(0.001, 0.1), dt=st.floats(1.0, 300.0))
-def test_loss_linear_in_k_and_gradient(k, dt):
-    spec = replace(DEFAULT, conductivity_k=k, inner_temp_t1=0.0,
-                   outer_temp_t2=-dt)
-    base = thermal.conduction_loss(spec)
-    assert thermal.conduction_loss(replace(spec, conductivity_k=2 * k)) == \
-        pytest.approx(2 * base, rel=1e-12)
-    assert thermal.conduction_loss(replace(spec, outer_temp_t2=-2 * dt)) == \
+@given(dt=st.floats(1.0, 300.0))
+def test_loss_linear_in_gradient(dt):
+    base = _loss(0.02, ambient=thermal.SET_POINT - dt)
+    assert _loss(0.02, ambient=thermal.SET_POINT - 2 * dt) == \
         pytest.approx(2 * base, rel=1e-12)
 
 
@@ -53,65 +44,51 @@ def test_loss_strictly_decreasing_in_thickness(t1, t2):
     lo, hi = sorted((t1, t2))
     if hi - lo < 1e-6:
         return
-    q_lo = thermal.conduction_loss(
-        replace(DEFAULT, outer_radius_r2=DEFAULT.inner_radius_r1 + lo))
-    q_hi = thermal.conduction_loss(
-        replace(DEFAULT, outer_radius_r2=DEFAULT.inner_radius_r1 + hi))
-    assert q_hi < q_lo
+    assert _loss(hi) < _loss(lo)
 
 
 def test_thickness_inversion_pin():
     # budget whose delivered loss is the 0.01 m conduction value
-    thin = replace(DEFAULT, outer_radius_r2=0.11)
-    q = thermal.conduction_loss(thin)
-    t = thermal.thickness_for_budget(q / DEFAULT.heater_efficiency, DEFAULT)
+    budget = _loss(0.01) / thermal.HEATER_EFFICIENCY
+    t = thermal.thickness_for_budget(budget, TITAN)
     assert t == pytest.approx(0.010, rel=1e-9)
 
 
-@given(budget=st.floats(1.0, 50.0))
-def test_thickness_round_trips(budget):
-    t = thermal.thickness_for_budget(budget, DEFAULT)
-    spec = replace(DEFAULT, outer_radius_r2=DEFAULT.inner_radius_r1 + t)
-    assert thermal.conduction_loss(spec) == pytest.approx(
-        budget * DEFAULT.heater_efficiency, rel=1e-9)
+@given(budget=st.floats(1.0, 50.0), ambient=st.floats(-200.0, -1.0))
+def test_thickness_round_trips(budget, ambient):
+    target = budget * thermal.HEATER_EFFICIENCY
+    assume(target > _loss(1e12, ambient))  # above the asymptote
+    t = thermal.thickness_for_budget(budget, ambient)
+    assert _loss(t, ambient) == pytest.approx(target, rel=1e-9)
 
 
 def test_thickness_monotone_in_budget():
-    ts = [thermal.thickness_for_budget(b, DEFAULT)
+    ts = [thermal.thickness_for_budget(b, TITAN)
           for b in (1.5, 3.0, 6.0, 12.0)]
     assert all(b < a for a, b in zip(ts, ts[1:]))
 
 
 def test_thickness_rejects_unreachable_budget():
-    q_min = thermal.minimum_loss(DEFAULT)
-    assert q_min == pytest.approx(
-        4 * math.pi * 0.004 * 0.1 * 179.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        thermal.thickness_for_budget(q_min / DEFAULT.heater_efficiency
-                                     * 0.99, DEFAULT)
-    with pytest.raises(ValueError):
-        thermal.thickness_for_budget(0.0, DEFAULT)
-    with pytest.raises(ValueError):
-        thermal.thickness_for_budget(-2.0, DEFAULT)
+    # infinite-thickness asymptote 4 pi k r1 (T1 - T2)
+    q_min = 4 * math.pi * 0.004 * 0.1 * 179.0
+    assert _loss(1e6) == pytest.approx(q_min, rel=1e-6)
+    with pytest.raises(ValueError, match="asymptote"):
+        thermal.thickness_for_budget(
+            q_min / thermal.HEATER_EFFICIENCY * 0.99, TITAN)
+    for budget in (0.0, -2.0):
+        with pytest.raises(ValueError, match="budget"):
+            thermal.thickness_for_budget(budget, TITAN)
 
 
-def test_insulation_mass_pin():
-    thin = replace(DEFAULT, outer_radius_r2=0.11)
-    assert thermal.insulation_mass(thin) == pytest.approx(
+def test_shell_mass_pin():
+    mass = _row(0.01)[3]
+    assert mass == pytest.approx(
         1.9 * (4 / 3) * math.pi * (0.11 ** 3 - 0.1 ** 3), rel=1e-12)
-    assert thermal.insulation_mass(thin) == pytest.approx(2.63e-3, rel=5e-3)
-
-
-@given(rho=st.floats(0.5, 100.0))
-def test_mass_linear_in_density(rho):
-    spec = replace(DEFAULT, aerogel_density=rho)
-    double = replace(DEFAULT, aerogel_density=2 * rho)
-    assert thermal.insulation_mass(double) == pytest.approx(
-        2 * thermal.insulation_mass(spec), rel=1e-12)
+    assert mass == pytest.approx(2.63e-3, rel=5e-3)
 
 
 def test_sizing_table_shape():
-    rows = thermal.sizing_table(DEFAULT, [0.01, 0.02])
+    rows = thermal.sizing_table(TITAN, [0.01, 0.02])
     assert len(rows) == 2
     assert rows[0][1] == pytest.approx(9.90, rel=5e-3)
     assert rows[1][1] == pytest.approx(5.40, rel=5e-3)
