@@ -20,9 +20,8 @@ does). Config-only terms are computed once per run in closures, and a tick
 calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
 ``_rk4`` on ``_rolling_rhs`` (which writes the drag out itself). A
 ``SimState`` (a NamedTuple) is built, by ``tuple.__new__``, only for
-recorded ticks. The loop and ``step_rolling`` share the RK4 step
-(``_rk4``) and the power closure, so a tick equals a ``step_rolling``
-call bit for bit.
+recorded ticks. The loop is the one place that steps the roll and charges
+energy, at the rotor power at the start of each tick.
 """
 
 from __future__ import annotations
@@ -66,11 +65,6 @@ CSV_HEADER = ["time_s", "position_m", "speed_mps", "omega_radps",
 def rolling_inertia(config: ScenarioConfig) -> float:
     """Roll-axis inertia; solid-cylinder default J_yy = m l^2 / 2."""
     return 0.5 * config.total_mass * config.vehicle.shell_radius_l ** 2
-
-
-def _check_dt(dt: float) -> None:
-    if not (0.0 < dt <= DT_MAX):
-        raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt!r}")
 
 
 def _rolling_rhs(config: ScenarioConfig
@@ -117,25 +111,6 @@ def _rk4(accel: Callable[[float, float, float], float], x: float, v: float,
             v + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
 
 
-def step_rolling(state: SimState, torque_y: float, config: ScenarioConfig,
-                 dt: float) -> SimState:
-    """One RK4 step of the no-slip rolling reduction under torque_y.
-
-    Energy is charged at the rotor power at the start of the step.
-    """
-    _check_dt(dt)
-    radius = config.vehicle.shell_radius_l
-    power = steadystate.rolling_power_fn(config)(
-        torque_y, abs(state.roll_rate_omega * radius))
-    phi, om = _rk4(_rolling_rhs(config), state.roll_angle,
-                   state.roll_rate_omega, torque_y, dt)
-    return SimState(
-        position_s=state.position_s + (phi - state.roll_angle) * radius,
-        speed_v=om * radius, roll_angle=phi, roll_rate_omega=om,
-        energy_consumed=state.energy_consumed + power * dt,
-        time=state.time + dt)
-
-
 def simulate_closed_loop(config: ScenarioConfig,
                          omega_des: Callable[[float], Sequence[float]] | float,
                          duration: float, dt: float,
@@ -149,7 +124,8 @@ def simulate_closed_loop(config: ScenarioConfig,
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got "
                          f"{duration!r}")
-    _check_dt(dt)
+    if not 0.0 < dt <= DT_MAX:
+        raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt!r}")
     steps = int(round(duration / dt))
     if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
         raise ValueError(f"record_every must be in [1, round(duration / dt)"

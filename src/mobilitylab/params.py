@@ -126,6 +126,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if report:
         return report
     _positive(report, "gravity", env.gravity)
+    if not env.ambient_temperature > -273.15:
+        report.append("ambient_temperature must be above absolute zero, "
+                      f"-273.15 degC (got {env.ambient_temperature!r})")
     _positive(report, "air_density", env.air_density)
     for f in fields(veh):  # every vehicle field but the efficiencies
         if not f.name.startswith("eta_"):
@@ -169,11 +172,12 @@ def _parse_kv_text(text: str) -> dict:
 
 
 def _coerce(key: str, value):
+    # bool is an int subclass (float(True) is 1.0): no field takes one
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
     if key != "num_agents":
         return float(value)
-    # bool is an int subclass and int() truncates 2.7: take whole counts only
-    if isinstance(value, bool):
-        raise ValueError(f"not an agent count: {value!r}")
+    # int() truncates 2.7: take whole counts only
     if isinstance(value, int):
         return value
     n = float(value)

@@ -123,24 +123,17 @@ def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
                   refine)[2:]
 
 
-def range_sweep(config: ScenarioConfig, mode: str,
-                v_grid: np.ndarray | None = None, hotel_w: float = 0.0,
+def range_sweep(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
                 refine: bool = False) -> RangeCurve:
-    """Equilibrium power and range over a velocity grid, with optimum."""
-    if v_grid is None:
-        v_grid = default_velocity_grid(mode)
-    v_grid = np.asarray(v_grid, float)
-    if len(v_grid) < 1 or not np.isfinite(v_grid).all() \
-            or np.any(v_grid <= 0) or np.any(np.diff(v_grid) <= 0):
-        raise ValueError(
-            "v_grid must be finite, strictly increasing and positive")
-
-    powers, ranges, opt_v, opt_r = _sweep(config, mode, v_grid, hotel_w,
+    """Equilibrium power and range over the mode's default velocity grid,
+    with optimum."""
+    speeds = default_velocity_grid(mode)
+    powers, ranges, opt_v, opt_r = _sweep(config, mode, speeds, hotel_w,
                                           refine)
     if np.isnan(opt_r):
         raise AllInfeasibleError(
             f"{mode} sweep: every grid point is infeasible")
-    return RangeCurve(mode=mode, velocity=v_grid, power=powers,
+    return RangeCurve(mode=mode, velocity=speeds, power=powers,
                       range_km=ranges, optimum_v=float(opt_v),
                       optimum_range_km=float(opt_r))
 
@@ -204,7 +197,7 @@ def scaling_bounds(config: ScenarioConfig,
     """
     width = config.vehicle.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
-    v_grid = default_velocity_grid("rolling")
+    speeds = default_velocity_grid("rolling")
     ns, lowers, uppers = [], [], []
     for n in n_range:
         if n < 1:
@@ -214,9 +207,9 @@ def scaling_bounds(config: ScenarioConfig,
         r_lo = polygon_prism_radius(n, width)
         ns.append(n)
         # the torque is shared by the 2 n propeller pairs
-        uppers.append(_sweep(cfg, "rolling", v_grid, shell=(
+        uppers.append(_sweep(cfg, "rolling", speeds, shell=(
             r_up, math.pi * r_up ** 2, 2 * n))[3] / fly_range)
-        lowers.append(_sweep(cfg, "rolling", v_grid, shell=(
+        lowers.append(_sweep(cfg, "rolling", speeds, shell=(
             r_lo, 2.0 * r_lo * width, 2 * n))[3] / fly_range)
     return ScalingCurve(n=np.array(ns), ratio_lower=np.array(lowers),
                         ratio_upper=np.array(uppers))

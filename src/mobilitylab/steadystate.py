@@ -121,10 +121,11 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
         return n_pairs * (f * (nu - v * 0.0) / eta)
 
 
-def rolling_power_fn(config: ScenarioConfig, n_pairs: int = 4):
-    """``rolling_power`` on Python floats for one config: a function
-    (torque, v) -> W with every config-only term computed once, equal to
-    ``rolling_power`` bit for bit."""
+def rolling_power_fn(config: ScenarioConfig):
+    """``rolling_power`` on Python floats for one config, on the docked
+    cylinder's 4 pairs: a function (torque, v) -> W with every config-only
+    term computed once, equal to ``rolling_power`` bit for bit."""
+    n_pairs = 4
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     inflow, sqrt = aeropower._edgewise_inflow, math.sqrt
 

@@ -219,11 +219,13 @@ def test_criterion_11_integrator_order():
     torque = 0.02
     t_end = 1.0
 
+    accel = dynamics._rolling_rhs(CFG)
+
     def final_omega(dt):
-        state = dynamics.SimState(roll_angle=0.2, roll_rate_omega=0.5)
+        phi, omega = 0.2, 0.5
         for _ in range(int(round(t_end / dt))):
-            state = dynamics.step_rolling(state, torque, CFG, dt)
-        return state.roll_rate_omega
+            phi, omega = dynamics._rk4(accel, phi, omega, torque, dt)
+        return omega
 
     e1 = abs(final_omega(0.008) - final_omega(0.004))
     e2 = abs(final_omega(0.004) - final_omega(0.002))

@@ -460,7 +460,7 @@ def _config_fields():
 
 _HALF_PI = repr(math.pi / 2)
 #: out-of-domain values of the fields whose domain is not "> 0"
-_OUT_OF_DOMAIN = {"ambient_temperature": [],
+_OUT_OF_DOMAIN = {"ambient_temperature": ["-273.15", "-500"],
                   "eta_propeller": ["1.5"], "eta_motor": ["1.5"],
                   "eta_controller": ["1.5"],
                   "rolling_resistance_crr": ["-0.01"],
@@ -478,6 +478,17 @@ def test_bad_config_field_exits_2(capsys, name, value):
     assert stdout == ""
     assert err.startswith("error:") and name in err
 
+
+@pytest.mark.parametrize("name", list(_config_fields()))
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_json_boolean_config_field_exits_2(tmp_path, capsys, name, value):
+    # a JSON boolean is an int to Python (true is 1.0): never a number here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{name}": {value}}}')
+    code, stdout, err = run(["thermal", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and name in err
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -17,27 +17,28 @@ def test_rolling_inertia_value():
 
 
 def test_dt_validation():
-    state = dynamics.SimState()
     for dt in (0.0, -0.01, 0.02):
-        with pytest.raises(ValueError):
-            dynamics.step_rolling(state, 0.0, CFG, dt)
+        with pytest.raises(ValueError, match="dt must be in"):
+            dynamics.simulate_closed_loop(CFG, 0.0, duration=1.0, dt=dt)
 
 
 def test_rest_stays_at_rest_without_torque():
+    # a zero setpoint from rest is zero error, so zero torque on every tick;
     # static gate: rolling resistance must not drive motion from rest
-    state = dynamics.SimState()
-    for _ in range(100):
-        state = dynamics.step_rolling(state, 0.0, CFG, 0.01)
+    traj = dynamics.simulate_closed_loop(CFG, 0.0, duration=1.0, dt=0.01)
+    state = traj.states[-1]
     assert state.roll_rate_omega == 0.0
     assert state.position_s == 0.0
     assert state.energy_consumed == 0.0
 
 
 def test_uphill_rest_rolls_backwards_without_torque():
+    # zero error gives zero torque on the first tick
     uphill = replace(CFG, terrain=TerrainParams(0.01, 0.05))
-    state = dynamics.SimState()
-    state = dynamics.step_rolling(state, 0.0, uphill, 0.01)
-    assert state.roll_rate_omega < 0
+    traj = dynamics.simulate_closed_loop(uphill, 0.0, duration=0.01,
+                                         dt=0.01)
+    assert traj.power[1] == 0.0
+    assert traj.states[1].roll_rate_omega < 0
 
 
 def test_steady_state_is_a_fixed_point():
@@ -56,21 +57,6 @@ def test_steady_state_is_a_fixed_point():
     assert abs(accel) < 1e-4
 
 
-def test_energy_accumulates_power():
-    state = dynamics.SimState(roll_rate_omega=0.5)
-    torque = 0.01
-    dt = 0.01
-    energies = [0.0]
-    for _ in range(50):
-        p = steadystate.rolling_power(
-            CFG, torque, abs(state.roll_rate_omega * 0.2))
-        new = dynamics.step_rolling(state, torque, CFG, dt)
-        energies.append(energies[-1] + p * dt)
-        state = new
-    assert state.energy_consumed == pytest.approx(energies[-1], rel=1e-12)
-    assert state.energy_consumed > 0
-
-
 def test_rolling_power_matches_steady_state_module():
     v = 0.3
     sol = steadystate.rolling_equilibrium(CFG, v)
@@ -87,10 +73,20 @@ def test_closed_loop_tracks_rate_command():
 
 
 def test_closed_loop_record_thinning():
-    traj = dynamics.simulate_closed_loop(CFG, omega_des=0.5, duration=1.0,
-                                         dt=0.01, record_every=10)
-    assert len(traj.states) == 11  # initial state + 10 records
-    assert len(traj.power) == len(traj.states) == len(traj.saturated)
+    # record_every = k only thins the records: the initial state and every
+    # k-th record of the full run, bit for bit, with that tick's power and
+    # saturation, inside the thrust limit and saturated
+    full = dynamics.simulate_closed_loop(SLOPED, _step_to_16, duration=3.0,
+                                         dt=0.01)
+    assert any(full.saturated) and not all(full.saturated)
+    for k in (2, 7, 10, 300):
+        thin = dynamics.simulate_closed_loop(SLOPED, _step_to_16,
+                                             duration=3.0, dt=0.01,
+                                             record_every=k)
+        assert len(thin.states) == 1 + 300 // k
+        assert thin.states == full.states[::k]
+        assert thin.power == full.power[::k]
+        assert thin.saturated == full.saturated[::k]
 
 
 def test_closed_loop_callable_setpoint():
@@ -116,12 +112,14 @@ def test_rk4_order_on_smooth_scenario():
     torque = 0.02
     t_end = 1.0
 
+    accel = dynamics._rolling_rhs(CFG)
+
     def final_omega(dt):
-        state = dynamics.SimState(roll_angle=0.2, roll_rate_omega=0.5)
+        phi, omega = 0.2, 0.5
         for _ in range(int(round(t_end / dt))):
-            state = dynamics.step_rolling(state, torque, CFG, dt)
-        assert 0 < state.roll_angle < math.pi / 2
-        return state.roll_rate_omega
+            phi, omega = dynamics._rk4(accel, phi, omega, torque, dt)
+        assert 0 < phi < math.pi / 2
+        return omega
 
     e1 = abs(final_omega(0.008) - final_omega(0.004))
     e2 = abs(final_omega(0.004) - final_omega(0.002))
@@ -131,8 +129,8 @@ def test_rk4_order_on_smooth_scenario():
 
 def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     """The closed loop as it was written with numpy 3-vectors: np.clip PI,
-    mixer inverse @ wrench, np.max saturation, then step_rolling. Returns
-    the trajectory's CSV rows."""
+    mixer inverse @ wrench, np.max saturation, array rolling_power, then
+    one RK4 step of the roll. Returns the trajectory's CSV rows."""
     kp, ki = control.KP, control.KI
     limit = control.INTEGRATOR_LIMIT
     veh = config.vehicle
@@ -146,12 +144,13 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         const = np.array([0.0, omega_des, 0.0])
         omega_des = lambda t: const  # noqa: E731
     radius = veh.shell_radius_l
-    state = dynamics.SimState()
+    accel = dynamics._rolling_rhs(config)
+    phi = omega = position = energy = t = 0.0
     integ = np.zeros(3)
     rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
     for i in range(int(round(duration / dt))):
-        e = (np.asarray(omega_des(state.time), float)
-             - np.array([0.0, state.roll_rate_omega, 0.0]))
+        e = (np.asarray(omega_des(t), float)
+             - np.array([0.0, omega, 0.0]))
         integ = np.clip(integ + e * dt, -limit, limit)
         torque = kp * e + ki * integ
         forces = inverse @ np.concatenate(([0.0], torque))
@@ -160,13 +159,16 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         if sat:
             forces = forces * (veh.max_rotor_thrust / peak)
         torque_y = float(mixer.matrix_m[2] @ forces)
-        power = steadystate.rolling_power(
-            config, torque_y, abs(state.roll_rate_omega * radius))
-        state = dynamics.step_rolling(state, torque_y, config, dt)
+        power = steadystate.rolling_power(config, torque_y,
+                                          abs(omega * radius))
+        phi_new, omega = dynamics._rk4(accel, phi, omega, torque_y, dt)
+        position = position + (phi_new - phi) * radius
+        phi = phi_new
+        energy = energy + power * dt
+        t = t + dt
         if (i + 1) % record_every == 0:
-            rows.append([state.time, state.position_s, state.speed_v,
-                         state.roll_rate_omega, power,
-                         state.energy_consumed, int(sat)])
+            rows.append([t, position, omega * radius, omega, power, energy,
+                         int(sat)])
     return rows
 
 
@@ -253,32 +255,20 @@ def test_closed_loop_records_are_simstates(record_every):
             "energy_consumed", "time")
 
 
-def test_step_rolling_is_one_closed_loop_tick_bitwise():
-    # the loop's tick and step_rolling share one RK4 step: driving
-    # step_rolling with the loop's control tick reproduces every state,
-    # inside the thrust limit and saturated
-    dt = 0.005
-    for config, omega_des in ((SLOPED, 1.2), (WEAK_ROTORS, 1.0)):
-        traj = dynamics.simulate_closed_loop(config, omega_des, duration=2.0,
-                                             dt=dt)
-        veh = config.vehicle
-        tick = control.rate_loop(
-            control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau),
-            veh.max_rotor_thrust, dt)
-        state = dynamics.SimState()
-        for want, want_power, want_sat in zip(
-                traj.states[1:], traj.power[1:], traj.saturated[1:]):
-            torque_y, sat = tick((0.0, omega_des, 0.0),
-                                 state.roll_rate_omega)
-            power = steadystate.rolling_power(
-                config, torque_y,
-                abs(state.roll_rate_omega * veh.shell_radius_l))
-            state = dynamics.step_rolling(state, torque_y, config, dt)
-            assert state == want
-            assert power == want_power
-            assert sat == want_sat
-        assert any(traj.saturated) is (config is WEAK_ROTORS)
+def test_energy_accumulates_power():
+    # the loop charges each tick's recorded power over dt: energy is the
+    # running sum of power * dt, in tick order, bit for bit, inside the
+    # thrust limit and saturated
+    dt = 0.01
+    for config, omega_des in ((CFG, 0.6), (SLOPED, 1.2), (WEAK_ROTORS, 1.0),
+                              (SLOPED, _step_to_16)):
+        traj = dynamics.simulate_closed_loop(config, omega_des,
+                                             duration=3.0, dt=dt)
+        energy = 0.0
+        for state, power in zip(traj.states[1:], traj.power[1:]):
+            energy += power * dt
+            assert state.energy_consumed == energy
+        assert energy > 0
 
 
 @pytest.mark.parametrize("omega_des", [

@@ -13,12 +13,7 @@ CFG = ScenarioConfig()
 
 
 def test_grid_validation():
-    for bad in ([], [0.0, 1.0], [1.0, 0.5], [0.1, np.nan, 0.3],
-                [0.1, 0.2, np.inf], [-np.inf, 0.1, 0.2]):
-        for mode in ("rolling", "flying"):
-            with pytest.raises(ValueError, match="v_grid must be"):
-                rangeopt.range_sweep(CFG, mode, np.array(bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode must be"):
         rangeopt.range_sweep(CFG, "hopping")
 
 
@@ -53,41 +48,46 @@ def test_hotel_load_shrinks_range():
     assert loaded.optimum_v >= base.optimum_v
 
 
-def _bracket_grid(v_grid, optimum_v):
+def _bracket_grid(speeds, optimum_v):
     """The fine grid a refined sweep searches around the coarse optimum."""
-    i = int(np.flatnonzero(v_grid == optimum_v)[0])
-    return np.linspace(v_grid[max(0, i - 1)],
-                       v_grid[min(len(v_grid) - 1, i + 1)],
+    i = int(np.flatnonzero(speeds == optimum_v)[0])
+    return np.linspace(speeds[max(0, i - 1)],
+                       speeds[min(len(speeds) - 1, i + 1)],
                        rangeopt.REFINE_POINTS)
 
 
 def test_golden_refinement_improves_optimum():
     # the refined optimum is the bracket grid's sweep optimum, bit for bit
-    for mode, hotel_w, v_grid in itertools.product(
-            ("rolling", "flying"), (0.0, 2.0),
-            (np.linspace(0.1, 3.0, 30), None)):
-        coarse = rangeopt.range_sweep(CFG, mode, v_grid=v_grid,
-                                      hotel_w=hotel_w)
-        refined = rangeopt.range_sweep(CFG, mode, v_grid=v_grid,
-                                       hotel_w=hotel_w, refine=True)
-        fine = _bracket_grid(coarse.velocity, coarse.optimum_v)
-        direct = rangeopt.range_sweep(CFG, mode, v_grid=fine,
-                                      hotel_w=hotel_w)
-        assert refined.optimum_v == direct.optimum_v
-        assert refined.optimum_range_km == direct.optimum_range_km
-        assert refined.optimum_range_km >= coarse.optimum_range_km
-        assert fine[0] <= refined.optimum_v <= fine[-1]
+    for mode, hotel_w, default in itertools.product(
+            ("rolling", "flying"), (0.0, 2.0), (False, True)):
+        speeds = (rangeopt.default_velocity_grid(mode) if default
+                  else np.linspace(0.1, 3.0, 30))
+        _, coarse_r, coarse_v, coarse_opt = rangeopt._sweep(
+            CFG, mode, speeds, hotel_w)
+        _, refined_r, refined_v, refined_opt = rangeopt._sweep(
+            CFG, mode, speeds, hotel_w, refine=True)
+        fine = _bracket_grid(speeds, coarse_v)
+        _, _, direct_v, direct_opt = rangeopt._sweep(CFG, mode, fine,
+                                                     hotel_w)
+        assert refined_v == direct_v
+        assert refined_opt == direct_opt
+        assert refined_opt >= coarse_opt
+        assert fine[0] <= refined_v <= fine[-1]
         # the coarse curve itself is left as it was
-        assert np.array_equal(refined.range_km, coarse.range_km,
-                              equal_nan=True)
+        assert np.array_equal(refined_r, coarse_r, equal_nan=True)
+        if default:  # range_sweep reports the same refined optimum
+            curve = rangeopt.range_sweep(CFG, mode, hotel_w=hotel_w,
+                                         refine=True)
+            assert curve.optimum_v == refined_v
+            assert curve.optimum_range_km == refined_opt
 
 
 def test_refinement_of_one_point_grid_is_that_point():
     for mode in ("rolling", "flying"):
-        curve = rangeopt.range_sweep(CFG, mode, v_grid=np.array([0.3]),
-                                     refine=True)
-        assert curve.optimum_v == 0.3
-        assert curve.optimum_range_km == curve.range_km[0]
+        _, ranges, opt_v, opt_r = rangeopt._sweep(CFG, mode, np.array([0.3]),
+                                                  refine=True)
+        assert opt_v == 0.3
+        assert opt_r == ranges[0]
 
 
 def _count_powers(monkeypatch):
@@ -222,11 +222,11 @@ def test_batch_matches_pointwise_bitwise(mode):
     # one infeasible tail on the steep grid checks the NaN pattern too
     steep = replace(CFG, terrain=TerrainParams(0.05, 0.02),
                     vehicle=replace(CFG.vehicle, max_rotor_thrust=0.3))
+    speeds = np.linspace(0.05, 1.0, 24)
     for config in (CFG, steep):
-        v_grid = np.linspace(0.05, 1.0, 24)
-        curve = rangeopt.range_sweep(config, mode, v_grid=v_grid)
-        expect = [_pointwise_power(config, mode, v) for v in v_grid]
-        assert np.array_equal(curve.power, expect, equal_nan=True)
+        powers = rangeopt._sweep(config, mode, speeds)[0]
+        expect = [_pointwise_power(config, mode, v) for v in speeds]
+        assert np.array_equal(powers, expect, equal_nan=True)
 
 
 def test_tradeoff_grid_structure():

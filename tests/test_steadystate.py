@@ -95,15 +95,14 @@ def _same_bits(a, b):
         np.float64(a).tobytes() == np.float64(b).tobytes())
 
 
-@given(points=st.lists(st.tuples(_TORQUES, _SPEEDS), min_size=1, max_size=8),
-       n_pairs=st.integers(1, 24))
-def test_rolling_power_fn_matches_rolling_power_bitwise(points, n_pairs):
-    power = steadystate.rolling_power_fn(CFG, n_pairs)
+@given(points=st.lists(st.tuples(_TORQUES, _SPEEDS), min_size=1, max_size=8))
+def test_rolling_power_fn_matches_rolling_power_bitwise(points):
+    power = steadystate.rolling_power_fn(CFG)
     torque, v = (np.array(x) for x in zip(*points))
-    array = steadystate.rolling_power(CFG, torque, v, n_pairs)
+    array = steadystate.rolling_power(CFG, torque, v)
     for (t, s), p in zip(points, array):
         got = power(t, s)
-        want = steadystate.rolling_power(CFG, t, s, n_pairs)
+        want = steadystate.rolling_power(CFG, t, s)
         assert type(got) is float
         assert _same_bits(got, want)
         assert _same_bits(got, float(p))
