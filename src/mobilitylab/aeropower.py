@@ -45,13 +45,6 @@ def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
             ) * vehicle.shell_width_w
 
 
-def projected_area_slope(vehicle: VehicleParams, alpha, mode: str):
-    """dA/da of ``projected_area`` on arrays; 0 at the kink a = 0."""
-    h, sin, cos = _body_height(vehicle, mode), np.sin(alpha), np.cos(alpha)
-    return (2.0 * vehicle.shell_radius_l * np.sign(sin) * cos
-            - h * np.sign(cos) * sin) * vehicle.shell_width_w
-
-
 def drag_force(env: EnvironmentParams, area: float, speed: float,
                cd: float) -> float:
     """Drag 0.5 * cd * rho * A * v |v|, signed with v (it opposes motion)."""

@@ -23,6 +23,8 @@ FLYING_V_GRID = (0.05, 5.0, 200)
 #: points of the refinement grid; odd, so a uniform grid's coarse optimum
 #: sits in its middle
 REFINE_POINTS = 1001
+#: points per rolling array call of the batch paths (bounds the peak memory)
+BLOCK_POINTS = 2 ** 14
 
 #: circumradius / edge length of the platonic solids, keyed by face count
 PLATONIC_CIRCUMRADIUS_PER_EDGE = {
@@ -144,15 +146,19 @@ def tradeoff_grid(config: ScenarioConfig,
                   resolution: int = 20) -> TradeoffGrid:
     """Rolling-minus-flying optimum range over a (C_rr, slope) grid: one
     flying ``best_range`` call over (theta x v), since flying ignores C_rr,
-    and one rolling call per C_rr row, which keeps the peak memory at one
-    row's arrays."""
+    and one rolling call per block of C_rr rows over (C_rr x theta x v),
+    each block as many rows as fit ``BLOCK_POINTS`` points."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     crr_axis = np.linspace(*crr_range, resolution)
     theta_axis = np.linspace(*theta_range_deg, resolution)
     slopes = np.radians(theta_axis)[:, None]
     fly_by_theta = best_range(replace(config, terrain=TerrainParams(
         crr_axis[0], slopes)), "flying")[1]
-    delta = np.array([best_range(replace(config, terrain=TerrainParams(
-        crr, slopes)), "rolling")[1] - fly_by_theta for crr in crr_axis])
+    step = max(1, BLOCK_POINTS // (resolution * ROLLING_V_GRID[2]))
+    delta = np.concatenate([best_range(replace(config, terrain=TerrainParams(
+        crr_axis[i:i + step, None, None], slopes)), "rolling")[1]
+        for i in range(0, resolution, step)]) - fly_by_theta
     fly = np.tile(fly_by_theta, (resolution, 1))
     return TradeoffGrid(crr=crr_axis, theta_deg=theta_axis,
                         delta_range_km=delta, flying_range_km=fly)
@@ -193,23 +199,26 @@ def scaling_bounds(config: ScenarioConfig,
     pseudo-platonic sphere (circular drag cross-section); the lower bound
     rolls the regular n-gon prism (rectangular frontal area 2 R w, which
     grows quickly with n). Flying range is independent of n because n
-    independent agents scale power and energy identically.
+    independent agents scale power and energy identically. Each bound is
+    one rolling sweep per block of agent counts, passed as an (n, 1) array.
     """
+    if any(n < 1 for n in n_range):
+        raise ValueError("agent count must be >= 1")
     width = config.vehicle.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
     speeds = default_velocity_grid("rolling")
-    ns, lowers, uppers = [], [], []
-    for n in n_range:
-        if n < 1:
-            raise ValueError("agent count must be >= 1")
+    ns = np.array(n_range)
+    r_up = [platonic_shell_radius(n, width) for n in n_range]
+    r_lo = np.array([polygon_prism_radius(n, width) for n in n_range])
+    shells = ((np.array(r_up), np.array([math.pi * r ** 2 for r in r_up])),
+              (r_lo, 2.0 * r_lo * width))
+    step = max(1, BLOCK_POINTS // speeds.size)
+    ratios = np.empty((2, len(ns)))
+    for rows in (slice(i, i + step) for i in range(0, len(ns), step)):
+        n = ns[rows, None]
         cfg = replace(config, num_agents=n)
-        r_up = platonic_shell_radius(n, width)
-        r_lo = polygon_prism_radius(n, width)
-        ns.append(n)
-        # the torque is shared by the 2 n propeller pairs
-        uppers.append(_sweep(cfg, "rolling", speeds, shell=(
-            r_up, math.pi * r_up ** 2, 2 * n))[3] / fly_range)
-        lowers.append(_sweep(cfg, "rolling", speeds, shell=(
-            r_lo, 2.0 * r_lo * width, 2 * n))[3] / fly_range)
-    return ScalingCurve(n=np.array(ns), ratio_lower=np.array(lowers),
-                        ratio_upper=np.array(uppers))
+        for ratio, (radius, area) in zip(ratios, shells):
+            # the torque is shared by the 2 n propeller pairs
+            ratio[rows] = _sweep(cfg, "rolling", speeds, shell=(
+                radius[rows, None], area[rows, None], 2 * n))[3] / fly_range
+    return ScalingCurve(n=ns, ratio_lower=ratios[1], ratio_upper=ratios[0])

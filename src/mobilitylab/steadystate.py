@@ -106,11 +106,12 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     """Total electrical power of a pure roll torque held at speed v.
 
     The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
-    per pair spins. Broadcasts over torque and v; NaN, masked before the
-    power chain runs, where the pair force exceeds the rotor thrust limit by
-    more than a few ulps (the closed loop's uniform saturation lands on the
-    limit only to within rounding). ``rolling_power_fn`` is the same
-    arithmetic on Python floats, for the closed-loop tick.
+    per pair spins. Broadcasts over torque, v and n_pairs; NaN, masked
+    before the power chain runs, where the pair force exceeds the rotor
+    thrust limit by more than a few ulps (the closed loop's uniform
+    saturation lands on the limit only to within rounding).
+    ``rolling_power_fn`` is the same arithmetic on Python floats, for the
+    closed-loop tick.
     """
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
@@ -178,18 +179,25 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     env, veh, ter = config.environment, config.vehicle, config.terrain
     along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
     normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
+    # drag_force(projected_area(a, "flying"), v) and its a-slope, written out
+    # in the same operation order on one cos and sin of a
+    k = 0.5 * veh.drag_coefficient_cd * env.air_density
+    h, two_l = veh.body_height_h_flying, 2.0 * veh.shell_radius_l
+    w, speed, normal_sq = veh.shell_width_w, abs(v), normal_weight ** 2
 
-    def drag_at(alpha, area=aeropower.projected_area):
-        return aeropower.drag_force(env, area(veh, alpha, "flying"), v,
-                                    cd=veh.drag_coefficient_cd)
+    def drag_at(cos, sin):
+        return k * ((h * abs(cos) + two_l * abs(sin)) * w) * v * speed
 
     def residual(alpha):
-        along = drag_at(alpha) + along_weight
-        slope = normal_weight * drag_at(alpha, aeropower.projected_area_slope)
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        along = drag_at(cos, sin) + along_weight
+        # 0 at the kink a = 0, the mean of the one-sided slopes
+        slope = k * ((two_l * np.sign(sin) * cos - h * np.sign(cos) * sin)
+                     * w) * v * speed
         return (alpha - np.arctan2(along, normal_weight),
-                1.0 - slope / (along * along + normal_weight ** 2))
+                1.0 - normal_weight * slope / (along * along + normal_sq))
 
-    alpha = np.arctan2(drag_at(0.0) + along_weight, normal_weight)
+    alpha = np.arctan2(drag_at(1.0, 0.0) + along_weight, normal_weight)
     lo = np.where(alpha > 0.0, 0.0, -0.5 * math.pi)
     alpha, moving = aeropower._newton(residual, alpha, lo, lo + 0.5 * math.pi,
                                       TRIM_TOL, TRIM_MAX_ITER)
@@ -200,7 +208,7 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
             f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
 
     # re-evaluate at the converged tilt so the trim residuals are exact
-    drag = drag_at(alpha)
+    drag = drag_at(np.cos(alpha), np.sin(alpha))
     thrust = np.hypot(drag + along_weight, normal_weight)
     alpha = np.arctan2(drag + along_weight, normal_weight)
 

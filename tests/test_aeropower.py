@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mobilitylab import aeropower, params
 
@@ -34,24 +34,6 @@ def test_projected_area_pi_periodic_and_positive(alpha):
     a1 = aeropower.projected_area(VEH, alpha + math.pi, "rolling")
     assert a0 > 0
     assert a0 == pytest.approx(a1, rel=1e-9, abs=1e-12)
-
-
-@given(alpha=st.floats(-3.0, 3.0), mode=st.sampled_from(("rolling",
-                                                         "flying")))
-def test_projected_area_slope_is_its_derivative(alpha, mode):
-    # central difference away from the kinks at multiples of pi/2
-    h = 1e-6
-    assume(min(abs(alpha - k * math.pi / 2) for k in range(-2, 3)) > 1e-3)
-    left, right = aeropower.projected_area(
-        VEH, np.array([alpha - h, alpha + h]), mode)
-    slope = aeropower.projected_area_slope(VEH, np.array(alpha), mode)
-    assert slope == pytest.approx((right - left) / (2 * h), rel=1e-6,
-                                  abs=1e-9)
-
-
-def test_projected_area_slope_at_zero_is_the_mean():
-    # |sin a| has one-sided slopes -1, +1 at 0
-    assert aeropower.projected_area_slope(VEH, np.array(0.0), "flying") == 0.0
 
 
 # --- drag -------------------------------------------------------------------

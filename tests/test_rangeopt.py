@@ -109,18 +109,87 @@ def test_refined_sweep_is_two_array_calls(monkeypatch):
     assert calls == ["rolling", "rolling", "flying", "flying"]
 
 
-def test_tradeoff_grid_is_one_flying_call_and_one_call_per_crr_row(
+def test_tradeoff_grid_is_one_flying_call_and_one_rolling_call_per_block(
         monkeypatch):
+    # a block holds as many C_rr rows (theta x v each) as fit the budget,
+    # and at least one
     calls = _count_powers(monkeypatch)
-    rangeopt.tradeoff_grid(CFG, resolution=5)
-    assert calls == ["flying"] + ["rolling"] * 5
+    for resolution, blocks in ((3, 1), (7, 1), (11, 2), (20, 5)):
+        rows = max(1, rangeopt.BLOCK_POINTS // (
+            resolution * rangeopt.ROLLING_V_GRID[2]))
+        assert blocks == math.ceil(resolution / rows)
+        rangeopt.tradeoff_grid(CFG, resolution=resolution)
+        assert calls == ["flying"] + ["rolling"] * blocks
+        calls.clear()
 
 
-def test_scaling_bounds_is_one_flying_call_and_two_rolling_calls_per_n(
+def test_scaling_bounds_is_one_flying_call_and_two_rolling_calls_per_block(
         monkeypatch):
     calls = _count_powers(monkeypatch)
-    rangeopt.scaling_bounds(CFG, range(1, 4))
+    rangeopt.scaling_bounds(CFG, range(1, 13))
+    assert calls == ["flying"] + ["rolling"] * 2
+    calls.clear()
+    # 1000 points hold 5 agent counts of 200 speeds: blocks of 5, 5 and 2
+    monkeypatch.setattr(rangeopt, "BLOCK_POINTS", 1000)
+    rangeopt.scaling_bounds(CFG, range(1, 13))
     assert calls == ["flying"] + ["rolling"] * 2 * 3
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("limit", [8.0, 0.3])
+@pytest.mark.parametrize("resolution", [1, 3, 7, 11, 20, 100])
+def test_tradeoff_grid_equals_per_row_best_range_bitwise(resolution, limit):
+    # 11 rows split into blocks of 7 and 4; a row of 100 x 200 points is
+    # past the budget on its own; thrust limit 0.3 N leaves high-C_rr rows
+    # infeasible at every slope
+    config = replace(CFG, vehicle=replace(CFG.vehicle,
+                                          max_rotor_thrust=limit))
+    grid = rangeopt.tradeoff_grid(config, (0.01, 0.4), (-0.5, 6.0),
+                                  resolution)
+    slopes = np.radians(grid.theta_deg)[:, None]
+    fly = rangeopt.best_range(_on_terrain(config, grid.crr[0], slopes),
+                              "flying")[1]
+    delta = [rangeopt.best_range(_on_terrain(config, crr, slopes),
+                                 "rolling")[1] - fly for crr in grid.crr]
+    assert _same_bits(grid.delta_range_km, delta)
+    assert _same_bits(grid.flying_range_km, [fly] * resolution)
+    if limit < 1.0 and resolution >= 3:
+        assert np.isnan(grid.delta_range_km).all(axis=1).any()
+        assert np.isfinite(grid.delta_range_km).any()
+
+
+@pytest.mark.parametrize("budget", [rangeopt.BLOCK_POINTS, 1000])
+@pytest.mark.parametrize("n_range", [range(1, 13), range(2, 8), range(0)])
+def test_scaling_bounds_equals_per_n_sweeps_bitwise(monkeypatch, n_range,
+                                                    budget):
+    # a budget of 1000 points splits the agent counts into blocks of 5
+    monkeypatch.setattr(rangeopt, "BLOCK_POINTS", budget)
+    curve = rangeopt.scaling_bounds(CFG, n_range)
+    width = CFG.vehicle.shell_width_w
+    speeds = rangeopt.default_velocity_grid("rolling")
+    fly = rangeopt.range_sweep(CFG, "flying").optimum_range_km
+    lower, upper = [], []
+    for n in n_range:
+        config = replace(CFG, num_agents=n)
+        r_up = rangeopt.platonic_shell_radius(n, width)
+        r_lo = rangeopt.polygon_prism_radius(n, width)
+        upper.append(rangeopt._sweep(config, "rolling", speeds, shell=(
+            r_up, math.pi * r_up ** 2, 2 * n))[3] / fly)
+        lower.append(rangeopt._sweep(config, "rolling", speeds, shell=(
+            r_lo, 2.0 * r_lo * width, 2 * n))[3] / fly)
+    assert list(curve.n) == list(n_range)
+    assert _same_bits(curve.ratio_upper, upper)
+    assert _same_bits(curve.ratio_lower, lower)
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_tradeoff_grid_rejects_empty_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        rangeopt.tradeoff_grid(CFG, resolution=resolution)
 
 
 def test_default_rolling_shell_is_the_docked_cylinder():
@@ -280,6 +349,10 @@ def test_scaling_bounds_ordering():
     assert curve.ratio_lower[1] > curve.ratio_lower[0]
 
 
-def test_scaling_rejects_bad_count():
-    with pytest.raises(ValueError):
-        rangeopt.scaling_bounds(CFG, range(0, 3))
+def test_scaling_rejects_bad_count(monkeypatch):
+    # every n is checked before any sweep runs
+    calls = _count_powers(monkeypatch)
+    for n_range in (range(0, 3), range(3, -1, -1)):
+        with pytest.raises(ValueError, match="agent count must be >= 1"):
+            rangeopt.scaling_bounds(CFG, n_range)
+    assert calls == []

@@ -1,9 +1,11 @@
+import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mobilitylab import aeropower, rangeopt, steadystate
 from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
@@ -232,6 +234,74 @@ def test_flying_power_broadcasts_over_slope_bitwise():
     assert rows.shape == (9, 40)
     assert np.isnan(rows).any() and np.isfinite(rows).any()
     assert np.array_equal(rows, per_slope, equal_nan=True)
+
+
+def _trim_at(config, v, alpha):
+    """``_flying_trim`` at speed v with its tilt solve replaced by the tilt
+    alpha: the residual it hands to ``aeropower._newton``, and the drag it
+    re-evaluates at alpha."""
+    newton, seen = aeropower._newton, []
+
+    def at_alpha(residual, x, *args):
+        if seen:  # the rotors' tilted-inflow solve
+            return newton(residual, x, *args)
+        seen.append(residual)
+        return np.full(np.shape(x), alpha), np.zeros(np.shape(x), bool)
+
+    with mock.patch.object(aeropower, "_newton", at_alpha):
+        drag = steadystate._flying_trim(config, np.asarray(v, float))[1]
+    return seen[0], drag
+
+
+_TRIM_CONFIGS = [CFG, replace(CFG, environment=earth_defaults()),
+                 replace(CFG, vehicle=replace(CFG.vehicle, shell_radius_l=0.1,
+                                              body_height_h_flying=0.3))]
+
+
+@settings(deadline=None)
+@given(alpha=st.one_of(st.floats(-1.6, 1.6), st.sampled_from(
+           [0.0, -0.0, math.pi / 2, -math.pi / 2])),
+       v=st.floats(0.0, 8.0), theta=st.floats(-0.5, 0.6),
+       config=st.sampled_from(_TRIM_CONFIGS))
+def test_trim_residual_is_the_drag_and_weight_composition(alpha, v, theta,
+                                                          config):
+    # the trim writes the drag out on one cos and sin: it must equal
+    # drag_force on projected_area, and the residual its tilt balance,
+    # bitwise
+    config = _on_slopes(config, theta)
+    env, veh = config.environment, config.vehicle
+    residual, drag = _trim_at(config, v, alpha)
+    want = aeropower.drag_force(
+        env, aeropower.projected_area(veh, np.float64(alpha), "flying"),
+        np.float64(v), veh.drag_coefficient_cd)
+    assert drag.tobytes() == np.float64(want).tobytes()
+    weight = veh.cobot_mass * env.gravity
+    r = np.float64(alpha) - np.arctan2(want + weight * math.sin(theta),
+                                       weight * math.cos(theta))
+    assert residual(np.float64(alpha))[0].tobytes() == r.tobytes()
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(-1.5, 1.5), v=st.floats(0.1, 8.0),
+       theta=st.floats(-0.5, 0.6), config=st.sampled_from(_TRIM_CONFIGS))
+def test_trim_residual_slope_is_its_derivative(alpha, v, theta, config):
+    # central difference away from the area's kinks at 0 and +-pi/2
+    assume(min(abs(alpha - k * math.pi / 2) for k in (-1, 0, 1)) > 1e-3)
+    residual = _trim_at(_on_slopes(config, theta), v, 0.0)[0]
+    h = 1e-6
+    left, right = residual(np.array([alpha - h, alpha + h]))[0]
+    slope = residual(np.float64(alpha))[1]
+    assert slope == pytest.approx((right - left) / (2 * h), rel=1e-6,
+                                  abs=1e-8)
+
+
+def test_trim_residual_slope_at_zero_tilt_is_one():
+    # dA/da at the kink a = 0 is 0, the mean of |sin a|'s one-sided slopes,
+    # so the Newton slope there is that of the a term alone
+    for config, theta in itertools.product(_TRIM_CONFIGS, (-0.5, 0.0, 0.3)):
+        residual = _trim_at(_on_slopes(config, theta), 1.5, 0.0)[0]
+        assert residual(np.float64(0.0))[1] == 1.0
+        assert residual(np.float64(-0.0))[1] == 1.0
 
 
 def test_flying_trim_failure_names_broadcast_speeds(monkeypatch):
