@@ -14,14 +14,14 @@ Integration is fixed-step RK4 (deterministic); rolling-resistance torque is
 gated off below |omega| = 1e-6 rad/s so static resistance cannot drive
 motion from rest.
 
-The closed loop's tick is the sequential hot path. It runs on Python floats
-with no numpy (numpy costs more per call on 3-vectors than the arithmetic it
-does). Config-only terms are computed once per run in closures, and a tick
-calls each once: ``control.rate_loop``, ``steadystate.rolling_power_fn`` and
-``_rk4`` on ``_rolling_rhs`` (which writes the drag out itself). A
-``SimState`` (a NamedTuple) is built, by ``tuple.__new__``, only for
-recorded ticks. The loop is the one place that steps the roll and charges
-energy, at the rotor power at the start of each tick.
+The closed loop's tick is the sequential hot path, one Python frame on
+Python floats (numpy costs more per call on 3-vectors than the arithmetic
+it does). It writes the PI law, ``control.allocate`` with the uniform
+saturation, and ``steadystate.rolling_power`` out in their operation order
+(tests pin them bit for bit); its one call besides the setpoint is the RK4
+step built once per run by ``_roll_step``. A ``SimState`` (a NamedTuple) is
+built, by ``tuple.__new__``, only for recorded ticks. The loop is the one
+place that steps the roll and charges energy, at the start-of-tick power.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import control, steadystate
 from .params import DT_MAX, ScenarioConfig
@@ -67,14 +69,15 @@ def rolling_inertia(config: ScenarioConfig) -> float:
     return 0.5 * config.total_mass * config.vehicle.shell_radius_l ** 2
 
 
-def _rolling_rhs(config: ScenarioConfig
-                 ) -> Callable[[float, float, float], float]:
-    """Roll acceleration (phi, omega, torque_y) -> domega/dt for one config,
-    with every config-only term computed once."""
+def _roll_step(config: ScenarioConfig, dt: float
+               ) -> Callable[[float, float, float], tuple[float, float]]:
+    """One RK4 step (phi, omega, torque_y) -> (phi, omega) of the roll, the
+    torque held over the step, config-only terms computed once. Each stage
+    acceleration writes the slope torque, ``drag_force`` on the rolling
+    ``projected_area`` times l, and the gated rolling resistance out."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m = config.total_mass
     radius = veh.shell_radius_l
-    # drag_force(projected_area(phi), omega r) * r, same operation order
     h, two_l, w = veh.body_height_h_rolling, 2.0 * radius, veh.shell_width_w
     k = 0.5 * veh.drag_coefficient_cd * env.air_density
     cos, sin, copysign = math.cos, math.sin, math.copysign
@@ -83,32 +86,41 @@ def _rolling_rhs(config: ScenarioConfig
     normal = m * env.gravity * math.cos(ter.slope_theta)
     crr_torque = ter.rolling_resistance_crr * normal * radius
     inertia = rolling_inertia(config) + m * radius ** 2
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def accel(phi: float, omega: float, torque_y: float) -> float:
+    def step(phi: float, omega: float, torque_y: float
+             ) -> tuple[float, float]:
         v = omega * radius
         area = (h * abs(cos(phi)) + two_l * abs(sin(phi))) * w
-        resist_torque = slope_torque + k * area * v * abs(v) * radius
+        resist = slope_torque + k * area * v * abs(v) * radius
         if abs(omega) > omega_static:
-            resist_torque += copysign(crr_torque, omega)
-        return (torque_y - resist_torque) / inertia
+            resist += copysign(crr_torque, omega)
+        a1 = (torque_y - resist) / inertia
+        phi2, omega2 = phi + half * omega, omega + half * a1
+        v = omega2 * radius
+        area = (h * abs(cos(phi2)) + two_l * abs(sin(phi2))) * w
+        resist = slope_torque + k * area * v * abs(v) * radius
+        if abs(omega2) > omega_static:
+            resist += copysign(crr_torque, omega2)
+        a2 = (torque_y - resist) / inertia
+        phi3, omega3 = phi + half * omega2, omega + half * a2
+        v = omega3 * radius
+        area = (h * abs(cos(phi3)) + two_l * abs(sin(phi3))) * w
+        resist = slope_torque + k * area * v * abs(v) * radius
+        if abs(omega3) > omega_static:
+            resist += copysign(crr_torque, omega3)
+        a3 = (torque_y - resist) / inertia
+        phi4, omega4 = phi + dt * omega3, omega + dt * a3
+        v = omega4 * radius
+        area = (h * abs(cos(phi4)) + two_l * abs(sin(phi4))) * w
+        resist = slope_torque + k * area * v * abs(v) * radius
+        if abs(omega4) > omega_static:
+            resist += copysign(crr_torque, omega4)
+        a4 = (torque_y - resist) / inertia
+        return (phi + sixth * (omega + 2 * omega2 + 2 * omega3 + omega4),
+                omega + sixth * (a1 + 2 * a2 + 2 * a3 + a4))
 
-    return accel
-
-
-def _rk4(accel: Callable[[float, float, float], float], x: float, v: float,
-         u: float, dt: float) -> tuple[float, float]:
-    """One RK4 step of x' = v, v' = accel(x, v, u) with u held over the
-    step, here the roll (phi, omega) under torque u."""
-    h = 0.5 * dt
-    a1 = accel(x, v, u)
-    v2 = v + h * a1
-    a2 = accel(x + h * v, v2, u)
-    v3 = v + h * a2
-    a3 = accel(x + h * v2, v3, u)
-    v4 = v + dt * a3
-    a4 = accel(x + dt * v3, v4, u)
-    return (x + dt / 6.0 * (v + 2 * v2 + 2 * v3 + v4),
-            v + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
+    return step
 
 
 def simulate_closed_loop(config: ScenarioConfig,
@@ -130,12 +142,6 @@ def simulate_closed_loop(config: ScenarioConfig,
     if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
         raise ValueError(f"record_every must be in [1, round(duration / dt)"
                          f" = {steps}], got {record_every!r}")
-    veh = config.vehicle
-    radius = veh.shell_radius_l
-    tick = control.rate_loop(control.mixer_matrix(veh.rotor_arm_length_a,
-                                                  veh.torque_constant_k_tau),
-                             veh.max_rotor_thrust, dt)
-
     if callable(omega_des):
         desired = omega_des
     else:
@@ -144,15 +150,71 @@ def simulate_closed_loop(config: ScenarioConfig,
         const = (0.0, float(omega_des), 0.0)
         desired = lambda t: const  # noqa: E731
 
-    accel = _rolling_rhs(config)
-    rotor_power = steadystate.rolling_power_fn(config)
-    new_tuple = tuple.__new__
-    phi = omega = position = energy = t = 0.0
+    veh = config.vehicle
+    radius, max_thrust = veh.shell_radius_l, veh.max_rotor_thrust
+    # control.allocate on the rows of M^-1, and the roll row of M
+    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
+                                 veh.torque_constant_k_tau)
+    m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
+    (_, b_a, c_a, d_a), (_, b_b, c_b, d_b), (_, b_c, c_c, d_c), \
+        (_, b_d, c_d, d_d) = mixer.inverse_rows
+    kp, ki = control.KP, control.KI
+    lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
+    # steadystate.rolling_power on the docked cylinder's 4 pairs
+    n_pairs = 4
+    lever, limit, rho2a, eta = steadystate._pair_terms(config, n_pairs)
+    sqrt, nan, inf, ndarray = math.sqrt, math.nan, math.inf, np.ndarray
+    step, new_tuple = _roll_step(config, dt), tuple.__new__
+
+    phi = omega = position = energy = t = i_x = i_y = i_z = 0.0
     states, powers, saturated = [SimState()], [0.0], [False]
     for i in range(1, steps + 1):
-        torque_y, sat = tick(desired(t), omega)
-        power = rotor_power(torque_y, abs(omega * radius))
-        phi_new, omega = _rk4(accel, phi, omega, torque_y, dt)
+        # PI on the body-rate error; measured rates other than omega are 0
+        setpoint = desired(t)
+        if type(setpoint) is ndarray:  # unpacking yields numpy scalars
+            setpoint = setpoint.tolist()
+        try:
+            d_x, d_y, d_z = setpoint
+        except ValueError:
+            raise ValueError("omega_des must have 3 entries") from None
+        e_x, e_y, e_z = float(d_x), float(d_y) - omega, float(d_z)
+        i_x, i_y, i_z = i_x + e_x * dt, i_y + e_y * dt, i_z + e_z * dt
+        # min(max(i, lo), hi) written out: the builtin calls cost more
+        i_x = lo if i_x < lo else hi if i_x > hi else i_x
+        i_y = lo if i_y < lo else hi if i_y > hi else i_y
+        i_z = lo if i_z < lo else hi if i_z > hi else i_z
+        t_x, t_y, t_z = (kp * e_x + ki * i_x, kp * e_y + ki * i_y,
+                         kp * e_z + ki * i_z)
+        # allocate; uniform scaling into the thrust limit keeps the direction
+        f_a = b_a * t_x + c_a * t_y + d_a * t_z
+        f_b = b_b * t_x + c_b * t_y + d_b * t_z
+        f_c = b_c * t_x + c_c * t_y + d_c * t_z
+        f_d = b_d * t_x + c_d * t_y + d_d * t_z
+        peak = max(abs(f_a), abs(f_b), abs(f_c), abs(f_d))
+        if peak <= max_thrust:
+            tau_y, sat = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d, False
+        else:
+            if peak == inf:  # overflowed: allocate the torque's direction
+                big = max(abs(t_x), abs(t_y), abs(t_z))
+                t_x, t_y, t_z = t_x / big, t_y / big, t_z / big
+                f_a = b_a * t_x + c_a * t_y + d_a * t_z
+                f_b = b_b * t_x + c_b * t_y + d_b * t_z
+                f_c = b_c * t_x + c_c * t_y + d_c * t_z
+                f_d = b_d * t_x + c_d * t_y + d_d * t_z
+                peak = max(abs(f_a), abs(f_b), abs(f_c), abs(f_d))
+            s = max_thrust / peak
+            tau_y, sat = (m_a * (f_a * s) + m_b * (f_b * s)
+                          + m_c * (f_c * s) + m_d * (f_d * s)), True
+        # rolling_power at the start-of-tick speed: closed-form edgewise
+        # inflow (aeropower._edgewise_inflow) through one rotor per pair
+        speed, f, nu = abs(omega * radius), abs(tau_y) / lever, 0.0
+        if f != 0.0 and not f > limit:
+            rhs = f / rho2a
+            q = speed * speed / (2.0 * rhs)
+            nu = sqrt(rhs / (q + sqrt(1.0 + q * q)))
+        # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
+        power = nan if f > limit else n_pairs * (f * (nu - speed * 0.0) / eta)
+        phi_new, omega = step(phi, omega, tau_y)
         position += (phi_new - phi) * radius
         phi = phi_new
         energy += power * dt

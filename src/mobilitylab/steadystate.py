@@ -110,8 +110,8 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     before the power chain runs, where the pair force exceeds the rotor
     thrust limit by more than a few ulps (the closed loop's uniform
     saturation lands on the limit only to within rounding).
-    ``rolling_power_fn`` is the same arithmetic on Python floats, for the
-    closed-loop tick.
+    ``dynamics.simulate_closed_loop`` writes the same arithmetic out on
+    Python floats in its tick; a test pins the two bit for bit.
     """
     lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
@@ -120,25 +120,6 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
         nu = np.where(f != 0.0,
                       aeropower._edgewise_inflow(f / rho2a, v, np.sqrt), 0.0)
         return n_pairs * (f * (nu - v * 0.0) / eta)
-
-
-def rolling_power_fn(config: ScenarioConfig):
-    """``rolling_power`` on Python floats for one config, on the docked
-    cylinder's 4 pairs: a function (torque, v) -> W with every config-only
-    term computed once, equal to ``rolling_power`` bit for bit."""
-    n_pairs = 4
-    lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
-    inflow, sqrt = aeropower._edgewise_inflow, math.sqrt
-
-    def power(torque: float, v: float) -> float:
-        f = abs(torque) / lever
-        if f > limit:
-            return math.nan
-        nu = inflow(f / rho2a, v, sqrt) if f != 0.0 else 0.0
-        # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
-        return n_pairs * (f * (nu - v * 0.0) / eta)
-
-    return power
 
 
 def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:

@@ -219,12 +219,11 @@ def test_criterion_11_integrator_order():
     torque = 0.02
     t_end = 1.0
 
-    accel = dynamics._rolling_rhs(CFG)
-
     def final_omega(dt):
+        step = dynamics._roll_step(CFG, dt)
         phi, omega = 0.2, 0.5
         for _ in range(int(round(t_end / dt))):
-            phi, omega = dynamics._rk4(accel, phi, omega, torque, dt)
+            phi, omega = step(phi, omega, torque)
         return omega
 
     e1 = abs(final_omega(0.008) - final_omega(0.004))

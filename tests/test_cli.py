@@ -349,6 +349,22 @@ def test_simulate_non_finite_omega_des_exits_2(capsys, value):
     assert stdout == ""
 
 
+def test_simulate_overflowing_omega_des_is_the_limit_torque(capsys):
+    # pair forces of a 1.79e308 command overflow to inf; the run still
+    # gives the saturated rows of any large command, not NaN
+    rows = {}
+    for value in ("1.79e308", "1e300"):
+        code, stdout, _ = run(["simulate", "--omega-des", value,
+                               "--duration", "0.03"], capsys)
+        assert code == 0
+        rows[value] = np.array([line.split(",")
+                                for line in stdout.splitlines()[1:]], float)
+    huge = rows["1.79e308"]
+    assert np.isfinite(huge).all()
+    assert (huge[1:, 6] == 1).all()
+    np.testing.assert_allclose(huge, rows["1e300"], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_non_finite_duration_exits_2(capsys, value):
     code, _, err = run(["simulate", "--duration", value], capsys)

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -53,8 +55,10 @@ def test_steady_state_is_a_fixed_point():
     areas = [aeropower.projected_area(CFG.vehicle, a, "rolling")
              for a in angles]
     phi = angles[int(np.argmin(np.abs(np.array(areas) - avg)))]
-    accel = dynamics._rolling_rhs(CFG)(phi, omega, sol.required_torque)
-    assert abs(accel) < 1e-4
+    dt = 1e-6
+    _, omega_new = dynamics._roll_step(CFG, dt)(phi, omega,
+                                                sol.required_torque)
+    assert abs(omega_new - omega) / dt < 1e-4
 
 
 def test_rolling_power_matches_steady_state_module():
@@ -112,12 +116,11 @@ def test_rk4_order_on_smooth_scenario():
     torque = 0.02
     t_end = 1.0
 
-    accel = dynamics._rolling_rhs(CFG)
-
     def final_omega(dt):
+        step = dynamics._roll_step(CFG, dt)
         phi, omega = 0.2, 0.5
         for _ in range(int(round(t_end / dt))):
-            phi, omega = dynamics._rk4(accel, phi, omega, torque, dt)
+            phi, omega = step(phi, omega, torque)
         assert 0 < phi < math.pi / 2
         return omega
 
@@ -144,7 +147,7 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         const = np.array([0.0, omega_des, 0.0])
         omega_des = lambda t: const  # noqa: E731
     radius = veh.shell_radius_l
-    accel = dynamics._rolling_rhs(config)
+    step = dynamics._roll_step(config, dt)
     phi = omega = position = energy = t = 0.0
     integ = np.zeros(3)
     rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
@@ -161,7 +164,7 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         torque_y = float(mixer.matrix_m[2] @ forces)
         power = steadystate.rolling_power(config, torque_y,
                                           abs(omega * radius))
-        phi_new, omega = dynamics._rk4(accel, phi, omega, torque_y, dt)
+        phi_new, omega = step(phi, omega, torque_y)
         position = position + (phi_new - phi) * radius
         phi = phi_new
         energy = energy + power * dt
@@ -221,24 +224,40 @@ _OMEGA_GATE = dynamics.OMEGA_STATIC
             -math.nextafter(_OMEGA_GATE, 1.0)])),
        torque=st.floats(-1e3, 1e3),
        config=st.sampled_from([CFG, replace(CFG, environment=earth_defaults()),
-                               SLOPED, DOWNHILL]))
-def test_rolling_rhs_is_the_drag_and_resistance_composition(phi, omega,
-                                                            torque, config):
-    # the roll ODE writes the drag out: it must equal drag_force on
-    # projected_area, and the slope and rolling-resistance torques, bitwise
+                               SLOPED, DOWNHILL]),
+       dt=st.sampled_from([1e-6, 0.005, 0.01]))
+def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
+        phi, omega, torque, config, dt):
+    # the roll step writes its stage accelerations out: it must equal an RK4
+    # step on drag_force over projected_area, and the slope and
+    # rolling-resistance torques, bitwise
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m, r = config.total_mass, veh.shell_radius_l
-    drag = aeropower.drag_force(
-        env, aeropower.projected_area(veh, phi, "rolling"), omega * r,
-        veh.drag_coefficient_cd)
-    resist = m * env.gravity * math.sin(ter.slope_theta) * r + drag * r
-    if abs(omega) > dynamics.OMEGA_STATIC:
-        normal = m * env.gravity * math.cos(ter.slope_theta)
-        resist += math.copysign(ter.rolling_resistance_crr * normal * r,
-                                omega)
-    want = (torque - resist) / (dynamics.rolling_inertia(config) + m * r ** 2)
-    got = dynamics._rolling_rhs(config)(phi, omega, torque)
-    assert type(got) is float
+
+    def accel(phi, omega):
+        drag = aeropower.drag_force(
+            env, aeropower.projected_area(veh, phi, "rolling"), omega * r,
+            veh.drag_coefficient_cd)
+        resist = m * env.gravity * math.sin(ter.slope_theta) * r + drag * r
+        if abs(omega) > dynamics.OMEGA_STATIC:
+            normal = m * env.gravity * math.cos(ter.slope_theta)
+            resist += math.copysign(ter.rolling_resistance_crr * normal * r,
+                                    omega)
+        return (torque - resist) / (dynamics.rolling_inertia(config)
+                                    + m * r ** 2)
+
+    h = 0.5 * dt
+    a1 = accel(phi, omega)
+    w2 = omega + h * a1
+    a2 = accel(phi + h * omega, w2)
+    w3 = omega + h * a2
+    a3 = accel(phi + h * w2, w3)
+    w4 = omega + dt * a3
+    a4 = accel(phi + dt * w3, w4)
+    want = (phi + dt / 6.0 * (omega + 2 * w2 + 2 * w3 + w4),
+            omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
+    got = dynamics._roll_step(config, dt)(phi, omega, torque)
+    assert type(got[0]) is float and type(got[1]) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -282,6 +301,33 @@ def test_closed_loop_records_python_floats(omega_des):
                                          dt=0.01)
     values = [*traj.power, *(x for st in traj.states for x in st)]
     assert {type(x) for x in values} == {float}
+
+
+def test_closed_loop_tick_makes_one_call_besides_the_setpoint():
+    # a tick runs in one frame: its Python calls are the setpoint and the
+    # roll step, plus a constant per run for the set-up
+    def calls(ticks):
+        events = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                events.append(frame.f_code.co_name)
+
+        gc.collect()  # no finalizer of other objects may run in the loop
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            dynamics.simulate_closed_loop(SLOPED, 0.8, duration=ticks * 0.01,
+                                          dt=0.01)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert events.count("step") == ticks
+        return len(events)
+
+    n = 1000
+    assert calls(n) <= 2 * n + 50
+    assert calls(2 * n) - calls(n) == 2 * n
 
 
 @pytest.mark.parametrize("bad", [
