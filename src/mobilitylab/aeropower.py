@@ -6,9 +6,10 @@ Angle-of-attack sign convention: ``alpha`` is the pitch of the rotor plane's
 leading edge relative to the freestream. A rotor tilted *into* the flight
 direction (propulsive tilt, the equilibrium case for this vehicle) carries
 ``alpha < 0``, which makes the ``-v_inf*sin(alpha)`` term of the power model
-positive. The induced-velocity solver is called by the equilibrium code with
-the axial inflow component taken as *adding* to the induced flow (climb-like
-branch of momentum theory), i.e. with ``alpha = |tilt|``.
+positive. The flying trim solves the inflow with the axial freestream
+component v sin(tilt) taken as *adding* to the induced flow (climb-like
+branch of momentum theory), i.e. ``induced_velocity`` at ``alpha = tilt``;
+it calls ``tilted_inflow`` on the components directly.
 """
 
 from __future__ import annotations
@@ -84,18 +85,26 @@ def _newton(residual, x, lo, hi, tol, max_iter):
     return x, active
 
 
-def _tilted_inflow(rhs, vx, vz):
-    """Root of nu |(vx, vz + nu)| = rhs in [0, sqrt(rhs) + max(0, -vz)]."""
+def tilted_inflow(rhs, speed, vx, vz):
+    """Root nu of nu |(vx, vz + nu)| = rhs > 0 in [0, sqrt(rhs) + max(0, -vz)]
+    by bracketed Newton, given the freestream speed = |(vx, vz)|;
+    broadcasts."""
     def residual(nu):
         w = vz + nu
         s = np.sqrt(vx * vx + w * w)
         return nu * s - rhs, s + nu * w / s
 
-    # for vz > 0 the residual is convex and the edgewise root lies above
-    # the tilted one, so Newton descends monotonically from it
+    # for vz > 0 the residual is convex and both the edgewise root at the
+    # full speed and the axial-climb root lie above the tilted one, so Newton
+    # descends monotonically from the lower of them; at vz <= 0 the climb
+    # term is the hover root, above the edgewise one
+    climb = np.maximum(vz, 0.0)
     nu, moving = _newton(
-        residual, _edgewise_inflow(rhs, np.hypot(vx, vz), np.sqrt), 0.0,
-        np.sqrt(rhs) + np.maximum(0.0, -vz), INDUCED_TOL, INDUCED_MAX_ITER)
+        residual, np.minimum(_edgewise_inflow(rhs, speed, np.sqrt),
+                             2.0 * rhs / (np.sqrt(climb * climb + 4.0 * rhs)
+                                          + climb)),
+        0.0, np.sqrt(rhs) + np.maximum(0.0, -vz), INDUCED_TOL,
+        INDUCED_MAX_ITER)
     if moving.any():
         raise SolverError(f"induced velocity Newton solve did not converge "
                           f"to {INDUCED_TOL} in {INDUCED_MAX_ITER} iterations")
@@ -110,17 +119,17 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
 
         nu * sqrt((v_inf cos a)^2 + (v_inf sin a + nu)^2) = f / (2 rho A)
 
-    broadcasting thrust, v_inf and alpha; Python numbers give a float. With
-    no axial component (edgewise, or hover) the root is closed-form, else a
-    bracket-safeguarded Newton solve converges to INDUCED_TOL.
+    broadcasting thrust, v_inf, alpha, the air density and disk_area; Python
+    numbers give a float. With no axial component (edgewise, or hover) the
+    root is closed-form, else ``tilted_inflow`` converges to INDUCED_TOL.
     """
-    if disk_area <= 0:
+    if np.any(disk_area <= 0):
         raise ValueError(f"disk_area must be > 0, got {disk_area!r}")
     rho2a = 2.0 * env.air_density * disk_area
-    shape = np.broadcast_shapes(np.shape(thrust), np.shape(v_inf),
-                                np.shape(alpha))
-    thrust, v_inf, alpha = (np.broadcast_to(x, shape).astype(float).ravel()
-                            for x in (thrust, v_inf, alpha))
+    shape = np.broadcast_shapes(*map(np.shape, (thrust, v_inf, alpha, rho2a)))
+    thrust, v_inf, alpha, rho2a = (
+        np.broadcast_to(x, shape).astype(float).ravel()
+        for x in (thrust, v_inf, alpha, rho2a))
     if np.any(thrust < 0):
         raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
     rhs = thrust / rho2a
@@ -129,7 +138,8 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
         nu = _edgewise_inflow(rhs, vx, np.sqrt)
         tilted = (np.abs(vz) > 0.0) & (thrust > 0.0)  # NaN vz stays edgewise
         if tilted.any():
-            nu[tilted] = _tilted_inflow(rhs[tilted], vx[tilted], vz[tilted])
+            nu[tilted] = tilted_inflow(rhs[tilted], np.abs(v_inf[tilted]),
+                                       vx[tilted], vz[tilted])
     nu = np.where(thrust > 0.0, nu, 0.0).reshape(shape)
     return float(nu) if nu.ndim == 0 else nu
 
@@ -145,13 +155,19 @@ def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
     """
     eta = _chain_efficiency(eta_p, eta_m, eta_c)
     with np.errstate(invalid="ignore"):  # inf * sin(0) is NaN
-        aero = thrust * (nu - v_inf * np.sin(alpha))
-    return np.maximum(aero, 0.0) / eta
+        return _axial_power(thrust, nu, -(v_inf * np.sin(alpha)), eta)
 
 
-def _chain_efficiency(eta_p: float, eta_m: float, eta_c: float) -> float:
+def _axial_power(thrust, nu, v_axial, eta):
+    """f (nu + v_axial) / eta clamped at zero, v_axial the freestream
+    component along the induced flow."""
+    return np.maximum(thrust * (nu + v_axial), 0.0) / eta
+
+
+def _chain_efficiency(eta_p, eta_m, eta_c):
+    """eta_p eta_m eta_c, each checked elementwise to lie in (0, 1]."""
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
-        if not (0.0 < eta <= 1.0):
+        if not np.all((0.0 < eta) & (eta <= 1.0)):
             raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
     return eta_p * eta_m * eta_c
 

@@ -64,9 +64,19 @@ class ScalingCurve:
     ratio_upper: np.ndarray   # rolling/flying range, best-case geometry
 
 
+def _read_only_grid(lo: float, hi: float, num: int) -> np.ndarray:
+    grid = np.linspace(lo, hi, num)
+    grid.flags.writeable = False
+    return grid
+
+
+_ROLLING_SPEEDS = _read_only_grid(*ROLLING_V_GRID)
+_FLYING_SPEEDS = _read_only_grid(*FLYING_V_GRID)
+
+
 def default_velocity_grid(mode: str) -> np.ndarray:
-    lo, hi, num = ROLLING_V_GRID if mode == "rolling" else FLYING_V_GRID
-    return np.linspace(lo, hi, num)
+    """The mode's default speed grid, one shared read-only array."""
+    return _ROLLING_SPEEDS if mode == "rolling" else _FLYING_SPEEDS
 
 
 def _powers(config: ScenarioConfig, mode: str, v, shell=None):

@@ -27,7 +27,10 @@ the speeds of interest in a dense atmosphere. The tilt is a root of
 r(a) = a - atan2(drag(a) + W sin(theta), W cos(theta)), and r(-pi/2) < 0 <
 r(pi/2). The fixed-point step from a = 0 picks by its sign the half
 [0, pi/2] or [-pi/2, 0] that holds a root; ``aeropower._newton``, the
-bracketed Newton solver of the tilted inflow too, solves in it.
+bracketed Newton solver of the tilted inflow too, solves in it, from the
+Newton step at a = 0 on that half's one-sided slope. The rotors' inflow is
+then solved on the freestream components the balance gives, with no
+trigonometry.
 """
 
 from __future__ import annotations
@@ -155,16 +158,19 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
 
 def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     """Tilt, per-agent drag and thrust, and total power (NaN where
-    infeasible) at speeds v, broadcast over array-valued slopes; the tilt is
-    ``aeropower._newton``'s root, elementwise."""
+    infeasible) at speeds v, broadcast over array-valued slopes and
+    environment and vehicle fields; the tilt is ``aeropower._newton``'s
+    root, elementwise."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
     normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
-    # drag_force(projected_area(a, "flying"), v) and its a-slope, written out
-    # in the same operation order on one cos and sin of a
+    # drag_force(projected_area(a, "flying"), v) written out in the same
+    # operation order on one cos and sin of a; its a-slope is
+    # kl sign(sin a) cos a - kh sin a, as cos a >= 0 on the bracket
     k = 0.5 * veh.drag_coefficient_cd * env.air_density
     h, two_l = veh.body_height_h_flying, 2.0 * veh.shell_radius_l
     w, speed, normal_sq = veh.shell_width_w, abs(v), normal_weight ** 2
+    kh, kl = (k * (c * w) * v * speed for c in (h, two_l))
 
     def drag_at(cos, sin):
         return k * ((h * abs(cos) + two_l * abs(sin)) * w) * v * speed
@@ -173,15 +179,23 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
         cos, sin = np.cos(alpha), np.sin(alpha)
         along = drag_at(cos, sin) + along_weight
         # 0 at the kink a = 0, the mean of the one-sided slopes
-        slope = k * ((two_l * np.sign(sin) * cos - h * np.sign(cos) * sin)
-                     * w) * v * speed
+        slope = kl * np.sign(sin) * cos - kh * sin
         return (alpha - np.arctan2(along, normal_weight),
                 1.0 - normal_weight * slope / (along * along + normal_sq))
 
-    alpha = np.arctan2(drag_at(1.0, 0.0) + along_weight, normal_weight)
-    lo = np.where(alpha > 0.0, 0.0, -0.5 * math.pi)
-    alpha, moving = aeropower._newton(residual, alpha, lo, lo + 0.5 * math.pi,
-                                      TRIM_TOL, TRIM_MAX_ITER)
+    # the fixed-point step from a = 0 picks the half; Newton starts from the
+    # step at a = 0 on that half's one-sided slope, +-kl, or its midpoint
+    along = drag_at(1.0, 0.0) + along_weight
+    alpha = np.arctan2(along, normal_weight)
+    up = alpha > 0.0
+    lo = np.where(up, 0.0, -0.5 * math.pi)
+    hi = lo + 0.5 * math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = alpha / (1.0 - normal_weight * np.where(up, kl, -kl)
+                         / (along * along + normal_sq))
+    alpha = np.where((alpha >= lo) & (alpha <= hi), alpha, 0.5 * (lo + hi))
+    alpha, moving = aeropower._newton(residual, alpha, lo, hi, TRIM_TOL,
+                                      TRIM_MAX_ITER)
     if moving.any():
         stuck = np.broadcast_to(v, alpha.shape)[moving]
         raise aeropower.SolverError(
@@ -190,11 +204,20 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
 
     # re-evaluate at the converged tilt so the trim residuals are exact
     drag = drag_at(np.cos(alpha), np.sin(alpha))
-    thrust = np.hypot(drag + along_weight, normal_weight)
-    alpha = np.arctan2(drag + along_weight, normal_weight)
+    along = drag + along_weight
+    thrust = np.hypot(along, normal_weight)
+    alpha = np.arctan2(along, normal_weight)
 
+    # the freestream components on the rotor axes are v cos and v sin of
+    # that tilt, the thrust's normal and along-slope shares
     f = thrust / 4.0
-    per_agent = aeropower.rotors_power(env, veh, f, v, alpha)
+    vz = v * (along / thrust)
+    nu = aeropower.tilted_inflow(
+        f / (2.0 * env.air_density * veh.rotor_disk_area), speed,
+        v * (normal_weight / thrust), vz)
+    eta = aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
+                                      veh.eta_controller)
+    per_agent = 4 * aeropower._axial_power(f, nu, vz, eta)
     power = np.where(f > veh.max_rotor_thrust, np.nan,
                      config.num_agents * per_agent)
     return alpha, drag, thrust, power

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -166,6 +167,29 @@ def test_rotor_power_efficiency_validation():
     for bad in (0.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, bad, 0.85, 0.95)
+
+
+def test_efficiency_validation_is_elementwise():
+    # an array efficiency is checked element by element, NaN included
+    ok = np.array([0.5, 1.0])
+    assert aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, ok, 0.85, 0.95).shape \
+        == (2,)
+    for bad in (0.0, 1.1, math.nan):
+        with pytest.raises(ValueError, match="eta_m must be in"):
+            aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, 0.6,
+                                  np.array([0.5, bad]), 0.95)
+
+
+def test_induced_velocity_broadcasts_over_disk_area():
+    area = np.array([[0.01], [VEH.rotor_disk_area]])
+    nu = aeropower.induced_velocity(0.3, TITAN, area, v_inf=[0.0, 2.0],
+                                    alpha=0.4)
+    assert nu.shape == (2, 2)
+    for i, j in itertools.product(range(2), range(2)):
+        assert nu[i, j] == aeropower.induced_velocity(
+            0.3, TITAN, float(area[i, 0]), v_inf=[0.0, 2.0][j], alpha=0.4)
+    with pytest.raises(ValueError, match="disk_area must be > 0"):
+        aeropower.induced_velocity(0.3, TITAN, np.array([0.01, 0.0]))
 
 
 # thrust, v_inf, alpha, nu: negative aero power (clamped) and NaN included

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilitylab import params, rangeopt, steadystate
+from mobilitylab import aeropower, params, rangeopt, steadystate
 from mobilitylab.params import ScenarioConfig, TerrainParams
 
 CFG = ScenarioConfig()
@@ -15,6 +15,16 @@ CFG = ScenarioConfig()
 def test_grid_validation():
     with pytest.raises(ValueError, match="mode must be"):
         rangeopt.range_sweep(CFG, "hopping")
+
+
+def test_default_velocity_grids_are_shared_and_read_only():
+    for mode, spec in (("rolling", rangeopt.ROLLING_V_GRID),
+                       ("flying", rangeopt.FLYING_V_GRID)):
+        grid = rangeopt.default_velocity_grid(mode)
+        assert grid is rangeopt.default_velocity_grid(mode)
+        assert np.array_equal(grid, np.linspace(*spec))
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
 
 
 def test_optimum_attains_grid_maximum():
@@ -238,14 +248,13 @@ def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
             assert curve.optimum_range_km == r1
 
 
-@pytest.mark.parametrize("env, agents, theta_deg", [
-    ("titan", 2, (-0.5, 2.0)), ("titan", 2, (-0.4, 5.0)),
-    ("earth", 2, (-0.4, 5.0)), ("earth", 8, (-0.5, 6.5))])
-def test_flying_trim_converges_in_few_iterations(monkeypatch, env, agents,
-                                                 theta_deg):
-    # the benchmark's boxes take at most 7 Newton iterations; a cap of 8
-    # makes a return to linear convergence (about 32) fail here
-    monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 8)
+#: the benchmark's flying boxes: environment, agents, slope range in degrees
+_FLYING_BOXES = [("titan", 2, (-0.5, 2.0)), ("titan", 2, (-0.4, 5.0)),
+                 ("earth", 2, (-0.4, 5.0)), ("earth", 8, (-0.5, 6.5))]
+
+
+def _solve_flying_box(env, agents, theta_deg):
+    """A 7 x 7 trade-off grid and refined flying sweeps at both slopes."""
     config = replace(CFG, num_agents=agents)
     if env == "earth":
         config = replace(config, environment=params.earth_defaults())
@@ -254,6 +263,47 @@ def test_flying_trim_converges_in_few_iterations(monkeypatch, env, agents,
     for theta in np.radians(theta_deg):
         rangeopt.range_sweep(_on_terrain(config, 0.01, theta), "flying",
                              refine=True)
+
+
+@pytest.mark.parametrize("env, agents, theta_deg", _FLYING_BOXES)
+def test_flying_trim_converges_in_few_iterations(monkeypatch, env, agents,
+                                                 theta_deg):
+    # the benchmark's boxes take at most 6 Newton iterations; a cap of 7
+    # makes a return to linear convergence (about 32) fail here
+    monkeypatch.setattr(steadystate, "TRIM_MAX_ITER", 7)
+    _solve_flying_box(env, agents, theta_deg)
+
+
+@pytest.mark.parametrize("env, agents, theta_deg", _FLYING_BOXES)
+def test_flying_inflow_converges_in_few_iterations_on_the_boxes(
+        monkeypatch, env, agents, theta_deg):
+    # the trim's tilted inflow takes at most 4 Newton iterations there; a
+    # cap of 5 makes a slide to bisection (about 35) fail here
+    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 5)
+    _solve_flying_box(env, agents, theta_deg)
+
+
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+@pytest.mark.parametrize("section, name, column", [
+    ("environment", "air_density", (1.0, 5.4, 60.0)),
+    ("vehicle", "rotor_disk_radius", (0.05, 0.0762, 0.1)),
+    ("vehicle", "eta_propeller", (0.5, 0.6, 1.0)),
+    ("vehicle", "eta_motor", (0.5, 0.85, 1.0)),
+    ("vehicle", "eta_controller", (0.5, 0.95, 1.0))])
+def test_best_range_broadcasts_over_a_field_column_bitwise(mode, section,
+                                                           name, column):
+    # an (N, 1) environment or vehicle field gives, row by row, the scalar
+    # calls; the densest air leaves the fast flying speeds infeasible
+    def with_field(value):
+        return replace(CFG, **{section: replace(getattr(CFG, section),
+                                                **{name: value})})
+
+    for refine in (False, True):
+        v_opt, r_opt = rangeopt.best_range(
+            with_field(np.array(column)[:, None]), mode, refine=refine)
+        each = [rangeopt.best_range(with_field(x), mode, refine=refine)
+                for x in column]
+        assert _same_bits(np.stack([v_opt, r_opt], axis=-1), each)
 
 
 def test_best_range_marks_infeasible_without_raising():

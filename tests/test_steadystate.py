@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mobilitylab import aeropower, rangeopt, steadystate
 from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
@@ -170,6 +170,40 @@ def test_steep_downhill_trim_takes_lowest_power_root():
         1.34, abs=5e-3)
 
 
+def _bisected_tilt(config, v):
+    """The trim tilt by bisection alone, on drag_force(projected_area), in
+    the half-bracket that the fixed-point step from a = 0 picks."""
+    env, veh, ter = config.environment, config.vehicle, config.terrain
+    weight = veh.cobot_mass * env.gravity
+    along, normal = (weight * math.sin(ter.slope_theta),
+                     weight * math.cos(ter.slope_theta))
+
+    def residual(alpha):
+        drag = aeropower.drag_force(
+            env, aeropower.projected_area(veh, alpha, "flying"), v,
+            veh.drag_coefficient_cd)
+        return alpha - math.atan2(drag + along, normal)
+
+    lo = 0.0 if residual(0.0) < 0.0 else -math.pi / 2
+    hi = lo + math.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if residual(mid) < 0.0 else (lo, mid)
+    return mid
+
+
+@settings(deadline=None)
+@given(theta=st.floats(-0.5, 0.6), v=st.floats(0.0, 8.0),
+       env=st.sampled_from(["titan", "earth"]))
+# three roots, -0.0481 below 0 and two above (the steep-downhill test)
+@example(theta=-0.5, v=1.45, env="titan")
+def test_trim_tilt_is_the_bisection_root_of_its_half(theta, v, env):
+    config = _on_slopes(CFG, theta)
+    if env == "earth":
+        config = replace(config, environment=earth_defaults())
+    tilt = steadystate._flying_trim(config, np.float64(v))[0]
+    assert abs(tilt - _bisected_tilt(config, v)) <= 1e-12
+
+
 def _fixed_point_flying_power(config, v, steps=400):
     """Flying power from the plain tilt fixed point run for many steps."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
@@ -322,9 +356,9 @@ def test_unconverged_inflow_raises_solver_error(monkeypatch):
 @pytest.mark.parametrize("agents", [1, 2, 8])
 def test_flying_inflow_converges_in_few_iterations(monkeypatch, env,
                                                    agents):
-    # the default flying grid takes at most 5 inflow Newton iterations over
-    # these slopes; a cap of 6 makes a slide to bisection (about 35) fail
-    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 6)
+    # the default flying grid takes at most 4 inflow Newton iterations over
+    # these slopes; a cap of 5 makes a slide to bisection (about 35) fail
+    monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 5)
     config = replace(CFG, num_agents=agents)
     if env == "earth":
         config = replace(config, environment=earth_defaults())
