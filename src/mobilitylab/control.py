@@ -13,9 +13,14 @@ Rotor-index convention: pair A = rotors (1, 5), B = (2, 6), C = (3, 7),
 D = (4, 8); the first index of each pair spins for a positive pair force.
 Any column permutation consistent with M would be equally valid.
 
-The closed loop (``dynamics.simulate_closed_loop``) writes the PI law and
-``allocate`` out on Python floats in its tick, and scales the pair forces
-uniformly into the thrust limit; a test pins it to ``allocate`` bit for bit.
+M has orthogonal rows, so M^-1 (0, tau) is M's column sign pattern on
+X = tau_x/(4c), Y = tau_y/(4c), Z = tau_z/(4 k_tau), c = a/sqrt(2):
+(f_A, f_B, f_C, f_D) = (-X-Y-Z, X-Y+Z, X+Y-Z, -X+Y+Z). These are the sign
+triples with product -1, their negatives the other four, so the peak pair
+force is max |f_i| = |X| + |Y| + |Z|. The closed loop
+(``dynamics.simulate_closed_loop``) allocates in that closed form: forces
+scaled uniformly into the thrust limit keep the torque's direction, so the
+roll torque delivered is s tau_y with s = min(1, f_max / (|X| + |Y| + |Z|)).
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ class MixerGeometry:
     matrix_m: np.ndarray
     inverse_rows: tuple[tuple[float, ...], ...]  # rows of M^-1
 
+    @property
+    def gains(self) -> tuple[float, float, float]:
+        """(X, Y, Z) per unit (tau_x, tau_y, tau_z): M^-1's diagonal."""
+        rows = self.inverse_rows
+        return rows[1][1], rows[2][2], rows[3][3]
+
 
 def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
     """Build the pair-force allocation matrix for arm length a and k_tau."""
@@ -48,16 +59,15 @@ def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
             (-k_tau, k_tau, -k_tau, k_tau))
     # M has orthogonal rows: M^-1 = M^T diag(4, 4c^2, 4c^2, 4 k_tau^2)^-1
     d = (4.0, 4.0 * c ** 2, 4.0 * c ** 2, 4.0 * k_tau ** 2)
-    inverse = tuple(tuple(m / dj for m, dj in zip(col, d))
-                    for col in zip(*rows))
-    return MixerGeometry(matrix_m=np.array(rows), inverse_rows=inverse)
+    matrix = np.array(rows)
+    inverse = tuple(map(tuple, (matrix.T / d).tolist()))
+    return MixerGeometry(matrix_m=matrix, inverse_rows=inverse)
 
 
 def allocate(torque: Sequence[float], mixer: MixerGeometry
              ) -> tuple[float, ...]:
-    """Pair forces (f_A..f_D) with M @ f = (0, torque)."""
-    tx, ty, tz = torque
-    (_, b_a, c_a, d_a), (_, b_b, c_b, d_b), (_, b_c, c_c, d_c), \
-        (_, b_d, c_d, d_d) = mixer.inverse_rows
-    return (b_a * tx + c_a * ty + d_a * tz, b_b * tx + c_b * ty + d_b * tz,
-            b_c * tx + c_c * ty + d_c * tz, b_d * tx + c_d * ty + d_d * tz)
+    """Pair forces (f_A..f_D) with M @ f = (0, torque): the sign pattern
+    of M's columns on X, Y, Z, bit for bit M^-1's rows times (0, torque)."""
+    (t_x, t_y, t_z), (g_x, g_y, g_z) = torque, mixer.gains
+    x, y, z = g_x * t_x, g_y * t_y, g_z * t_z
+    return -x - y - z, x - y + z, x + y - z, -x + y + z

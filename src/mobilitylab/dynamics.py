@@ -16,10 +16,11 @@ motion from rest.
 
 The closed loop's tick is the sequential hot path, one Python frame on
 Python floats (numpy costs more per call on 3-vectors than the arithmetic
-it does). It writes the PI law, ``control.allocate`` with the uniform
-saturation, and ``steadystate.rolling_power`` out in their operation order
-(tests pin them bit for bit); its one call besides the setpoint is the RK4
-step built once per run by ``_roll_step``. A ``SimState`` (a NamedTuple) is
+it does). It writes the PI law out, allocates in ``control``'s closed form
+(roll torque s t_y, s = min(1, f_max / (|X| + |Y| + |Z|))) and writes
+``steadystate.rolling_power`` out in its operation order; its one call is
+the RK4 step built once per run by ``_roll_step``, plus the setpoint's
+where that is a callable. A ``SimState`` (a NamedTuple) is
 built, by ``tuple.__new__``, only for recorded ticks. The loop is the one
 place that steps the roll and charges energy, at the start-of-tick power.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,51 +74,44 @@ def rolling_inertia(config: ScenarioConfig) -> float:
 def _roll_step(config: ScenarioConfig, dt: float
                ) -> Callable[[float, float, float], tuple[float, float]]:
     """One RK4 step (phi, omega, torque_y) -> (phi, omega) of the roll, the
-    torque held over the step, config-only terms computed once. Each stage
-    acceleration writes the slope torque, ``drag_force`` on the rolling
-    ``projected_area`` times l, and the gated rolling resistance out."""
+    torque held over the step. Each stage acceleration is
+
+        tau/J - slope/J - (c_h |cos phi| + c_l |sin phi|) omega |omega|
+              - sign(omega) C_rr N l / J   (0 for |omega| <= OMEGA_STATIC)
+
+    on coefficients built once per run: ``drag_force`` on the rolling
+    ``projected_area`` times l, with v = omega l, gives c_h = k w l^3 h / J
+    and c_l = k w l^3 2l / J (k = cd rho / 2)."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = config.total_mass
-    radius = veh.shell_radius_l
-    h, two_l, w = veh.body_height_h_rolling, 2.0 * radius, veh.shell_width_w
-    k = 0.5 * veh.drag_coefficient_cd * env.air_density
-    cos, sin, copysign = math.cos, math.sin, math.copysign
-    omega_static = OMEGA_STATIC
-    slope_torque = m * env.gravity * math.sin(ter.slope_theta) * radius
-    normal = m * env.gravity * math.cos(ter.slope_theta)
-    crr_torque = ter.rolling_resistance_crr * normal * radius
+    m, radius = config.total_mass, veh.shell_radius_l
     inertia = rolling_inertia(config) + m * radius ** 2
+    drag = (0.5 * veh.drag_coefficient_cd * env.air_density
+            * veh.shell_width_w * radius ** 3 / inertia)
+    c_h, c_l = drag * veh.body_height_h_rolling, drag * (2.0 * radius)
+    slope = m * env.gravity * math.sin(ter.slope_theta) * radius / inertia
+    crr = (ter.rolling_resistance_crr * m * env.gravity
+           * math.cos(ter.slope_theta) * radius / inertia)
+    cos, sin, gate = math.cos, math.sin, OMEGA_STATIC
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step(phi: float, omega: float, torque_y: float
              ) -> tuple[float, float]:
-        v = omega * radius
-        area = (h * abs(cos(phi)) + two_l * abs(sin(phi))) * w
-        resist = slope_torque + k * area * v * abs(v) * radius
-        if abs(omega) > omega_static:
-            resist += copysign(crr_torque, omega)
-        a1 = (torque_y - resist) / inertia
+        drive = torque_y / inertia - slope
+        a1 = (drive - (c_h * abs(cos(phi)) + c_l * abs(sin(phi)))
+              * omega * abs(omega)
+              - (crr if omega > gate else -crr if omega < -gate else 0.0))
         phi2, omega2 = phi + half * omega, omega + half * a1
-        v = omega2 * radius
-        area = (h * abs(cos(phi2)) + two_l * abs(sin(phi2))) * w
-        resist = slope_torque + k * area * v * abs(v) * radius
-        if abs(omega2) > omega_static:
-            resist += copysign(crr_torque, omega2)
-        a2 = (torque_y - resist) / inertia
+        a2 = (drive - (c_h * abs(cos(phi2)) + c_l * abs(sin(phi2)))
+              * omega2 * abs(omega2)
+              - (crr if omega2 > gate else -crr if omega2 < -gate else 0.0))
         phi3, omega3 = phi + half * omega2, omega + half * a2
-        v = omega3 * radius
-        area = (h * abs(cos(phi3)) + two_l * abs(sin(phi3))) * w
-        resist = slope_torque + k * area * v * abs(v) * radius
-        if abs(omega3) > omega_static:
-            resist += copysign(crr_torque, omega3)
-        a3 = (torque_y - resist) / inertia
+        a3 = (drive - (c_h * abs(cos(phi3)) + c_l * abs(sin(phi3)))
+              * omega3 * abs(omega3)
+              - (crr if omega3 > gate else -crr if omega3 < -gate else 0.0))
         phi4, omega4 = phi + dt * omega3, omega + dt * a3
-        v = omega4 * radius
-        area = (h * abs(cos(phi4)) + two_l * abs(sin(phi4))) * w
-        resist = slope_torque + k * area * v * abs(v) * radius
-        if abs(omega4) > omega_static:
-            resist += copysign(crr_torque, omega4)
-        a4 = (torque_y - resist) / inertia
+        a4 = (drive - (c_h * abs(cos(phi4)) + c_l * abs(sin(phi4)))
+              * omega4 * abs(omega4)
+              - (crr if omega4 > gate else -crr if omega4 < -gate else 0.0))
         return (phi + sixth * (omega + 2 * omega2 + 2 * omega3 + omega4),
                 omega + sixth * (a1 + 2 * a2 + 2 * a3 + a4))
 
@@ -142,22 +137,19 @@ def simulate_closed_loop(config: ScenarioConfig,
     if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
         raise ValueError(f"record_every must be in [1, round(duration / dt)"
                          f" = {steps}], got {record_every!r}")
-    if callable(omega_des):
-        desired = omega_des
-    else:
-        if not math.isfinite(omega_des):
-            raise ValueError(f"omega_des must be finite, got {omega_des!r}")
+    const = None  # a constant setpoint is built once, not called per tick
+    if not callable(omega_des):
+        if (isinstance(omega_des, bool) or not isinstance(omega_des, Real)
+                or not math.isfinite(omega_des)):
+            raise ValueError(f"omega_des must be a finite number or a "
+                             f"callable, got {omega_des!r}")
         const = (0.0, float(omega_des), 0.0)
-        desired = lambda t: const  # noqa: E731
 
     veh = config.vehicle
     radius, max_thrust = veh.shell_radius_l, veh.max_rotor_thrust
-    # control.allocate on the rows of M^-1, and the roll row of M
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
-    m_a, m_b, m_c, m_d = mixer.matrix_m[2].tolist()
-    (_, b_a, c_a, d_a), (_, b_b, c_b, d_b), (_, b_c, c_c, d_c), \
-        (_, b_d, c_d, d_d) = mixer.inverse_rows
+    # peak pair force |X| + |Y| + |Z| on X = g_x t_x, Y = g_y t_y, Z = g_z t_z
+    g_x, g_y, g_z = control.mixer_matrix(veh.rotor_arm_length_a,
+                                         veh.torque_constant_k_tau).gains
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
     # steadystate.rolling_power on the docked cylinder's 4 pairs
@@ -170,14 +162,15 @@ def simulate_closed_loop(config: ScenarioConfig,
     states, powers, saturated = [SimState()], [0.0], [False]
     for i in range(1, steps + 1):
         # PI on the body-rate error; measured rates other than omega are 0
-        setpoint = desired(t)
+        setpoint = const or omega_des(t)
         if type(setpoint) is ndarray:  # unpacking yields numpy scalars
             setpoint = setpoint.tolist()
         try:
             d_x, d_y, d_z = setpoint
-        except ValueError:
-            raise ValueError("omega_des must have 3 entries") from None
-        e_x, e_y, e_z = float(d_x), float(d_y) - omega, float(d_z)
+            e_x, e_y, e_z = float(d_x), float(d_y) - omega, float(d_z)
+        except (TypeError, ValueError):
+            raise ValueError(f"omega_des must give 3 numbers, got "
+                             f"{setpoint!r}") from None
         i_x, i_y, i_z = i_x + e_x * dt, i_y + e_y * dt, i_z + e_z * dt
         # min(max(i, lo), hi) written out: the builtin calls cost more
         i_x = lo if i_x < lo else hi if i_x > hi else i_x
@@ -185,26 +178,17 @@ def simulate_closed_loop(config: ScenarioConfig,
         i_z = lo if i_z < lo else hi if i_z > hi else i_z
         t_x, t_y, t_z = (kp * e_x + ki * i_x, kp * e_y + ki * i_y,
                          kp * e_z + ki * i_z)
-        # allocate; uniform scaling into the thrust limit keeps the direction
-        f_a = b_a * t_x + c_a * t_y + d_a * t_z
-        f_b = b_b * t_x + c_b * t_y + d_b * t_z
-        f_c = b_c * t_x + c_c * t_y + d_c * t_z
-        f_d = b_d * t_x + c_d * t_y + d_d * t_z
-        peak = max(abs(f_a), abs(f_b), abs(f_c), abs(f_d))
+        # allocate; scaling the forces uniformly into the thrust limit keeps
+        # the torque's direction, so the roll torque delivered is s t_y
+        peak = abs(g_x * t_x) + abs(g_y * t_y) + abs(g_z * t_z)
         if peak <= max_thrust:
-            tau_y, sat = m_a * f_a + m_b * f_b + m_c * f_c + m_d * f_d, False
+            tau_y, sat = t_y, False
         else:
             if peak == inf:  # overflowed: allocate the torque's direction
                 big = max(abs(t_x), abs(t_y), abs(t_z))
                 t_x, t_y, t_z = t_x / big, t_y / big, t_z / big
-                f_a = b_a * t_x + c_a * t_y + d_a * t_z
-                f_b = b_b * t_x + c_b * t_y + d_b * t_z
-                f_c = b_c * t_x + c_c * t_y + d_c * t_z
-                f_d = b_d * t_x + c_d * t_y + d_d * t_z
-                peak = max(abs(f_a), abs(f_b), abs(f_c), abs(f_d))
-            s = max_thrust / peak
-            tau_y, sat = (m_a * (f_a * s) + m_b * (f_b * s)
-                          + m_c * (f_c * s) + m_d * (f_d * s)), True
+                peak = abs(g_x * t_x) + abs(g_y * t_y) + abs(g_z * t_z)
+            tau_y, sat = t_y * (max_thrust / peak), True
         # rolling_power at the start-of-tick speed: closed-form edgewise
         # inflow (aeropower._edgewise_inflow) through one rotor per pair
         speed, f, nu = abs(omega * radius), abs(tau_y) / lever, 0.0

@@ -215,6 +215,9 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
 
 
 _OMEGA_GATE = dynamics.OMEGA_STATIC
+#: bound of the roll step against its composition, in ulps of each output's
+#: scale (2 at most over 4e5 random draws from the strategies below)
+ROLL_STEP_ULPS = 8
 
 
 @given(phi=st.floats(-1e6, 1e6),
@@ -228,23 +231,30 @@ _OMEGA_GATE = dynamics.OMEGA_STATIC
        dt=st.sampled_from([1e-6, 0.005, 0.01]))
 def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
         phi, omega, torque, config, dt):
-    # the roll step writes its stage accelerations out: it must equal an RK4
-    # step on drag_force over projected_area, and the slope and
-    # rolling-resistance torques, bitwise
+    # the roll step folds its constants into per-run coefficients: it must
+    # equal an RK4 step on drag_force over projected_area, and the slope and
+    # rolling-resistance torques, to within ROLL_STEP_ULPS ulps of each
+    # output's scale. Where the torque and the resistances nearly cancel the
+    # rounding of those terms dominates, so omega's scale takes
+    # dt (|torque| + the largest stage's resisting torques) / J, and phi's
+    # takes dt times omega's, as the stage rates feed phi.
     env, veh, ter = config.environment, config.vehicle, config.terrain
     m, r = config.total_mass, veh.shell_radius_l
+    inertia = dynamics.rolling_inertia(config) + m * r ** 2
+    resisting = []
 
     def accel(phi, omega):
         drag = aeropower.drag_force(
             env, aeropower.projected_area(veh, phi, "rolling"), omega * r,
             veh.drag_coefficient_cd)
-        resist = m * env.gravity * math.sin(ter.slope_theta) * r + drag * r
+        slope = m * env.gravity * math.sin(ter.slope_theta) * r
+        resist, size = slope + drag * r, abs(slope) + abs(drag * r)
         if abs(omega) > dynamics.OMEGA_STATIC:
             normal = m * env.gravity * math.cos(ter.slope_theta)
-            resist += math.copysign(ter.rolling_resistance_crr * normal * r,
-                                    omega)
-        return (torque - resist) / (dynamics.rolling_inertia(config)
-                                    + m * r ** 2)
+            crr = ter.rolling_resistance_crr * normal * r
+            resist, size = resist + math.copysign(crr, omega), size + crr
+        resisting.append(size)
+        return (torque - resist) / inertia
 
     h = 0.5 * dt
     a1 = accel(phi, omega)
@@ -254,11 +264,16 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     a3 = accel(phi + h * w2, w3)
     w4 = omega + dt * a3
     a4 = accel(phi + dt * w3, w4)
-    want = (phi + dt / 6.0 * (omega + 2 * w2 + 2 * w3 + w4),
-            omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
-    got = dynamics._roll_step(config, dt)(phi, omega, torque)
-    assert type(got[0]) is float and type(got[1]) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    want_phi = phi + dt / 6.0 * (omega + 2 * w2 + 2 * w3 + w4)
+    want_omega = omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
+    got_phi, got_omega = dynamics._roll_step(config, dt)(phi, omega, torque)
+    assert type(got_phi) is float and type(got_omega) is float
+    omega_scale = (max(abs(omega), abs(want_omega))
+                   + dt * (abs(torque) + max(resisting)) / inertia)
+    phi_scale = max(abs(phi), abs(want_phi)) + dt * omega_scale
+    assert (abs(got_omega - want_omega)
+            <= ROLL_STEP_ULPS * math.ulp(omega_scale))
+    assert abs(got_phi - want_phi) <= ROLL_STEP_ULPS * math.ulp(phi_scale)
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -304,9 +319,10 @@ def test_closed_loop_records_python_floats(omega_des):
 
 
 def test_closed_loop_tick_makes_one_call_besides_the_setpoint():
-    # a tick runs in one frame: its Python calls are the setpoint and the
-    # roll step, plus a constant per run for the set-up
-    def calls(ticks):
+    # a tick runs in one frame: its one Python call is the roll step, plus
+    # the setpoint's where it is a callable (a constant makes none), plus a
+    # constant per run for the set-up
+    def calls(omega_des, ticks):
         events = []
 
         def profile(frame, event, arg):
@@ -317,17 +333,41 @@ def test_closed_loop_tick_makes_one_call_besides_the_setpoint():
         gc.disable()
         sys.setprofile(profile)
         try:
-            dynamics.simulate_closed_loop(SLOPED, 0.8, duration=ticks * 0.01,
-                                          dt=0.01)
+            dynamics.simulate_closed_loop(SLOPED, omega_des,
+                                          duration=ticks * 0.01, dt=0.01)
         finally:
             sys.setprofile(None)
             gc.enable()
         assert events.count("step") == ticks
         return len(events)
 
+    def setpoint(t):
+        return (0.0, 0.8, 0.0)
+
     n = 1000
-    assert calls(n) <= 2 * n + 50
-    assert calls(2 * n) - calls(n) == 2 * n
+    for omega_des, per_tick in ((0.8, 1), (setpoint, 2)):
+        assert calls(omega_des, n) <= per_tick * n + 50
+        assert calls(omega_des, 2 * n) - calls(omega_des, n) == per_tick * n
+
+
+@pytest.mark.parametrize("bad", [
+    (0.0, 1.0, 0.0), np.array([0.0, 1.0, 0.0]), np.array(1.0),
+    "1.0", None, True, False, np.bool_(True), 1 + 0j,
+], ids=["tuple", "ndarray", "0-d-array", "str", "None", "True", "False",
+        "numpy-bool", "complex"])
+def test_closed_loop_rejects_a_constant_setpoint_that_is_not_a_number(bad):
+    # params rejects booleans for every field; so does the setpoint
+    with pytest.raises(ValueError, match="omega_des"):
+        dynamics.simulate_closed_loop(CFG, bad, duration=0.1, dt=0.01)
+
+
+@pytest.mark.parametrize("number", [np.float64(0.6), np.float32(0.5), 1,
+                                    np.int64(1)])
+def test_closed_loop_takes_any_real_constant_setpoint(number):
+    want = dynamics.simulate_closed_loop(CFG, float(number), duration=0.5,
+                                         dt=0.01)
+    got = dynamics.simulate_closed_loop(CFG, number, duration=0.5, dt=0.01)
+    assert got == want
 
 
 @pytest.mark.parametrize("bad", [
