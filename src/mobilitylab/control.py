@@ -1,9 +1,10 @@
-"""PI body-rate control and torque allocation.
+"""PI roll-rate gains and torque allocation.
 
-The PI gains are the module constants KP, KI (the same on every axis) and
-INTEGRATOR_LIMIT. The 8-rotor two-agent vehicle is actuated through four
-propeller pairs (A..D); each pair force is the difference of two opposed
-rotors, of which only one spins at a time. The allocation map is
+KP, KI and INTEGRATOR_LIMIT are the gains the planar closed loop
+(``dynamics.simulate_closed_loop``) applies to the roll rate. The 8-rotor
+two-agent vehicle is actuated through four propeller pairs (A..D); each
+pair force is the difference of two opposed rotors, of which only one spins
+at a time. The allocation map is
 
     [f_cmd, tau_x, tau_y, tau_z]^T = M [f_A, f_B, f_C, f_D]^T
 
@@ -17,10 +18,8 @@ M has orthogonal rows, so M^-1 (0, tau) is M's column sign pattern on
 X = tau_x/(4c), Y = tau_y/(4c), Z = tau_z/(4 k_tau), c = a/sqrt(2):
 (f_A, f_B, f_C, f_D) = (-X-Y-Z, X-Y+Z, X+Y-Z, -X+Y+Z). These are the sign
 triples with product -1, their negatives the other four, so the peak pair
-force is max |f_i| = |X| + |Y| + |Z|. The closed loop
-(``dynamics.simulate_closed_loop``) allocates in that closed form: forces
-scaled uniformly into the thrust limit keep the torque's direction, so the
-roll torque delivered is s tau_y with s = min(1, f_max / (|X| + |Y| + |Z|)).
+force is max |f_i| = |X| + |Y| + |Z|. ``steadystate.rolling_equilibrium``
+reports per-rotor thrusts from ``allocate``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-#: PI gains on every axis, tuned so the closed rolling loop tracks a 1 rad/s
+#: roll-rate PI gains, tuned so the closed rolling loop tracks a 1 rad/s
 #: step to < 2%: KP in N m s/rad, KI in N m/rad, the integrator clamp in rad
 KP, KI, INTEGRATOR_LIMIT = 0.4, 0.2, 0.5
 

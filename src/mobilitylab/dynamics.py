@@ -15,14 +15,13 @@ gated off below |omega| = 1e-6 rad/s so static resistance cannot drive
 motion from rest.
 
 The closed loop's tick is the sequential hot path, one Python frame on
-Python floats (numpy costs more per call on 3-vectors than the arithmetic
-it does). It writes the PI law out, allocates in ``control``'s closed form
-(roll torque s t_y, s = min(1, f_max / (|X| + |Y| + |Z|))) and writes
-``steadystate.rolling_power`` out in its operation order; its one call is
-the RK4 step built once per run by ``_roll_step``, plus the setpoint's
-where that is a callable. A ``SimState`` (a NamedTuple) is
-built, by ``tuple.__new__``, only for recorded ticks. The loop is the one
-place that steps the roll and charges energy, at the start-of-tick power.
+Python floats. It is planar: a PI on the roll-rate error gives the torque
+tau, whose pair force |tau| / lever on the 4 pairs saturates beyond the
+thrust limit to tau = copysign(lever f_max, tau), and it writes
+``steadystate.rolling_power``'s edgewise power at that force out; its one
+call is the RK4 step ``_roll_step`` builds once per run, plus a callable
+setpoint's. Only recorded ticks build a ``SimState``, at t = i dt. The loop
+is the one place that steps the roll and charges energy.
 """
 
 from __future__ import annotations
@@ -122,11 +121,12 @@ def simulate_closed_loop(config: ScenarioConfig,
                          omega_des: Callable[[float], Sequence[float]] | float,
                          duration: float, dt: float,
                          record_every: int = 1) -> Trajectory:
-    """PI rate control -> allocation -> rotor power -> rolling step, per tick.
+    """PI roll-rate control -> pair force -> power -> rolling step, per tick.
 
     ``omega_des`` is either a finite constant desired roll rate (rad/s) or a
-    callable t -> desired body-rate 3-vector. A run must record a state
-    after t = 0: 1 <= record_every <= round(duration / dt).
+    callable t -> body-rate 3-vector with x and z exactly 0 (the model rolls
+    about y only). A run must record a state after t = 0:
+    1 <= record_every <= round(duration / dt).
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got "
@@ -137,72 +137,65 @@ def simulate_closed_loop(config: ScenarioConfig,
     if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
         raise ValueError(f"record_every must be in [1, round(duration / dt)"
                          f" = {steps}], got {record_every!r}")
-    const = None  # a constant setpoint is built once, not called per tick
-    if not callable(omega_des):
-        if (isinstance(omega_des, bool) or not isinstance(omega_des, Real)
-                or not math.isfinite(omega_des)):
-            raise ValueError(f"omega_des must be a finite number or a "
-                             f"callable, got {omega_des!r}")
-        const = (0.0, float(omega_des), 0.0)
+    const = not callable(omega_des)  # a constant is not called per tick
+    if const and (isinstance(omega_des, bool)
+                  or not isinstance(omega_des, Real)
+                  or not math.isfinite(omega_des)):
+        raise ValueError(f"omega_des must be a finite number or a "
+                         f"callable, got {omega_des!r}")
 
     veh = config.vehicle
-    radius, max_thrust = veh.shell_radius_l, veh.max_rotor_thrust
-    # peak pair force |X| + |Y| + |Z| on X = g_x t_x, Y = g_y t_y, Z = g_z t_z
-    g_x, g_y, g_z = control.mixer_matrix(veh.rotor_arm_length_a,
-                                         veh.torque_constant_k_tau).gains
+    radius, f_max = veh.shell_radius_l, veh.max_rotor_thrust
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
     # steadystate.rolling_power on the docked cylinder's 4 pairs
     n_pairs = 4
-    lever, limit, rho2a, eta = steadystate._pair_terms(config, n_pairs)
-    sqrt, nan, inf, ndarray = math.sqrt, math.nan, math.inf, np.ndarray
+    lever, rho2a, eta = steadystate._pair_terms(config, n_pairs)
+    sqrt, copysign, ndarray = math.sqrt, math.copysign, np.ndarray
     step, new_tuple = _roll_step(config, dt), tuple.__new__
 
-    phi = omega = position = energy = t = i_x = i_y = i_z = 0.0
+    phi = omega = position = energy = t = integ = 0.0
+    w = float(omega_des) if const else 0.0
     states, powers, saturated = [SimState()], [0.0], [False]
     for i in range(1, steps + 1):
-        # PI on the body-rate error; measured rates other than omega are 0
-        setpoint = const or omega_des(t)
-        if type(setpoint) is ndarray:  # unpacking yields numpy scalars
-            setpoint = setpoint.tolist()
-        try:
-            d_x, d_y, d_z = setpoint
-            e_x, e_y, e_z = float(d_x), float(d_y) - omega, float(d_z)
-        except (TypeError, ValueError):
-            raise ValueError(f"omega_des must give 3 numbers, got "
-                             f"{setpoint!r}") from None
-        i_x, i_y, i_z = i_x + e_x * dt, i_y + e_y * dt, i_z + e_z * dt
-        # min(max(i, lo), hi) written out: the builtin calls cost more
-        i_x = lo if i_x < lo else hi if i_x > hi else i_x
-        i_y = lo if i_y < lo else hi if i_y > hi else i_y
-        i_z = lo if i_z < lo else hi if i_z > hi else i_z
-        t_x, t_y, t_z = (kp * e_x + ki * i_x, kp * e_y + ki * i_y,
-                         kp * e_z + ki * i_z)
-        # allocate; scaling the forces uniformly into the thrust limit keeps
-        # the torque's direction, so the roll torque delivered is s t_y
-        peak = abs(g_x * t_x) + abs(g_y * t_y) + abs(g_z * t_z)
-        if peak <= max_thrust:
-            tau_y, sat = t_y, False
-        else:
-            if peak == inf:  # overflowed: allocate the torque's direction
-                big = max(abs(t_x), abs(t_y), abs(t_z))
-                t_x, t_y, t_z = t_x / big, t_y / big, t_z / big
-                peak = abs(g_x * t_x) + abs(g_y * t_y) + abs(g_z * t_z)
-            tau_y, sat = t_y * (max_thrust / peak), True
+        if not const:
+            setpoint = omega_des(t)
+            if type(setpoint) is ndarray:  # unpacking yields numpy scalars
+                setpoint = setpoint.tolist()
+            try:  # the model has no x or z rate to track
+                d_x, d_y, d_z = setpoint
+                w, planar = float(d_y), float(d_x) == 0.0 == float(d_z)
+            except (TypeError, ValueError):
+                planar = False
+            if not planar:
+                raise ValueError(f"omega_des must give 3 numbers, x and z "
+                                 f"exactly 0, got {setpoint!r}")
+        # PI on the roll-rate error, the integrator clamped; min(max(...))
+        # written out, as the builtin calls cost more
+        error = w - omega
+        integ += error * dt
+        integ = lo if integ < lo else hi if integ > hi else integ
+        tau = kp * error + ki * integ
+        # a pure roll torque loads the 4 pairs equally; beyond the thrust
+        # limit it saturates with its sign (an infinite f too; NaN stays)
+        f = abs(tau) / lever
+        sat = f > f_max
+        if sat:
+            tau, f = copysign(lever * f_max, tau), f_max
         # rolling_power at the start-of-tick speed: closed-form edgewise
         # inflow (aeropower._edgewise_inflow) through one rotor per pair
-        speed, f, nu = abs(omega * radius), abs(tau_y) / lever, 0.0
-        if f != 0.0 and not f > limit:
+        speed, nu = abs(omega * radius), 0.0
+        if f != 0.0:
             rhs = f / rho2a
             q = speed * speed / (2.0 * rhs)
             nu = sqrt(rhs / (q + sqrt(1.0 + q * q)))
         # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
-        power = nan if f > limit else n_pairs * (f * (nu - speed * 0.0) / eta)
-        phi_new, omega = step(phi, omega, tau_y)
+        power = n_pairs * (f * (nu - speed * 0.0) / eta)
+        phi_new, omega = step(phi, omega, tau)
         position += (phi_new - phi) * radius
         phi = phi_new
         energy += power * dt
-        t += dt
+        t = i * dt
         if i % record_every == 0:
             states.append(new_tuple(SimState, (position, omega * radius, phi,
                                                omega, energy, t)))

@@ -1,7 +1,6 @@
 """Physical, vehicle and terrain parameters, presets, and config parsing.
 
-All quantities are SI. Parameter containers are frozen dataclasses and safe
-to share between concurrent workers.
+All quantities are SI. Parameter containers are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -154,6 +153,15 @@ def validate(config: ScenarioConfig) -> list[str]:
                       f"(got {ter.slope_theta!r})")
     if config.num_agents < 1:
         report.append(f"num_agents must be >= 1 (got {config.num_agents!r})")
+    if report:
+        return report
+    # products the models divide by underflow on tiny in-domain fields
+    # (x * x: x ** 2 raises OverflowError on huge ones)
+    disk, shell = veh.rotor_disk_radius, veh.shell_radius_l
+    _positive(report, "air_density * rotor_disk_area (pi rotor_disk_radius"
+              "^2)", env.air_density * (math.pi * (disk * disk)))
+    _positive(report, "roll inertia num_agents * cobot_mass * shell_radius_l^2",
+              n * veh.cobot_mass * (shell * shell))
     return report
 
 

@@ -96,10 +96,9 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
 
 
 def _pair_terms(config: ScenarioConfig, n_pairs: int):
-    """Lever n a/sqrt(2), pair-force limit, 2 rho A and chain efficiency."""
+    """Lever n a/sqrt(2), 2 rho A and chain efficiency."""
     env, veh = config.environment, config.vehicle
     return (n_pairs * veh.rotor_arm_length_a / math.sqrt(2.0),
-            veh.max_rotor_thrust * (1.0 + 16.0 * math.ulp(1.0)),
             2.0 * env.air_density * veh.rotor_disk_area,
             aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
                                         veh.eta_controller))
@@ -111,14 +110,12 @@ def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
     The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
     per pair spins. Broadcasts over torque, v and n_pairs; NaN, masked
     before the power chain runs, where the pair force exceeds the rotor
-    thrust limit by more than a few ulps (the closed loop's uniform
-    saturation lands on the limit only to within rounding).
-    ``dynamics.simulate_closed_loop`` writes the same arithmetic out on
-    Python floats in its tick; a test pins the two bit for bit.
+    thrust limit. ``dynamics.simulate_closed_loop``'s tick writes the same
+    arithmetic out on Python floats; a test pins the two bit for bit.
     """
-    lever, limit, rho2a, eta = _pair_terms(config, n_pairs)
+    lever, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
-    f = np.where(f > limit, np.nan, f)
+    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nu = np.where(f != 0.0,
                       aeropower._edgewise_inflow(f / rho2a, v, np.sqrt), 0.0)

@@ -367,6 +367,17 @@ def test_simulate_overflowing_omega_des_is_the_limit_torque(capsys):
     np.testing.assert_allclose(huge, rows["1e300"], rtol=1e-12, atol=0)
 
 
+def test_simulate_is_finite_whatever_the_yaw_torque_constant(capsys):
+    # the planar loop reads no mixer, so k_tau, which only sets the yaw
+    # gain, cannot turn its rows into NaN
+    code, stdout, _ = run(["simulate", "--duration", "0.05", "--set",
+                           "torque_constant_k_tau=1e-200"], capsys)
+    assert code == 0
+    rows = np.array([line.split(",") for line in stdout.splitlines()[1:]],
+                    float)
+    assert rows.shape == (6, 7) and np.isfinite(rows).all()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_non_finite_duration_exits_2(capsys, value):
     code, _, err = run(["simulate", "--duration", value], capsys)
@@ -483,7 +494,10 @@ _OUT_OF_DOMAIN = {"ambient_temperature": ["-273.15", "-500"],
                   "eta_controller": ["1.5"],
                   "rolling_resistance_crr": ["-0.01"],
                   "slope_theta": [_HALF_PI, "-" + _HALF_PI],
-                  "num_agents": ["0"]}
+                  "num_agents": ["0"],
+                  # in domain, but pi r^2 and the roll inertia underflow
+                  "rotor_disk_radius": ["0", "-1", "1e-200"],
+                  "shell_radius_l": ["0", "-1", "1e-200"]}
 
 
 @pytest.mark.parametrize("name, value", [

@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,45 +132,41 @@ def test_rk4_order_on_smooth_scenario():
 
 
 def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
-    """The closed loop as it was written with numpy 3-vectors: np.clip PI,
-    mixer inverse @ wrench, np.max saturation, array rolling_power, then
-    one RK4 step of the roll. Returns the trajectory's CSV rows."""
+    """The planar closed loop written with numpy: an np.clip PI on the roll
+    rate, np.copysign saturation of the pure roll torque at the pair-force
+    limit, array rolling_power (without the limit: a saturated torque's
+    |torque| / lever misses f_max by an ulp) and one RK4 step of the roll,
+    at t = i dt. Returns the trajectory's CSV rows."""
     kp, ki = control.KP, control.KI
     limit = control.INTEGRATOR_LIMIT
     veh = config.vehicle
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
-    c = veh.rotor_arm_length_a / math.sqrt(2.0)
-    k_tau = veh.torque_constant_k_tau
-    inverse = mixer.matrix_m.T / np.array([4.0, 4.0 * c ** 2, 4.0 * c ** 2,
-                                           4.0 * k_tau ** 2])
+    lever = 4 * veh.rotor_arm_length_a / math.sqrt(2.0)
+    unlimited = replace(config, vehicle=replace(veh,
+                                                max_rotor_thrust=math.inf))
     if not callable(omega_des):
         const = np.array([0.0, omega_des, 0.0])
         omega_des = lambda t: const  # noqa: E731
     radius = veh.shell_radius_l
     step = dynamics._roll_step(config, dt)
-    phi = omega = position = energy = t = 0.0
-    integ = np.zeros(3)
+    phi = omega = position = energy = t = integ = 0.0
     rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
-    for i in range(int(round(duration / dt))):
-        e = (np.asarray(omega_des(t), float)
-             - np.array([0.0, omega, 0.0]))
-        integ = np.clip(integ + e * dt, -limit, limit)
-        torque = kp * e + ki * integ
-        forces = inverse @ np.concatenate(([0.0], torque))
-        peak = float(np.max(np.abs(forces)))
-        sat = not peak <= veh.max_rotor_thrust
+    for i in range(1, int(round(duration / dt)) + 1):
+        w_x, w_y, w_z = np.asarray(omega_des(t), float)
+        assert w_x == w_z == 0.0
+        e = w_y - omega
+        integ = float(np.clip(integ + e * dt, -limit, limit))
+        torque = float(kp * e + ki * integ)
+        sat = bool(abs(torque) / lever > veh.max_rotor_thrust)
         if sat:
-            forces = forces * (veh.max_rotor_thrust / peak)
-        torque_y = float(mixer.matrix_m[2] @ forces)
-        power = steadystate.rolling_power(config, torque_y,
-                                          abs(omega * radius))
-        phi_new, omega = step(phi, omega, torque_y)
+            torque = float(np.copysign(lever * veh.max_rotor_thrust, torque))
+        power = float(steadystate.rolling_power(unlimited, torque,
+                                                abs(omega * radius)))
+        phi_new, omega = step(phi, omega, torque)
         position = position + (phi_new - phi) * radius
         phi = phi_new
         energy = energy + power * dt
-        t = t + dt
-        if (i + 1) % record_every == 0:
+        t = i * dt
+        if i % record_every == 0:
             rows.append([t, position, omega * radius, omega, power, energy,
                          int(sat)])
     return rows
@@ -182,8 +179,9 @@ WEAK_ROTORS = replace(CFG, vehicle=replace(CFG.vehicle,
 
 
 def _step_to_16(t):
-    # the x integrator clamps at -limit, the y one at +limit after the step
-    return np.array([-3.0, 16.0 if t >= 2.0 else 0.5, -0.3])
+    # the integrator clamps at +limit after the step, and the torque
+    # saturates
+    return np.array([0.0, 16.0 if t >= 2.0 else 0.5, 0.0])
 
 
 def _nan_after_3s(t):
@@ -193,10 +191,8 @@ def _nan_after_3s(t):
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("config,omega_des", [
     (CFG, 0.6),
-    (SLOPED, lambda t: np.array([0.3 * math.sin(t),
-                                 0.5 + 0.2 * math.sin(0.7 * t),
-                                 -0.1 * math.cos(t)])),
-    (SLOPED, lambda t: (0.4, 1.0 + 0.5 * math.sin(2.0 * t), 0.05)),
+    (SLOPED, lambda t: np.array([0.0, 0.5 + 0.2 * math.sin(0.7 * t), 0.0])),
+    (SLOPED, lambda t: (0.0, 1.0 + 0.5 * math.sin(2.0 * t), 0.0)),
     (SLOPED, _step_to_16),
     (WEAK_ROTORS, 1.0),
     (CFG, _nan_after_3s),
@@ -212,6 +208,10 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
     np.testing.assert_array_equal(got[:, 6], want[:, 6])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    if omega_des is _nan_after_3s:
+        # a NaN tick has a NaN torque, which is not beyond the limit
+        nan_rows = got[np.isnan(got[:, 4])]
+        assert len(nan_rows) and not nan_rows[:, 6].any()
 
 
 _OMEGA_GATE = dynamics.OMEGA_STATIC
@@ -307,8 +307,8 @@ def test_energy_accumulates_power():
 
 @pytest.mark.parametrize("omega_des", [
     0.7,
-    lambda t: (0.1, 0.7 + 0.2 * math.sin(t), 0.0),
-    lambda t: np.array([0.1, 0.7 + 0.2 * math.sin(t), 0.0]),
+    lambda t: (0.0, 0.7 + 0.2 * math.sin(t), 0.0),
+    lambda t: np.array([0.0, 0.7 + 0.2 * math.sin(t), 0.0]),
 ], ids=["constant", "tuple", "ndarray"])
 def test_closed_loop_records_python_floats(omega_des):
     # the tick stays on Python floats whatever the setpoint's type
@@ -397,3 +397,46 @@ def test_closed_loop_records_exactly_record_every_ticks():
                                          record_every=100)
     assert len(traj.states) == 2
     assert traj.states[-1].time == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("off_axis", [
+    (0.1, 0.5, 0.0), (0.0, 0.5, -0.2), (math.nan, 0.5, 0.0),
+    (0.0, 0.5, math.nan), (1e-300, 0.5, 0.0)],
+    ids=["x", "z", "x-nan", "z-nan", "x-tiny"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuple", "ndarray"])
+def test_closed_loop_rejects_an_off_axis_rate(off_axis, as_array):
+    # the model rolls about y only: an x or z rate, NaN included, has no
+    # degree of freedom to act on, so it is an error, not a wound integrator
+    setpoint = np.array(off_axis) if as_array else off_axis
+    with pytest.raises(ValueError, match="omega_des"):
+        dynamics.simulate_closed_loop(CFG, lambda t: setpoint, duration=0.1,
+                                      dt=0.01)
+
+
+def test_closed_loop_time_is_tick_times_dt():
+    # t = i dt, not a running sum of dt, which drifts to 9.999999999999831
+    traj = dynamics.simulate_closed_loop(CFG, 0.5, duration=10.0, dt=0.01)
+    assert traj.states[-1].time == 10.0
+    assert [state.time for state in traj.states] == [
+        i * 0.01 for i in range(1001)]
+
+
+def test_step_setpoint_fires_on_its_tick():
+    # a step at t >= 10 s from rest: tick 1001 starts at t = 1000 * 0.01 =
+    # 10.0, so it is the first tick with a torque
+    roll_step, torques = dynamics._roll_step, []
+
+    def recording_roll_step(config, dt):
+        step = roll_step(config, dt)
+
+        def recorded(phi, omega, torque_y):
+            torques.append(torque_y)
+            return step(phi, omega, torque_y)
+        return recorded
+
+    with mock.patch.object(dynamics, "_roll_step", recording_roll_step):
+        dynamics.simulate_closed_loop(
+            CFG, lambda t: (0.0, 1.0 if t >= 10.0 else 0.0, 0.0),
+            duration=10.05, dt=0.01)
+    assert not any(torques[:1000])
+    assert torques[1000] > 0.0

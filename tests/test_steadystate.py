@@ -124,6 +124,20 @@ def test_rolling_power_masks_beyond_limit_before_power_chain():
     assert math.isnan(steadystate.rolling_power(CFG, 1e300, 0.1))
 
 
+def test_rolling_power_thrust_limit_is_strict():
+    # one limit, no slack: finite at a pair force of exactly
+    # max_rotor_thrust, NaN one ulp above it, the same strict > that
+    # _flying_trim applies
+    f_max = CFG.vehicle.max_rotor_thrust
+    lever = steadystate._pair_terms(CFG, 4)[0]
+    for f, finite in ((f_max, True), (math.nextafter(f_max, math.inf),
+                                      False)):
+        torque = f * lever
+        assert torque / lever == f  # the torque's pair force is f exactly
+        assert math.isfinite(steadystate.rolling_power(CFG, torque, 0.1)) \
+            is finite
+
+
 def test_rolling_power_increases_with_speed():
     powers = [steadystate.rolling_equilibrium(CFG, v).total_electrical_power
               for v in np.linspace(0.05, 1.5, 10)]
