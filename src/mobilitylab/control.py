@@ -18,8 +18,8 @@ M has orthogonal rows, so M^-1 (0, tau) is M's column sign pattern on
 X = tau_x/(4c), Y = tau_y/(4c), Z = tau_z/(4 k_tau), c = a/sqrt(2):
 (f_A, f_B, f_C, f_D) = (-X-Y-Z, X-Y+Z, X+Y-Z, -X+Y+Z). These are the sign
 triples with product -1, their negatives the other four, so the peak pair
-force is max |f_i| = |X| + |Y| + |Z|. ``steadystate.rolling_equilibrium``
-reports per-rotor thrusts from ``allocate``.
+force is max |f_i| = |X| + |Y| + |Z|. No model allocates through M: the
+planar ones load every pair with the one force |tau_y|/(4c).
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ class MixerGeometry:
     matrix_m: np.ndarray
     inverse_rows: tuple[tuple[float, ...], ...]  # rows of M^-1
 
-    @property
-    def gains(self) -> tuple[float, float, float]:
-        """(X, Y, Z) per unit (tau_x, tau_y, tau_z): M^-1's diagonal."""
-        rows = self.inverse_rows
-        return rows[1][1], rows[2][2], rows[3][3]
-
 
 def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
     """Build the pair-force allocation matrix for arm length a and k_tau."""
@@ -56,17 +50,19 @@ def mixer_matrix(arm_length_a: float, k_tau: float) -> MixerGeometry:
             (-c, c, c, -c),
             (-c, -c, c, c),
             (-k_tau, k_tau, -k_tau, k_tau))
-    # M has orthogonal rows: M^-1 = M^T diag(4, 4c^2, 4c^2, 4 k_tau^2)^-1
-    d = (4.0, 4.0 * c ** 2, 4.0 * c ** 2, 4.0 * k_tau ** 2)
+    # M has orthogonal rows, row i of one magnitude s_i = |M_i0|:
+    # M^-1 = sign(M)^T diag(4 s)^-1, with no square to underflow
     matrix = np.array(rows)
-    inverse = tuple(map(tuple, (matrix.T / d).tolist()))
-    return MixerGeometry(matrix_m=matrix, inverse_rows=inverse)
+    inverse = np.sign(matrix.T) / (4.0 * abs(matrix[:, 0]))
+    return MixerGeometry(matrix_m=matrix,
+                         inverse_rows=tuple(map(tuple, inverse.tolist())))
 
 
 def allocate(torque: Sequence[float], mixer: MixerGeometry
              ) -> tuple[float, ...]:
     """Pair forces (f_A..f_D) with M @ f = (0, torque): the sign pattern
-    of M's columns on X, Y, Z, bit for bit M^-1's rows times (0, torque)."""
-    (t_x, t_y, t_z), (g_x, g_y, g_z) = torque, mixer.gains
-    x, y, z = g_x * t_x, g_y * t_y, g_z * t_z
+    of M's columns on X, Y, Z, M^-1's diagonal times the torque, bit for
+    bit M^-1's rows times (0, torque)."""
+    (t_x, t_y, t_z), rows = torque, mixer.inverse_rows
+    x, y, z = rows[1][1] * t_x, rows[2][2] * t_y, rows[3][3] * t_z
     return -x - y - z, x - y + z, x + y - z, -x + y + z

@@ -16,8 +16,8 @@ motion from rest.
 
 The closed loop's tick is the sequential hot path, one Python frame on
 Python floats. It is planar: a PI on the roll-rate error gives the torque
-tau, whose pair force |tau| / lever on the 4 pairs saturates beyond the
-thrust limit to tau = copysign(lever f_max, tau), and it writes
+tau, whose pair force |tau| / lever on the cylinder's pairs saturates
+beyond the thrust limit to tau = copysign(lever f_max, tau), and it writes
 ``steadystate.rolling_power``'s edgewise power at that force out; its one
 call is the RK4 step ``_roll_step`` builds once per run, plus a callable
 setpoint's. Only recorded ticks build a ``SimState``, at t = i dt. The loop
@@ -148,8 +148,8 @@ def simulate_closed_loop(config: ScenarioConfig,
     radius, f_max = veh.shell_radius_l, veh.max_rotor_thrust
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
-    # steadystate.rolling_power on the docked cylinder's 4 pairs
-    n_pairs = 4
+    # steadystate.rolling_power on the docked cylinder's pairs
+    n_pairs = steadystate.CYLINDER_PAIRS
     lever, rho2a, eta = steadystate._pair_terms(config, n_pairs)
     sqrt, copysign, ndarray = math.sqrt, math.copysign, np.ndarray
     step, new_tuple = _roll_step(config, dt), tuple.__new__
@@ -176,7 +176,7 @@ def simulate_closed_loop(config: ScenarioConfig,
         integ += error * dt
         integ = lo if integ < lo else hi if integ > hi else integ
         tau = kp * error + ki * integ
-        # a pure roll torque loads the 4 pairs equally; beyond the thrust
+        # a pure roll torque loads the pairs equally; beyond the thrust
         # limit it saturates with its sign (an infinite f too; NaN stays)
         f = abs(tau) / lever
         sat = f > f_max

@@ -45,8 +45,6 @@ class VehicleParams:
     height of one agent. ``thrust_constant_k_t`` is the paper's map from
     squared rotor speed to thrust (f = k_t * n^2); it is validated, so
     config files may set it, but no analysis reads it.
-    ``torque_constant_k_tau`` maps rotor thrust to aerodynamic torque
-    (tau = k_tau * f).
     """
 
     cobot_mass: float = 0.8              # kg
@@ -58,7 +56,6 @@ class VehicleParams:
     rotor_disk_radius: float = 0.0762    # m (6-inch propeller)
     rotor_arm_length_a: float = 0.14     # m (rotor to CoM)
     thrust_constant_k_t: float = 2.0e-6  # N s^2 (8 N at 2000 rad/s)
-    torque_constant_k_tau: float = 0.016  # m
     eta_propeller: float = 0.6
     eta_motor: float = 0.85
     eta_controller: float = 0.95

@@ -3,7 +3,7 @@
 Range is defined as v * E / P: distance covered before the usable battery
 energy is exhausted at constant speed. One private sweep owns the optimum:
 the grid argmax, NaN where no speed is feasible, optionally refined by a
-re-sweep of its bracket. ``best_range`` exposes it, broadcast over terrain
+re-sweep of its bracket. ``best_range`` exposes it, broadcast over config
 arrays; each sweep evaluates its powers in one array call.
 """
 
@@ -84,11 +84,12 @@ def _powers(config: ScenarioConfig, mode: str, v, shell=None):
 
     A rolling ``shell`` is (radius, drag area, propeller pairs). Rolling
     sweeps and the trade-off map use the docked cylinder, whose torque loads
-    its 4 pairs for any ``num_agents``; ``scaling_bounds`` gives n agents
-    2 n pairs. Mass and energy scale with ``num_agents`` in both.
+    its pairs for any ``num_agents``; ``scaling_bounds`` gives n agents 2 n
+    pairs. Mass and energy scale with ``num_agents`` in both.
     """
     if mode == "rolling":
-        radius, area, pairs = shell or (config.vehicle.shell_radius_l, None, 4)
+        radius, area, pairs = shell or (config.vehicle.shell_radius_l, None,
+                                        steadystate.CYLINDER_PAIRS)
         torque = steadystate.rolling_resistive_force(config, v, area) * radius
         return steadystate.rolling_power(config, torque, v, pairs)
     if mode == "flying":
@@ -129,10 +130,17 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
 def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
                refine: bool = False):
     """Optimum (v*, R*) over the mode's default speed grid. Array-valued
-    terrain fields broadcast against a trailing speed axis (shape them
-    (..., 1)); infeasible elements give (NaN, NaN)."""
-    return _sweep(config, mode, default_velocity_grid(mode), hotel_w,
-                  refine)[2:]
+    config fields and ``hotel_w`` broadcast against a trailing speed axis
+    (shape them (..., 1)), the fields the mode ignores too; infeasible
+    elements give (NaN, NaN)."""
+    speeds = default_velocity_grid(mode)
+    shape = np.broadcast_shapes(speeds.shape, np.shape(hotel_w), *(
+        x.shape for part in (config.environment, config.vehicle,
+                             config.terrain)
+        for x in vars(part).values() if isinstance(x, np.ndarray)))[:-1]
+    return tuple(x if np.shape(x) == shape else
+                 np.broadcast_to(x, shape).copy()
+                 for x in _sweep(config, mode, speeds, hotel_w, refine)[2:])
 
 
 def range_sweep(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,

@@ -40,9 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aeropower, control
+from . import aeropower
 from .params import AnalysisError, ScenarioConfig
 
+#: propeller pairs the docked cylinder's roll torque loads, any num_agents
+CYLINDER_PAIRS = 4
 #: Newton iteration cap / step tolerance (rad) of the flying tilt
 TRIM_MAX_ITER = 100
 TRIM_TOL = 1e-9
@@ -56,7 +58,7 @@ class InfeasibleError(AnalysisError):
 class RollingSolution:
     speed_v: float
     required_torque: float          # N m about the roll axis
-    per_rotor_thrust: np.ndarray    # N, one entry per rotor (8 for 2 agents)
+    per_rotor_thrust: np.ndarray    # N, 2 per pair: 8 for any num_agents
     normal_force: float             # N
     drag: float                     # N
     rolling_resistance_force: float  # N (C_rr * N)
@@ -104,7 +106,8 @@ def _pair_terms(config: ScenarioConfig, n_pairs: int):
                                         veh.eta_controller))
 
 
-def rolling_power(config: ScenarioConfig, torque, v, n_pairs: int = 4):
+def rolling_power(config: ScenarioConfig, torque, v,
+                  n_pairs: int = CYLINDER_PAIRS):
     """Total electrical power of a pure roll torque held at speed v.
 
     The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
@@ -138,12 +141,11 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
             f"rolling at v={v} m/s needs torque {torque:.3f} N m, beyond "
             f"max rotor thrust {veh.max_rotor_thrust} N per pair")
 
-    # pair k maps to rotors (k, k+4); the first spins for a positive force
-    mixer = control.mixer_matrix(veh.rotor_arm_length_a,
-                                 veh.torque_constant_k_tau)
-    rotor_thrust = np.zeros(8)
-    for k, f_pair in enumerate(control.allocate((0.0, torque, 0.0), mixer)):
-        rotor_thrust[k if f_pair >= 0 else k + 4] = abs(f_pair)
+    # one rotor a pair spins at the force rolling_power charges; the mixer
+    # picks rotors 2..5 for a positive torque, 0, 1, 6, 7 for a negative one
+    rotor_thrust = np.zeros(2 * CYLINDER_PAIRS)
+    rotor_thrust[[2, 3, 4, 5] if torque > 0 else [0, 1, 6, 7]] = (
+        abs(torque) / _pair_terms(config, CYLINDER_PAIRS)[0])
 
     return RollingSolution(speed_v=v, required_torque=torque,
                            per_rotor_thrust=rotor_thrust,

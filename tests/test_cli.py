@@ -367,15 +367,24 @@ def test_simulate_overflowing_omega_des_is_the_limit_torque(capsys):
     np.testing.assert_allclose(huge, rows["1e300"], rtol=1e-12, atol=0)
 
 
-def test_simulate_is_finite_whatever_the_yaw_torque_constant(capsys):
-    # the planar loop reads no mixer, so k_tau, which only sets the yaw
-    # gain, cannot turn its rows into NaN
-    code, stdout, _ = run(["simulate", "--duration", "0.05", "--set",
-                           "torque_constant_k_tau=1e-200"], capsys)
-    assert code == 0
-    rows = np.array([line.split(",") for line in stdout.splitlines()[1:]],
-                    float)
-    assert rows.shape == (6, 7) and np.isfinite(rows).all()
+def test_set_yaw_torque_constant_is_an_unknown_key(capsys):
+    # no model takes a rotor yaw torque, so no field holds its constant
+    code, _, err = run(["simulate", "--duration", "0.05", "--set",
+                        "torque_constant_k_tau=0.016"], capsys)
+    assert code == 2
+    assert "torque_constant_k_tau" in err
+
+
+@pytest.mark.parametrize("text", ["torque_constant_k_tau = 0.016\n",
+                                  '{"torque_constant_k_tau": 0.016}'])
+def test_config_file_naming_yaw_torque_constant_exits_2(tmp_path, capsys,
+                                                        text):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    code, _, err = run(["range-sweep", "--mode", "rolling", "--config",
+                        str(cfg)], capsys)
+    assert code == 2
+    assert "torque_constant_k_tau" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -487,6 +496,9 @@ def _config_fields():
             yield f.name
 
 
+#: keys of removed fields: a document naming one fails by name, whatever
+#: its value, rather than loading without it
+_REMOVED_KEYS = ("torque_constant_k_tau",)
 _HALF_PI = repr(math.pi / 2)
 #: out-of-domain values of the fields whose domain is not "> 0"
 _OUT_OF_DOMAIN = {"ambient_temperature": ["-273.15", "-500"],
@@ -501,7 +513,7 @@ _OUT_OF_DOMAIN = {"ambient_temperature": ["-273.15", "-500"],
 
 
 @pytest.mark.parametrize("name, value", [
-    (name, value) for name in _config_fields()
+    (name, value) for name in [*_config_fields(), *_REMOVED_KEYS]
     for value in ["nan", "inf", "-inf",
                   *_OUT_OF_DOMAIN.get(name, ["0", "-1"])]])
 def test_bad_config_field_exits_2(capsys, name, value):
@@ -511,7 +523,7 @@ def test_bad_config_field_exits_2(capsys, name, value):
     assert err.startswith("error:") and name in err
 
 
-@pytest.mark.parametrize("name", list(_config_fields()))
+@pytest.mark.parametrize("name", [*_config_fields(), *_REMOVED_KEYS])
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_json_boolean_config_field_exits_2(tmp_path, capsys, name, value):
     # a JSON boolean is an int to Python (true is 1.0): never a number here

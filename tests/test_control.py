@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from dataclasses import replace
 from unittest import mock
@@ -49,6 +50,28 @@ def test_pure_pitch_torque_allocation(mixer):
     assert np.allclose(wrench, [0.0, 0.0, 0.1, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("a, k_tau", [(0.14, 1e-200), (1e-160, K_TAU),
+                                      (1e-160, 1e-200), (A, K_TAU)])
+def test_mixer_inverse_is_finite_and_exact_at_any_scale(a, k_tau):
+    # M^-1 holds 1/(4 s) for row scales s = (1, c, c, k_tau): no s^2 to
+    # underflow. Each entry of M @ M^-1 sums four products of one
+    # magnitude, so its error is a few ulps of that magnitude, not of 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixer = control.mixer_matrix(a, k_tau)
+        m, inverse = mixer.matrix_m, np.array(mixer.inverse_rows)
+        assert np.isfinite(inverse).all()
+        scale = np.abs(m) @ np.abs(inverse)
+        error = np.abs(m @ inverse - np.eye(4))
+    assert (error <= 8 * np.finfo(float).eps * scale).all()
+    # every entry of M^-1 is +-1/(4 s) of its column's row scale exactly
+    c = a / math.sqrt(2.0)
+    assert np.array_equal(np.abs(inverse),
+                          np.tile(1.0 / (4.0 * np.array([1.0, c, c, k_tau])),
+                                  (4, 1)))
+    assert np.array_equal(np.sign(inverse), np.sign(m.T))
+
+
 @given(tx=st.floats(-1, 1), ty=st.floats(-1, 1), tz=st.floats(-0.05, 0.05))
 def test_allocation_round_trip(tx, ty, tz):
     mixer = control.mixer_matrix(A, K_TAU)
@@ -59,8 +82,8 @@ def test_allocation_round_trip(tx, ty, tz):
 
 def _config(max_rotor_thrust):
     cfg = ScenarioConfig()
-    assert (cfg.vehicle.rotor_arm_length_a,
-            cfg.vehicle.torque_constant_k_tau) == (A, K_TAU)
+    assert cfg.vehicle.rotor_arm_length_a == A
+    assert not hasattr(cfg.vehicle, "torque_constant_k_tau")
     return replace(cfg, vehicle=replace(cfg.vehicle,
                                         max_rotor_thrust=max_rotor_thrust))
 
@@ -269,5 +292,6 @@ def test_allocate_is_the_sign_pattern_of_the_inverse_rows(torque):
         exact = [Fraction(x) for x in torque]
         forces = [sum(Fraction(g) * t for g, t in zip(row[1:], exact))
                   for row in mixer.inverse_rows]
-        x, y, z = (Fraction(g) * t for g, t in zip(mixer.gains, exact))
+        diagonal = (mixer.inverse_rows[k][k] for k in (1, 2, 3))
+        x, y, z = (Fraction(g) * t for g, t in zip(diagonal, exact))
         assert max(map(abs, forces)) == abs(x) + abs(y) + abs(z)

@@ -205,7 +205,7 @@ def test_tradeoff_grid_rejects_empty_resolution(resolution):
 def test_default_rolling_shell_is_the_docked_cylinder():
     v = rangeopt.default_velocity_grid("rolling")
     shell = (CFG.vehicle.shell_radius_l,
-             steadystate.average_rolling_area(CFG), 4)
+             steadystate.average_rolling_area(CFG), steadystate.CYLINDER_PAIRS)
     assert np.array_equal(rangeopt._powers(CFG, "rolling", v),
                           rangeopt._powers(CFG, "rolling", v, shell),
                           equal_nan=True)
@@ -289,11 +289,17 @@ def test_flying_inflow_converges_in_few_iterations_on_the_boxes(
     ("vehicle", "rotor_disk_radius", (0.05, 0.0762, 0.1)),
     ("vehicle", "eta_propeller", (0.5, 0.6, 1.0)),
     ("vehicle", "eta_motor", (0.5, 0.85, 1.0)),
-    ("vehicle", "eta_controller", (0.5, 0.95, 1.0))])
+    ("vehicle", "eta_controller", (0.5, 0.95, 1.0)),
+    # fields one mode or both ignore
+    ("terrain", "rolling_resistance_crr", (0.0, 0.01, 0.1)),
+    ("environment", "ambient_temperature", (-179.0, 15.0)),
+    ("vehicle", "thrust_constant_k_t", (1e-6, 2e-6, 4e-6)),
+    ("vehicle", "body_height_h_flying", (0.04, 0.08))])
 def test_best_range_broadcasts_over_a_field_column_bitwise(mode, section,
                                                            name, column):
-    # an (N, 1) environment or vehicle field gives, row by row, the scalar
-    # calls; the densest air leaves the fast flying speeds infeasible
+    # an (N, 1) terrain, environment or vehicle field gives, row by row, the
+    # scalar calls, also where the mode ignores it; the densest air leaves
+    # the fast flying speeds infeasible
     def with_field(value):
         return replace(CFG, **{section: replace(getattr(CFG, section),
                                                 **{name: value})})
@@ -304,6 +310,27 @@ def test_best_range_broadcasts_over_a_field_column_bitwise(mode, section,
         each = [rangeopt.best_range(with_field(x), mode, refine=refine)
                 for x in column]
         assert _same_bits(np.stack([v_opt, r_opt], axis=-1), each)
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_best_range_broadcasts_an_ignored_field_with_the_read_ones(refine):
+    # flying ignores C_rr: a (3, 1, 1) C_rr and a (2, 1) slope give (3, 2),
+    # each row the slopes' call, and a (3, 1) hotel load (3,)
+    slopes = np.array([[0.0], [0.02]])
+    crr = np.array([0.0, 0.01, 0.1])[:, None, None]
+    v_opt, r_opt = rangeopt.best_range(_on_terrain(CFG, crr, slopes),
+                                       "flying", refine=refine)
+    by_slope = rangeopt.best_range(_on_terrain(CFG, 0.01, slopes), "flying",
+                                   refine=refine)
+    assert v_opt.shape == r_opt.shape == (3, 2)
+    assert _same_bits(np.stack([v_opt, r_opt]),
+                      np.stack([np.broadcast_to(x, (3, 2))
+                                for x in by_slope]))
+    hotel = np.array([0.0, 0.5, 1.0])[:, None]
+    v_opt, r_opt = rangeopt.best_range(CFG, "flying", hotel, refine)
+    assert _same_bits(np.stack([v_opt, r_opt], axis=-1),
+                      [rangeopt.best_range(CFG, "flying", h, refine)
+                       for h in hotel[:, 0]])
 
 
 def test_best_range_marks_infeasible_without_raising():

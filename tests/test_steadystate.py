@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mobilitylab import aeropower, rangeopt, steadystate
+from mobilitylab import aeropower, control, rangeopt, steadystate
 from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
                                VehicleParams, earth_defaults)
 
@@ -55,6 +55,33 @@ def test_rolling_rotor_thrusts_consistent():
     sol = steadystate.rolling_equilibrium(downhill, 0.05)
     assert sol.required_torque < 0
     assert np.flatnonzero(sol.per_rotor_thrust).tolist() == [0, 1, 6, 7]
+
+
+@settings(deadline=None)
+@given(v=st.floats(0.0, 2.0), theta=st.floats(-0.3, 0.3),
+       crr=st.sampled_from((0.0, 0.01, 0.1)))
+@example(v=0.0, theta=0.0, crr=0.0)      # tau = 0
+@example(v=0.05, theta=-0.3, crr=0.0)    # braking: tau < 0
+@example(v=0.5, theta=0.1, crr=0.01)     # climbing: tau > 0
+def test_rolling_rotor_thrusts_are_the_charged_pair_force(v, theta, crr):
+    config = replace(CFG, terrain=TerrainParams(crr, theta))
+    sol = steadystate.rolling_equilibrium(config, v)
+    tau, thrusts = sol.required_torque, sol.per_rotor_thrust
+    pairs = steadystate.CYLINDER_PAIRS
+    assert thrusts.shape == (2 * pairs,)
+    # the pair force rolling_power charges, bit for bit, on one rotor a pair
+    lever = steadystate._pair_terms(config, pairs)[0]
+    spinning = thrusts[thrusts != 0]
+    assert spinning.size == (pairs if tau != 0 else 0)
+    assert (spinning == abs(tau) / lever).all()
+    # the paper's mixer as oracle: pair k spins rotor k for a positive
+    # pair force, rotor k + 4 for a negative one; any yaw constant will do
+    mixer = control.mixer_matrix(config.vehicle.rotor_arm_length_a, 0.016)
+    oracle = np.zeros(2 * pairs)
+    for k, f in enumerate(control.allocate((0.0, tau, 0.0), mixer)):
+        oracle[k if f >= 0 else k + pairs] = abs(f)
+    assert np.array_equal(thrusts != 0, oracle != 0)
+    assert (abs(thrusts - oracle) <= 4 * np.spacing(oracle)).all()
 
 
 def test_rolling_rejects_negative_speed():
