@@ -1,15 +1,11 @@
 """Aerodynamic drag, projected area, induced velocity and rotor power.
 
-All operations are pure functions.
-
-Angle-of-attack sign convention: ``alpha`` is the pitch of the rotor plane's
-leading edge relative to the freestream. A rotor tilted *into* the flight
-direction (propulsive tilt, the equilibrium case for this vehicle) carries
-``alpha < 0``, which makes the ``-v_inf*sin(alpha)`` term of the power model
-positive. The flying trim solves the inflow with the axial freestream
-component v sin(tilt) taken as *adding* to the induced flow (climb-like
-branch of momentum theory), i.e. ``induced_velocity`` at ``alpha = tilt``;
-it calls ``tilted_inflow`` on the components directly.
+All operations are pure functions. ``momentum_power`` is the one rotor
+kernel: every mode's inflow and power, rolling (edgewise), flying (tilted)
+and hover, comes from it, with the freestream given as its edgewise
+component and its axial component taken as *adding* to the induced flow
+(climb-like branch of momentum theory). A rotor tilted into the flight
+direction, the flying trim's case, has a positive axial component.
 """
 
 from __future__ import annotations
@@ -111,6 +107,35 @@ def tilted_inflow(rhs, speed, vx, vz):
     return nu
 
 
+def momentum_power(thrust, rho2a, speed, vx, vz, eta):
+    """Momentum-theory inflow and electrical power of one rotor: (nu, P).
+
+    Takes thrust f (N, >= 0), 2 rho A, the freestream speed = |(vx, vz)|
+    with vx its edgewise and vz its axial component (m/s, positive adding
+    to the induced flow) and the chain efficiency eta; broadcasts. nu is the
+    non-negative root of nu |(vx, vz + nu)| = f / (2 rho A), closed-form
+    where vz is 0 or NaN, else by ``tilted_inflow``, and 0 at f = 0. P =
+    f (nu + vz) / eta, clamped at zero (NaN stays NaN): windmilling recovery
+    is not modeled. The one place that forms either.
+    """
+    thrust = np.asarray(thrust, float)  # 0 / 0 is NaN, not an exception
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = thrust / rho2a
+        tilted = (np.abs(vz) > 0.0) & (thrust > 0.0)  # NaN vz stays closed
+        n_tilted = np.count_nonzero(tilted)
+        if n_tilted == tilted.size:  # every element tilted: no gather
+            nu = tilted_inflow(rhs, speed, vx, vz)
+        else:
+            nu = np.where(tilted | (thrust == 0.0), 0.0,
+                          _edgewise_inflow(rhs, vx, np.sqrt))
+            if n_tilted:
+                tilted = np.broadcast_to(tilted, nu.shape)
+                nu[tilted] = tilted_inflow(*(
+                    np.broadcast_to(x, nu.shape)[tilted]
+                    for x in (rhs, speed, vx, vz)))
+        return nu, np.maximum(thrust * (nu + vz), 0.0) / eta
+
+
 def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
                      v_inf=0.0, alpha=0.0):
     """Momentum-theory induced velocity through a rotor disk.
@@ -120,69 +145,38 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
         nu * sqrt((v_inf cos a)^2 + (v_inf sin a + nu)^2) = f / (2 rho A)
 
     broadcasting thrust, v_inf, alpha, the air density and disk_area; Python
-    numbers give a float. With no axial component (edgewise, or hover) the
-    root is closed-form, else ``tilted_inflow`` converges to INDUCED_TOL.
+    numbers give a float. ``momentum_power``'s nu at the components of v_inf.
     """
     if np.any(disk_area <= 0):
         raise ValueError(f"disk_area must be > 0, got {disk_area!r}")
-    rho2a = 2.0 * env.air_density * disk_area
-    shape = np.broadcast_shapes(*map(np.shape, (thrust, v_inf, alpha, rho2a)))
-    thrust, v_inf, alpha, rho2a = (
-        np.broadcast_to(x, shape).astype(float).ravel()
-        for x in (thrust, v_inf, alpha, rho2a))
+    thrust, v_inf, alpha = (np.asarray(x, float)
+                            for x in (thrust, v_inf, alpha))
     if np.any(thrust < 0):
         raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
-    rhs = thrust / rho2a
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vx, vz = v_inf * np.cos(alpha), v_inf * np.sin(alpha)
-        nu = _edgewise_inflow(rhs, vx, np.sqrt)
-        tilted = (np.abs(vz) > 0.0) & (thrust > 0.0)  # NaN vz stays edgewise
-        if tilted.any():
-            nu[tilted] = tilted_inflow(rhs[tilted], np.abs(v_inf[tilted]),
-                                       vx[tilted], vz[tilted])
-    nu = np.where(thrust > 0.0, nu, 0.0).reshape(shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * sin(0)
+        nu = momentum_power(thrust, 2.0 * env.air_density * disk_area,
+                            np.abs(v_inf), v_inf * np.cos(alpha),
+                            v_inf * np.sin(alpha), 1.0)[0]
     return float(nu) if nu.ndim == 0 else nu
-
-
-def rotor_power(thrust, v_inf, alpha, nu, eta_p: float, eta_m: float,
-                eta_c: float):
-    """Electrical power P = f (nu - v_inf sin a) / (eta_p eta_m eta_c).
-
-    Takes thrust f (N, >= 0), freestream v_inf (m/s, >= 0), angle of attack
-    alpha (rad) and induced velocity nu (m/s, >= 0), which may be
-    broadcastable arrays. Clamped at zero (NaN stays NaN): descending-flight
-    windmilling recovery is not modeled.
-    """
-    eta = _chain_efficiency(eta_p, eta_m, eta_c)
-    with np.errstate(invalid="ignore"):  # inf * sin(0) is NaN
-        return _axial_power(thrust, nu, -(v_inf * np.sin(alpha)), eta)
-
-
-def _axial_power(thrust, nu, v_axial, eta):
-    """f (nu + v_axial) / eta clamped at zero, v_axial the freestream
-    component along the induced flow."""
-    return np.maximum(thrust * (nu + v_axial), 0.0) / eta
 
 
 def _chain_efficiency(eta_p, eta_m, eta_c):
     """eta_p eta_m eta_c, each checked elementwise to lie in (0, 1]."""
     for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
-        if not np.all((0.0 < eta) & (eta <= 1.0)):
+        if not np.logical_and(0.0 < eta, eta <= 1.0).all():
             raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
     return eta_p * eta_m * eta_c
 
 
-def rotors_power(env: EnvironmentParams, vehicle: VehicleParams, thrust,
-                 v_inf=0.0, tilt=0.0):
-    """Electrical power of one agent's four rotors, each at ``thrust``, in a
-    freestream v_inf at propulsive tilt (0: edgewise) whose axial component
-    adds to the induced flow. Broadcasts over thrust, v_inf and tilt."""
-    nu = induced_velocity(thrust, env, vehicle.rotor_disk_area, v_inf=v_inf,
-                          alpha=tilt)
-    return 4 * rotor_power(thrust, v_inf, -tilt, nu, vehicle.eta_propeller,
-                           vehicle.eta_motor, vehicle.eta_controller)
+def _rotor_terms(env: EnvironmentParams, vehicle: VehicleParams):
+    """``momentum_power``'s 2 rho A and chain efficiency for a vehicle."""
+    return (2.0 * env.air_density * vehicle.rotor_disk_area,
+            _chain_efficiency(vehicle.eta_propeller, vehicle.eta_motor,
+                              vehicle.eta_controller))
 
 
 def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:
     """Total electrical hover power of one agent (4 rotors, v_inf = 0)."""
-    return rotors_power(env, vehicle, vehicle.cobot_mass * env.gravity / 4.0)
+    rho2a, eta = _rotor_terms(env, vehicle)
+    return 4 * momentum_power(vehicle.cobot_mass * env.gravity / 4.0, rho2a,
+                              0.0, 0.0, 0.0, eta)[1]

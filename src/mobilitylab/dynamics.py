@@ -182,14 +182,14 @@ def simulate_closed_loop(config: ScenarioConfig,
         sat = f > f_max
         if sat:
             tau, f = copysign(lever * f_max, tau), f_max
-        # rolling_power at the start-of-tick speed: closed-form edgewise
-        # inflow (aeropower._edgewise_inflow) through one rotor per pair
+        # rolling_power at the start-of-tick speed: aeropower.momentum_power
+        # through one rotor per pair, on its closed-form edgewise inflow
         speed, nu = abs(omega * radius), 0.0
         if f != 0.0:
             rhs = f / rho2a
             q = speed * speed / (2.0 * rhs)
             nu = sqrt(rhs / (q + sqrt(1.0 + q * q)))
-        # rotors_power at tilt 0; v * 0.0 is NaN at |v| = inf, as v sin(0) is
+        # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
         power = n_pairs * (f * (nu - speed * 0.0) / eta)
         phi_new, omega = step(phi, omega, tau)
         position += (phi_new - phi) * radius

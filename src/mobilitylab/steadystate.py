@@ -13,7 +13,8 @@ drag + m g sin(theta) + C_rr N.
 Rolling rotor freestream: each rotor sees the translational speed v edgewise
 (alpha = 0). The rotor tangential speed about the roll axis is comparable to
 v at the rolling optimum but its induced-power correction is second order,
-so it is neglected; the choice is isolated in ``rolling_power``.
+so it is neglected; the choice is isolated in ``rolling_power``, which
+hands ``aeropower.momentum_power`` the edgewise speed and no axial one.
 
 Rolling drag area: the cylinder's attitude rotates continuously, so the
 steady-state drag area is the time average over one revolution,
@@ -28,9 +29,9 @@ r(a) = a - atan2(drag(a) + W sin(theta), W cos(theta)), and r(-pi/2) < 0 <
 r(pi/2). The fixed-point step from a = 0 picks by its sign the half
 [0, pi/2] or [-pi/2, 0] that holds a root; ``aeropower._newton``, the
 bracketed Newton solver of the tilted inflow too, solves in it, from the
-Newton step at a = 0 on that half's one-sided slope. The rotors' inflow is
-then solved on the freestream components the balance gives, with no
-trigonometry.
+Newton step at a = 0 on that half's one-sided slope. The rotors' inflow
+and power then come from ``aeropower.momentum_power`` on the freestream
+components the balance gives, with no trigonometry.
 """
 
 from __future__ import annotations
@@ -99,11 +100,20 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
 
 def _pair_terms(config: ScenarioConfig, n_pairs: int):
     """Lever n a/sqrt(2), 2 rho A and chain efficiency."""
-    env, veh = config.environment, config.vehicle
-    return (n_pairs * veh.rotor_arm_length_a / math.sqrt(2.0),
-            2.0 * env.air_density * veh.rotor_disk_area,
-            aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
-                                        veh.eta_controller))
+    return (n_pairs * config.vehicle.rotor_arm_length_a / math.sqrt(2.0),
+            *aeropower._rotor_terms(config.environment, config.vehicle))
+
+
+def _pair_force_power(config: ScenarioConfig, torque, v, n_pairs: int):
+    """Pair force |torque| / lever, NaN beyond the rotor thrust limit, and
+    the total power of one edgewise rotor a pair at it."""
+    lever, rho2a, eta = _pair_terms(config, n_pairs)
+    f = abs(torque) / lever
+    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
+    # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
+    with np.errstate(invalid="ignore", over="ignore"):
+        return f, n_pairs * aeropower.momentum_power(
+            f, rho2a, abs(v), v, v * -0.0, eta)[1]
 
 
 def rolling_power(config: ScenarioConfig, torque, v,
@@ -111,18 +121,13 @@ def rolling_power(config: ScenarioConfig, torque, v,
     """Total electrical power of a pure roll torque held at speed v.
 
     The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
-    per pair spins. Broadcasts over torque, v and n_pairs; NaN, masked
-    before the power chain runs, where the pair force exceeds the rotor
-    thrust limit. ``dynamics.simulate_closed_loop``'s tick writes the same
-    arithmetic out on Python floats; a test pins the two bit for bit.
+    per pair spins, its power ``aeropower.momentum_power``'s. Broadcasts
+    over torque, v and n_pairs; NaN, masked before the kernel runs, where
+    the pair force exceeds the rotor thrust limit.
+    ``dynamics.simulate_closed_loop``'s tick writes the same arithmetic out
+    on Python floats; a test pins the two bit for bit.
     """
-    lever, rho2a, eta = _pair_terms(config, n_pairs)
-    f = abs(torque) / lever
-    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nu = np.where(f != 0.0,
-                      aeropower._edgewise_inflow(f / rho2a, v, np.sqrt), 0.0)
-        return n_pairs * (f * (nu - v * 0.0) / eta)
+    return _pair_force_power(config, torque, v, n_pairs)[1]
 
 
 def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
@@ -135,7 +140,8 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
     drag = aeropower.drag_force(env, average_rolling_area(config), v,
                                 cd=veh.drag_coefficient_cd)
     torque = rolling_resistive_force(config, v) * veh.shell_radius_l
-    power = float(rolling_power(config, torque, v))
+    f, power = map(float, _pair_force_power(config, torque, v,
+                                            CYLINDER_PAIRS))
     if math.isnan(power):
         raise InfeasibleError(
             f"rolling at v={v} m/s needs torque {torque:.3f} N m, beyond "
@@ -144,8 +150,7 @@ def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
     # one rotor a pair spins at the force rolling_power charges; the mixer
     # picks rotors 2..5 for a positive torque, 0, 1, 6, 7 for a negative one
     rotor_thrust = np.zeros(2 * CYLINDER_PAIRS)
-    rotor_thrust[[2, 3, 4, 5] if torque > 0 else [0, 1, 6, 7]] = (
-        abs(torque) / _pair_terms(config, CYLINDER_PAIRS)[0])
+    rotor_thrust[[2, 3, 4, 5] if torque > 0 else [0, 1, 6, 7]] = f
 
     return RollingSolution(speed_v=v, required_torque=torque,
                            per_rotor_thrust=rotor_thrust,
@@ -210,15 +215,12 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     # the freestream components on the rotor axes are v cos and v sin of
     # that tilt, the thrust's normal and along-slope shares
     f = thrust / 4.0
-    vz = v * (along / thrust)
-    nu = aeropower.tilted_inflow(
-        f / (2.0 * env.air_density * veh.rotor_disk_area), speed,
-        v * (normal_weight / thrust), vz)
-    eta = aeropower._chain_efficiency(veh.eta_propeller, veh.eta_motor,
-                                      veh.eta_controller)
-    per_agent = 4 * aeropower._axial_power(f, nu, vz, eta)
+    rho2a, eta = aeropower._rotor_terms(env, veh)
+    per_rotor = aeropower.momentum_power(
+        f, rho2a, speed, v * (normal_weight / thrust), v * (along / thrust),
+        eta)[1]
     power = np.where(f > veh.max_rotor_thrust, np.nan,
-                     config.num_agents * per_agent)
+                     config.num_agents * (4 * per_rotor))
     return alpha, drag, thrust, power
 
 

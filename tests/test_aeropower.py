@@ -143,10 +143,14 @@ def test_newton_returns_still_moving_mask_without_raising():
 
 # --- rotor power ------------------------------------------------------------
 
+RHO2A = 2 * TITAN.air_density * VEH.rotor_disk_area
+ETA = 0.6 * 0.85 * 0.95
+
+
 def test_hover_rotor_power_titan():
     f = 0.8 * 1.352 / 4.0
-    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
-    p = aeropower.rotor_power(f, 0.0, 0.0, nu, 0.6, 0.85, 0.95)
+    nu, p = aeropower.momentum_power(f, RHO2A, 0.0, 0.0, 0.0, ETA)
+    assert nu == aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
     assert p == pytest.approx(0.6538, rel=1e-3)
 
 
@@ -159,25 +163,58 @@ def test_cobot_hover_power_titan_and_earth():
 
 
 def test_rotor_power_clamped_nonnegative():
-    # windmilling operating point (descent-like): clamp to zero
-    assert aeropower.rotor_power(1.0, 10.0, 0.5, 0.01, 0.6, 0.85, 0.95) == 0.0
+    # windmilling operating point (descent-like): clamp to zero, NaN kept
+    v, alpha = 10.0, 0.5
+    nu, p = aeropower.momentum_power(
+        np.array([1.0, math.nan]), RHO2A, v, v * math.cos(alpha),
+        -v * math.sin(alpha), ETA)
+    assert nu[0] < v * math.sin(alpha)
+    assert p[0] == 0.0 and math.isnan(p[1])
 
 
 def test_rotor_power_efficiency_validation():
     for bad in (0.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, bad, 0.85, 0.95)
+            aeropower._chain_efficiency(bad, 0.85, 0.95)
 
 
 def test_efficiency_validation_is_elementwise():
     # an array efficiency is checked element by element, NaN included
     ok = np.array([0.5, 1.0])
-    assert aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, ok, 0.85, 0.95).shape \
-        == (2,)
+    assert aeropower._chain_efficiency(ok, 0.85, 0.95).shape == (2,)
     for bad in (0.0, 1.1, math.nan):
         with pytest.raises(ValueError, match="eta_m must be in"):
-            aeropower.rotor_power(1.0, 0.0, 0.0, 1.0, 0.6,
-                                  np.array([0.5, bad]), 0.95)
+            aeropower._chain_efficiency(0.6, np.array([0.5, bad]), 0.95)
+
+
+def test_zero_thrust_at_rest_is_zero_inflow_and_power():
+    # the closed form's 0 / 0 at f = 0 and v = 0 gives (0, 0)
+    nu, p = aeropower.momentum_power(0.0, RHO2A, 0.0, 0.0, 0.0, ETA)
+    assert nu == 0.0 and p == 0.0
+
+
+def test_nan_axial_speed_stays_closed_form():
+    # an infinite freestream at alpha = 0 has vz = inf * 0 = NaN: NaN
+    # power, no Newton solve that cannot freeze a NaN element
+    vz = np.array([math.nan, 0.0])
+    nu, p = aeropower.momentum_power(0.3, RHO2A, math.inf, math.inf, vz, ETA)
+    assert np.isnan(p[0]) and nu[1] == 0.0
+
+
+def test_mixed_axial_speeds_equal_element_calls():
+    # vz = 0 elements take the closed form, the others the tilted solve
+    f = np.array([0.3, 0.3, 0.0, 0.3, 2.0, 0.3])
+    vx = np.array([1.0, 1.0, 0.5, 0.0, 3.0, 2.0])
+    vz = np.array([0.0, 0.4, 0.2, -0.3, 0.0, math.nan])
+    speed = np.hypot(vx, vz)
+    nu, p = aeropower.momentum_power(f, RHO2A, speed, vx, vz, ETA)
+    each = [aeropower.momentum_power(f[i], RHO2A, speed[i], vx[i], vz[i], ETA)
+            for i in range(f.size)]
+    assert np.array_equal(nu, [e[0] for e in each], equal_nan=True)
+    assert np.array_equal(p, [e[1] for e in each], equal_nan=True)
+    assert nu[2] == p[2] == 0.0 and math.isnan(p[5])
+    lhs = nu * np.hypot(vx, vz + nu)
+    np.testing.assert_allclose(lhs[:5], f[:5] / RHO2A, rtol=1e-9)
 
 
 def test_induced_velocity_broadcasts_over_disk_area():
@@ -192,25 +229,32 @@ def test_induced_velocity_broadcasts_over_disk_area():
         aeropower.induced_velocity(0.3, TITAN, np.array([0.01, 0.0]))
 
 
-# thrust, v_inf, alpha, nu: negative aero power (clamped) and NaN included
-_power_inputs = st.tuples(*[st.floats(-10.0, 10.0) | st.just(math.nan)] * 4)
+# thrust, freestream speed and angle: descent (clamped power), zero thrust
+# and NaN included; NaN v or alpha gives a NaN axial speed
+_power_inputs = st.tuples(st.floats(0.0, 10.0) | st.just(math.nan),
+                          *[st.floats(-10.0, 10.0) | st.just(math.nan)] * 2)
 
 
 @given(points=st.lists(_power_inputs, min_size=1, max_size=8))
 def test_rotor_power_scalar_matches_array(points):
-    arrays = (np.array(col) for col in zip(*points))
-    batch = aeropower.rotor_power(*arrays, 0.6, 0.85, 0.95)
-    scalar = [aeropower.rotor_power(*p, 0.6, 0.85, 0.95) for p in points]
+    def power(f, v, alpha):
+        return aeropower.momentum_power(f, RHO2A, np.abs(v), v * np.cos(alpha),
+                                        v * np.sin(alpha), ETA)[1]
+
+    batch = power(*(np.array(col) for col in zip(*points)))
+    scalar = [power(*p) for p in points]
     assert np.array_equal(batch, scalar, equal_nan=True)
     assert all(p >= 0.0 or math.isnan(p) for p in scalar)
 
 
-@given(f=st.floats(0.01, 10.0))
-def test_power_scales_inverse_with_efficiency(f):
-    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
-    p_full = aeropower.rotor_power(f, 0.0, 0.0, nu, 1.0, 1.0, 1.0)
-    p_chain = aeropower.rotor_power(f, 0.0, 0.0, nu, 0.6, 0.85, 0.95)
-    assert p_chain == pytest.approx(p_full / (0.6 * 0.85 * 0.95), rel=1e-12)
+@given(f=st.floats(0.01, 10.0), v=st.floats(0.0, 5.0),
+       alpha=st.floats(-1.0, 1.0))
+def test_power_scales_inverse_with_efficiency(f, v, alpha):
+    args = f, RHO2A, v, v * math.cos(alpha), v * math.sin(alpha)
+    nu_full, p_full = aeropower.momentum_power(*args, 1.0)
+    nu_chain, p_chain = aeropower.momentum_power(*args, ETA)
+    assert nu_chain == nu_full
+    assert p_chain == pytest.approx(p_full / ETA, rel=1e-12)
 
 
 # hover, edgewise with rhs << v^2 (the cancellation regime of the closed

@@ -260,8 +260,11 @@ def _fixed_point_flying_power(config, v, steps=400):
     for _ in range(steps):
         alpha = np.arctan2(drag_at(alpha) + along, normal)
     thrust = np.hypot(drag_at(alpha) + along, normal)
-    return config.num_agents * aeropower.rotors_power(
-        env, veh, thrust / 4.0, v, alpha)
+    _, per_rotor = aeropower.momentum_power(
+        thrust / 4.0, 2.0 * env.air_density * veh.rotor_disk_area, v,
+        v * np.cos(alpha), v * np.sin(alpha),
+        veh.eta_propeller * veh.eta_motor * veh.eta_controller)
+    return config.num_agents * 4 * per_rotor
 
 
 @pytest.mark.parametrize("env", ["titan", "earth"])
@@ -278,10 +281,13 @@ def test_flying_power_matches_long_fixed_point(env, theta_deg):
 
 
 def test_flying_at_zero_speed_is_hover():
-    sol = steadystate.flying_equilibrium(CFG, 0.0)
-    hover = aeropower.cobot_hover_power(CFG.environment, CFG.vehicle)
-    assert sol.tilt_alpha == 0.0
-    assert sol.total_electrical_power == pytest.approx(2 * hover, rel=1e-12)
+    # the same kernel call, bit for bit, on Titan and on Earth
+    for config in (CFG, replace(CFG, environment=earth_defaults())):
+        sol = steadystate.flying_equilibrium(config, 0.0)
+        hover = aeropower.cobot_hover_power(config.environment,
+                                            config.vehicle)
+        assert sol.tilt_alpha == 0.0
+        assert sol.total_electrical_power == config.num_agents * hover
 
 
 def test_flying_tilt_grows_with_speed():
