@@ -160,19 +160,10 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
     return float(nu) if nu.ndim == 0 else nu
 
 
-def _chain_efficiency(eta_p, eta_m, eta_c):
-    """eta_p eta_m eta_c, each checked elementwise to lie in (0, 1]."""
-    for name, eta in (("eta_p", eta_p), ("eta_m", eta_m), ("eta_c", eta_c)):
-        if not np.logical_and(0.0 < eta, eta <= 1.0).all():
-            raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
-    return eta_p * eta_m * eta_c
-
-
 def _rotor_terms(env: EnvironmentParams, vehicle: VehicleParams):
     """``momentum_power``'s 2 rho A and chain efficiency for a vehicle."""
     return (2.0 * env.air_density * vehicle.rotor_disk_area,
-            _chain_efficiency(vehicle.eta_propeller, vehicle.eta_motor,
-                              vehicle.eta_controller))
+            vehicle.eta_propeller * vehicle.eta_motor * vehicle.eta_controller)
 
 
 def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:

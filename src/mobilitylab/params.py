@@ -27,8 +27,43 @@ class AnalysisError(RuntimeError):
 DT_MAX = 0.01
 
 
+def _holds(ok) -> bool:
+    """A rule's verdict, on every element of an array mask (``all``), with
+    no numpy import."""
+    return ok.all() if hasattr(ok, "all") else bool(ok)
+
+
+#: (test, rule) of each field whose domain is not "> 0", by field name
+_DOMAINS = {
+    "ambient_temperature": (lambda t: t > -273.15, "must be above absolute "
+                            "zero, -273.15 degC"),
+    **dict.fromkeys(("eta_propeller", "eta_motor", "eta_controller"), (
+        lambda eta: (0.0 < eta) & (eta <= 1.0), "must be in (0, 1]")),
+    "rolling_resistance_crr": (lambda crr: crr >= 0, "must be >= 0"),
+    "slope_theta": (lambda theta: abs(theta) < math.pi / 2,
+                    "must satisfy |theta| < pi/2"),
+}
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+
+
+class _Section:
+    """A config section, valid by construction: each field, scalar or array,
+    is finite and in its domain element by element."""
+
+    def __post_init__(self):
+        report = []
+        for name, value in vars(self).items():
+            test, rule = _DOMAINS.get(name, _POSITIVE)
+            if not _holds(abs(value) < math.inf):
+                report.append(f"{name} must be finite (got {value!r})")
+            elif not _holds(test(value)):
+                report.append(f"{name} {rule} (got {value!r})")
+        if report:
+            raise ValidationError("; ".join(report))
+
+
 @dataclass(frozen=True)
-class EnvironmentParams:
+class EnvironmentParams(_Section):
     """Gravity, atmosphere and ambient temperature of a celestial body."""
 
     gravity: float          # m/s^2
@@ -37,7 +72,7 @@ class EnvironmentParams:
 
 
 @dataclass(frozen=True)
-class VehicleParams:
+class VehicleParams(_Section):
     """Single-agent (Cobot) mass, geometry, rotor and battery properties.
 
     ``body_height_h_rolling`` is the rotor-to-opposite-rotor height of the
@@ -68,7 +103,7 @@ class VehicleParams:
 
 
 @dataclass(frozen=True)
-class TerrainParams:
+class TerrainParams(_Section):
     rolling_resistance_crr: float = 0.01
     slope_theta: float = 0.0  # rad, positive uphill
 
@@ -80,6 +115,36 @@ class ScenarioConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     terrain: TerrainParams = field(default_factory=TerrainParams)
     num_agents: int = 2
+
+    def __post_init__(self):
+        """Check the rules across sections: num_agents >= 1, finite totals
+        over the agents, and no underflow of the products the models
+        divide by."""
+        veh = self.vehicle
+        try:
+            n = self.num_agents * 1.0
+        except OverflowError:  # an agent count beyond float range
+            n = math.inf
+        report = ([] if _holds(n >= 1) else
+                  [f"num_agents must be >= 1 (got {self.num_agents!r})"])
+        for name in ("cobot_mass", "battery_energy"):
+            value = getattr(veh, name)
+            if not _holds(abs(n * value) < math.inf):
+                report.append(f"num_agents * {name} must be finite "
+                              f"(got {n!r} * {value!r})")
+        if not report:
+            # tiny in-domain fields underflow these products (x * x: x ** 2
+            # raises OverflowError on huge ones)
+            disk, shell = veh.rotor_disk_radius, veh.shell_radius_l
+            for name, value in (
+                    ("air_density * rotor_disk_area (pi rotor_disk_radius^2)",
+                     self.environment.air_density * (math.pi * (disk * disk))),
+                    ("roll inertia num_agents * cobot_mass * shell_radius_l^2",
+                     n * veh.cobot_mass * (shell * shell))):
+                if not _holds(value > 0):
+                    report.append(f"{name} must be > 0 (got {value!r})")
+        if report:
+            raise ValidationError("; ".join(report))
 
     @property
     def total_mass(self) -> float:
@@ -106,60 +171,6 @@ def earth_defaults() -> EnvironmentParams:
 _ENV_FIELDS = {f.name: f for f in fields(EnvironmentParams)}
 _VEH_FIELDS = {f.name: f for f in fields(VehicleParams)}
 _TER_FIELDS = {f.name: f for f in fields(TerrainParams)}
-
-
-def _positive(report, name, value):
-    if not value > 0:
-        report.append(f"{name} must be > 0 (got {value!r})")
-
-
-def validate(config: ScenarioConfig) -> list[str]:
-    """Return a list of invariant violations; empty iff the config is valid."""
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    report = [f"{f.name} must be finite (got {getattr(s, f.name)!r})"
-              for s in (env, veh, ter) for f in fields(s)
-              if not math.isfinite(getattr(s, f.name))]
-    if report:
-        return report
-    _positive(report, "gravity", env.gravity)
-    if not env.ambient_temperature > -273.15:
-        report.append("ambient_temperature must be above absolute zero, "
-                      f"-273.15 degC (got {env.ambient_temperature!r})")
-    _positive(report, "air_density", env.air_density)
-    for f in fields(veh):  # every vehicle field but the efficiencies
-        if not f.name.startswith("eta_"):
-            _positive(report, f.name, getattr(veh, f.name))
-    try:
-        n = float(config.num_agents)
-    except OverflowError:  # an agent count beyond float range
-        n = math.inf
-    for name in ("cobot_mass", "battery_energy"):
-        value = getattr(veh, name)
-        if not abs(n * value) < math.inf:
-            report.append(f"num_agents * {name} must be finite "
-                          f"(got {n:g} * {value!r})")
-    for name in ("eta_propeller", "eta_motor", "eta_controller"):
-        eta = getattr(veh, name)
-        if not (0.0 < eta <= 1.0):
-            report.append(f"{name} must be in (0, 1] (got {eta!r})")
-    if ter.rolling_resistance_crr < 0:
-        report.append("rolling_resistance_crr must be >= 0 "
-                      f"(got {ter.rolling_resistance_crr!r})")
-    if not abs(ter.slope_theta) < math.pi / 2:
-        report.append("slope_theta must satisfy |theta| < pi/2 "
-                      f"(got {ter.slope_theta!r})")
-    if config.num_agents < 1:
-        report.append(f"num_agents must be >= 1 (got {config.num_agents!r})")
-    if report:
-        return report
-    # products the models divide by underflow on tiny in-domain fields
-    # (x * x: x ** 2 raises OverflowError on huge ones)
-    disk, shell = veh.rotor_disk_radius, veh.shell_radius_l
-    _positive(report, "air_density * rotor_disk_area (pi rotor_disk_radius"
-              "^2)", env.air_density * (math.pi * (disk * disk)))
-    _positive(report, "roll inertia num_agents * cobot_mass * shell_radius_l^2",
-              n * veh.cobot_mass * (shell * shell))
-    return report
 
 
 def _parse_kv_text(text: str) -> dict:
@@ -215,14 +226,8 @@ def config_from_mapping(values: dict) -> ScenarioConfig:
                               + ", ".join(sorted(unknown)))
     titan = titan_defaults()
     env = EnvironmentParams(**{**asdict(titan), **env_kw})
-    config = ScenarioConfig(environment=env,
-                            vehicle=VehicleParams(**veh_kw),
-                            terrain=TerrainParams(**ter_kw),
-                            **top_kw)
-    report = validate(config)
-    if report:
-        raise ValidationError("; ".join(report))
-    return config
+    return ScenarioConfig(environment=env, vehicle=VehicleParams(**veh_kw),
+                          terrain=TerrainParams(**ter_kw), **top_kw)
 
 
 def parse_document(text: str) -> dict:

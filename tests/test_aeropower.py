@@ -172,21 +172,6 @@ def test_rotor_power_clamped_nonnegative():
     assert p[0] == 0.0 and math.isnan(p[1])
 
 
-def test_rotor_power_efficiency_validation():
-    for bad in (0.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            aeropower._chain_efficiency(bad, 0.85, 0.95)
-
-
-def test_efficiency_validation_is_elementwise():
-    # an array efficiency is checked element by element, NaN included
-    ok = np.array([0.5, 1.0])
-    assert aeropower._chain_efficiency(ok, 0.85, 0.95).shape == (2,)
-    for bad in (0.0, 1.1, math.nan):
-        with pytest.raises(ValueError, match="eta_m must be in"):
-            aeropower._chain_efficiency(0.6, np.array([0.5, bad]), 0.95)
-
-
 def test_zero_thrust_at_rest_is_zero_inflow_and_power():
     # the closed form's 0 / 0 at f = 0 and v = 0 gives (0, 0)
     nu, p = aeropower.momentum_power(0.0, RHO2A, 0.0, 0.0, 0.0, ETA)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from dataclasses import replace
@@ -88,7 +89,7 @@ def _config(max_rotor_thrust):
                                         max_rotor_thrust=max_rotor_thrust))
 
 
-def _ticks(calls, max_rotor_thrust=math.inf, dt=0.01):
+def _ticks(calls, max_rotor_thrust=sys.float_info.max, dt=0.01):
     """(torque_y, saturated) of each tick of ``simulate_closed_loop`` over
     ``calls``, a list of (omega_des, omega_y): the tick's setpoint and
     measured roll rate, the first one 0 (the loop starts from rest). The
@@ -136,7 +137,7 @@ def test_pi_integrator_clamps():
 def test_pi_rejects_bad_dt():
     for dt in (0.0, -0.01):
         with pytest.raises(ValueError, match="dt"):
-            dynamics.simulate_closed_loop(_config(math.inf), 1.0,
+            dynamics.simulate_closed_loop(_config(sys.float_info.max), 1.0,
                                           duration=0.01, dt=dt)
 
 
@@ -223,7 +224,7 @@ def _check_against_roll_chain(config, setpoints, dt):
                                              dt=dt)
     rows = traj.to_csv_rows()
     tick = _roll_chain(config.vehicle.max_rotor_thrust, dt)
-    unlimited = _config(math.inf)
+    unlimited = _config(sys.float_info.max)
     radius = config.vehicle.shell_radius_l
     assert len(handed) == len(setpoints) == len(rows) - 1
     for omega_des, (omega, torque_y), row in zip(setpoints, handed, rows[1:]):

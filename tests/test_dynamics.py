@@ -141,8 +141,8 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     limit = control.INTEGRATOR_LIMIT
     veh = config.vehicle
     lever = 4 * veh.rotor_arm_length_a / math.sqrt(2.0)
-    unlimited = replace(config, vehicle=replace(veh,
-                                                max_rotor_thrust=math.inf))
+    unlimited = replace(config, vehicle=replace(
+        veh, max_rotor_thrust=sys.float_info.max))
     if not callable(omega_des):
         const = np.array([0.0, omega_des, 0.0])
         omega_des = lambda t: const  # noqa: E731

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,7 +42,9 @@ def test_rotor_disk_area():
 
 
 def test_validate_default_is_clean():
-    assert params.validate(params.ScenarioConfig()) == []
+    # both presets and every default construct without a violation
+    for env in (params.titan_defaults(), params.earth_defaults()):
+        assert params.ScenarioConfig(environment=env).environment == env
 
 
 @pytest.mark.parametrize("key,value", [
@@ -56,10 +60,72 @@ def test_validate_names_offending_field(key, value):
 
 
 def test_validate_slope_bound():
-    cfg = params.ScenarioConfig(terrain=params.TerrainParams(
-        slope_theta=math.pi / 2))
-    report = params.validate(cfg)
-    assert any("slope_theta" in line for line in report)
+    for theta in (math.pi / 2, -math.pi / 2):
+        with pytest.raises(params.ValidationError, match="slope_theta"):
+            params.TerrainParams(slope_theta=theta)
+    below = math.nextafter(math.pi / 2, 0.0)
+    assert params.TerrainParams(slope_theta=-below).slope_theta == -below
+
+
+#: out-of-domain values of the fields whose domain is not "> 0"
+_OUT_OF_DOMAIN = {"ambient_temperature": [-273.15, -500.0],
+                  "eta_propeller": [0.0, -0.1, 1.1],
+                  "eta_motor": [0.0, -0.1, 1.1],
+                  "eta_controller": [0.0, -0.1, 1.1],
+                  "rolling_resistance_crr": [-0.1],
+                  "slope_theta": [math.pi / 2, -math.radians(95.0)],
+                  "num_agents": [0.0, -1.0],
+                  # in domain, but pi r^2 and the roll inertia underflow
+                  "rotor_disk_radius": [0.0, -1.0, 1e-200],
+                  "shell_radius_l": [0.0, -1.0, 1e-200]}
+
+
+def _defaults():
+    """(section, field name, default value) of every config field; the
+    section is None for num_agents."""
+    config = params.ScenarioConfig()
+    for section in ("environment", "vehicle", "terrain"):
+        for name, value in vars(getattr(config, section)).items():
+            yield section, name, value
+    yield None, "num_agents", config.num_agents
+
+
+def _builds(section, name, value):
+    """Two ways to a default config whose field ``name`` is ``value``: the
+    constructors, and ``dataclasses.replace``."""
+    config = params.ScenarioConfig()
+    if section is None:
+        return (lambda: params.ScenarioConfig(num_agents=value),
+                lambda: replace(config, num_agents=value))
+    part = getattr(config, section)
+    return (lambda: params.ScenarioConfig(**{section: type(part)(
+                **{**vars(part), name: value})}),
+            lambda: replace(config, **{section: replace(part, **{
+                name: value})}))
+
+
+@pytest.mark.parametrize("section, name, default, bad", [
+    (section, name, default, bad) for section, name, default in _defaults()
+    for bad in [math.nan, math.inf, -math.inf,
+                *_OUT_OF_DOMAIN.get(name, [0.0, -1.0])]])
+def test_bad_column_element_names_the_field(section, name, default, bad):
+    # one bad element of an array column fails the whole config, scalar
+    # fields and array fields checked by the same rule
+    for build in _builds(section, name, np.array([[default], [bad]])):
+        with pytest.raises(params.ValidationError, match=name):
+            build()
+    for build in _builds(section, name, bad):
+        with pytest.raises(params.ValidationError, match=name):
+            build()
+
+
+@pytest.mark.parametrize("section, name, default", list(_defaults()))
+def test_valid_column_constructs(section, name, default):
+    column = np.array([[default], [default / 2]])
+    for build in _builds(section, name, column):
+        config = build()
+        part = config if section is None else getattr(config, section)
+        assert getattr(part, name) is column
 
 
 def test_load_config_kv_text():

@@ -202,6 +202,44 @@ def test_tradeoff_grid_rejects_empty_resolution(resolution):
         rangeopt.tradeoff_grid(CFG, resolution=resolution)
 
 
+@pytest.mark.parametrize("axis, span, name", [
+    ("crr_range", (-0.1, 0.2), "rolling_resistance_crr"),
+    ("theta_range_deg", (-0.5, 95.0), "slope_theta")])
+def test_tradeoff_grid_rejects_out_of_domain_axis(axis, span, name):
+    # the grid's terrain columns are configs: one bad row fails the call
+    with pytest.raises(params.ValidationError, match=name):
+        rangeopt.tradeoff_grid(CFG, **{axis: span})
+
+
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+@pytest.mark.parametrize("env", [params.titan_defaults(),
+                                 params.earth_defaults()])
+@pytest.mark.parametrize("lam", [0.25, 2.0, 3.0, 4.0])
+def test_similarity_laws(mode, env, lam):
+    # on flat ground with no hotel load, g and max_rotor_thrust times lam
+    # with v times sqrt(lam) scale every force by lam and the inflow by
+    # sqrt(lam): R* / lam at v* sqrt(lam); rho times lam with v times
+    # 1 / sqrt(lam) keep every force and scale the inflow by 1 / sqrt(lam):
+    # R* at v* / sqrt(lam)
+    config = replace(CFG, environment=env)
+    speeds = rangeopt.default_velocity_grid(mode)
+    root = math.sqrt(lam)
+    v0, r0 = rangeopt._sweep(config, mode, speeds)[2:]
+    assert np.isfinite(r0)
+    heavy = replace(config,
+                    environment=replace(env, gravity=lam * env.gravity),
+                    vehicle=replace(config.vehicle, max_rotor_thrust=lam * (
+                        config.vehicle.max_rotor_thrust)))
+    v1, r1 = rangeopt._sweep(heavy, mode, speeds * root)[2:]
+    assert v1 == pytest.approx(v0 * root, rel=1e-12, abs=0.0)
+    assert r1 == pytest.approx(r0 / lam, rel=1e-12, abs=0.0)
+    dense = replace(config, environment=replace(
+        env, air_density=lam * env.air_density))
+    v2, r2 = rangeopt._sweep(dense, mode, speeds / root)[2:]
+    assert v2 == pytest.approx(v0 / root, rel=1e-12, abs=0.0)
+    assert r2 == pytest.approx(r0, rel=1e-12, abs=0.0)
+
+
 def test_default_rolling_shell_is_the_docked_cylinder():
     v = rangeopt.default_velocity_grid("rolling")
     shell = (CFG.vehicle.shell_radius_l,
