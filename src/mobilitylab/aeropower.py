@@ -48,16 +48,16 @@ def drag_force(env: EnvironmentParams, area: float, speed: float,
     return 0.5 * cd * env.air_density * area * speed * abs(speed)
 
 
-def _edgewise_inflow(rhs, vx, sqrt):
+def _edgewise_inflow(rhs, vx):
     """Root of nu^2 (nu^2 + vx^2) = rhs^2, a quadratic in nu^2.
 
     nu^2 = 2 rhs^2 / (vx^2 + sqrt(vx^4 + 4 rhs^2)) = rhs / (q + sqrt(1 + q^2))
     with q = vx^2 / (2 rhs): no cancellation when rhs << vx^2, no underflow,
-    exactly sqrt(rhs) in hover. math.sqrt and np.sqrt both round correctly,
-    so scalar and array calls agree bit for bit.
+    exactly sqrt(rhs) in hover. np.sqrt rounds correctly, as math.sqrt does,
+    so the closed loop's scalar copy of this formula agrees bit for bit.
     """
     q = vx * vx / (2.0 * rhs)
-    return sqrt(rhs / (q + sqrt(1.0 + q * q)))
+    return np.sqrt(rhs / (q + np.sqrt(1.0 + q * q)))
 
 
 def _newton(residual, x, lo, hi, tol, max_iter):
@@ -96,7 +96,7 @@ def tilted_inflow(rhs, speed, vx, vz):
     # term is the hover root, above the edgewise one
     climb = np.maximum(vz, 0.0)
     nu, moving = _newton(
-        residual, np.minimum(_edgewise_inflow(rhs, speed, np.sqrt),
+        residual, np.minimum(_edgewise_inflow(rhs, speed),
                              2.0 * rhs / (np.sqrt(climb * climb + 4.0 * rhs)
                                           + climb)),
         0.0, np.sqrt(rhs) + np.maximum(0.0, -vz), INDUCED_TOL,
@@ -127,7 +127,7 @@ def momentum_power(thrust, rho2a, speed, vx, vz, eta):
             nu = tilted_inflow(rhs, speed, vx, vz)
         else:
             nu = np.where(tilted | (thrust == 0.0), 0.0,
-                          _edgewise_inflow(rhs, vx, np.sqrt))
+                          _edgewise_inflow(rhs, vx))
             if n_tilted:
                 tilted = np.broadcast_to(tilted, nu.shape)
                 nu[tilted] = tilted_inflow(*(

@@ -9,17 +9,16 @@ analysis; outputs are deterministic (byte-identical across runs).
 
 Each subcommand imports the analysis modules it uses only after its
 arguments and config have been checked, so an argument error, and a
-``thermal`` call, never load numpy.
+``thermal`` call, never load numpy; only JSON input or output loads json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .params import (DT_MAX, AnalysisError, ConfigError, ScenarioConfig,
                      ValidationError, config_from_mapping, earth_defaults,
@@ -29,12 +28,6 @@ from .params import (DT_MAX, AnalysisError, ConfigError, ScenarioConfig,
 #: np.linspace(0.005, 0.05, 46), whose step and endpoint it repeats
 THERMAL_THICKNESS_GRID = ([0.005 + i * ((0.05 - 0.005) / 45)
                            for i in range(45)] + [0.05])
-
-
-@dataclass(frozen=True)
-class Table:
-    header: list[str]
-    rows: list[list[float]]
 
 
 def _write(text: str, path: str | None) -> int:
@@ -51,13 +44,13 @@ def _write(text: str, path: str | None) -> int:
     return len(data)
 
 
-def emit_csv(table: Table, path: str | None) -> int:
+def emit_csv(header: list[str], rows: list, path: str | None) -> int:
     """Write a table as UTF-8 CSV with LF endings and %.9g cells.
 
     Returns the number of bytes written; ``path=None`` writes to stdout.
     """
-    lines = [",".join(table.header)]
-    for row in table.rows:
+    lines = [",".join(header)]
+    for row in rows:
         lines.append(",".join(f"{cell:.9g}" for cell in row))
     return _write("\n".join(lines) + "\n", path)
 
@@ -83,7 +76,7 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return config_from_mapping(values)
 
 
-def _cmd_range_sweep(args, config) -> tuple[Table, dict]:
+def _cmd_range_sweep(args, config) -> tuple[list[str], list, dict]:
     from . import rangeopt
     curve = rangeopt.range_sweep(config, args.mode, hotel_w=args.hotel_w,
                                  refine=args.refine)
@@ -92,10 +85,10 @@ def _cmd_range_sweep(args, config) -> tuple[Table, dict]:
             if math.isfinite(p)]
     summary = {"mode": curve.mode, "optimum_v_mps": curve.optimum_v,
                "optimum_range_km": curve.optimum_range_km}
-    return Table(["v_mps", "power_w", "range_km"], rows), summary
+    return ["v_mps", "power_w", "range_km"], rows, summary
 
 
-def _cmd_power_curve(args, config) -> tuple[Table, dict]:
+def _cmd_power_curve(args, config) -> tuple[list[str], list, dict]:
     import numpy as np
     from . import rangeopt
     curve = rangeopt.range_sweep(config, args.mode, hotel_w=args.hotel_w)
@@ -105,10 +98,10 @@ def _cmd_power_curve(args, config) -> tuple[Table, dict]:
     summary = {"mode": curve.mode,
                "min_power_w": float(curve.power[i]),
                "min_power_v_mps": float(curve.velocity[i])}
-    return Table(["v_mps", "power_w"], rows), summary
+    return ["v_mps", "power_w"], rows, summary
 
 
-def _cmd_tradeoff_map(args, config) -> tuple[Table, dict]:
+def _cmd_tradeoff_map(args, config) -> tuple[list[str], list, dict]:
     import numpy as np
     from . import rangeopt
     grid = rangeopt.tradeoff_grid(
@@ -134,10 +127,10 @@ def _cmd_tradeoff_map(args, config) -> tuple[Table, dict]:
     summary = {"crossover_boundary_crr_thetadeg": boundary,
                "flying_range_km_min": float(np.nanmin(grid.flying_range_km)),
                "flying_range_km_max": float(np.nanmax(grid.flying_range_km))}
-    return Table(["crr", "theta_deg", "delta_km", "fly_km"], rows), summary
+    return ["crr", "theta_deg", "delta_km", "fly_km"], rows, summary
 
 
-def _cmd_scaling(args, config) -> tuple[Table, dict]:
+def _cmd_scaling(args, config) -> tuple[list[str], list, dict]:
     from . import rangeopt
     curve = rangeopt.scaling_bounds(config,
                                     range(args.n_min, args.n_max + 1))
@@ -146,10 +139,10 @@ def _cmd_scaling(args, config) -> tuple[Table, dict]:
     summary = {"n": [int(n) for n in curve.n],
                "ratio_lower": list(map(float, curve.ratio_lower)),
                "ratio_upper": list(map(float, curve.ratio_upper))}
-    return Table(["n", "ratio_lower", "ratio_upper"], rows), summary
+    return ["n", "ratio_lower", "ratio_upper"], rows, summary
 
 
-def _cmd_simulate(args, config) -> tuple[Table, dict]:
+def _cmd_simulate(args, config) -> tuple[list[str], list, dict]:
     from . import dynamics
     traj = dynamics.simulate_closed_loop(config, args.omega_des,
                                          args.duration, args.dt,
@@ -160,10 +153,10 @@ def _cmd_simulate(args, config) -> tuple[Table, dict]:
                "final_omega_radps": final.roll_rate_omega,
                "energy_consumed_j": final.energy_consumed,
                "saturated_any": bool(any(traj.saturated))}
-    return Table(dynamics.CSV_HEADER, traj.to_csv_rows()), summary
+    return dynamics.CSV_HEADER, traj.to_csv_rows(), summary
 
 
-def _cmd_thermal(args, config) -> tuple[Table, dict]:
+def _cmd_thermal(args, config) -> tuple[list[str], list, dict]:
     from . import thermal
     ambient = config.environment.ambient_temperature
     summary: dict = {"ambient_temp_c": ambient}
@@ -178,8 +171,7 @@ def _cmd_thermal(args, config) -> tuple[Table, dict]:
         thicknesses = THERMAL_THICKNESS_GRID
     rows = thermal.sizing_table(ambient, thicknesses)
     summary["rows"] = len(rows)
-    return Table(["thickness_m", "loss_w", "heater_w", "mass_kg"],
-                 rows), summary
+    return ["thickness_m", "loss_w", "heater_w", "mass_kg"], rows, summary
 
 
 _COMMANDS = {
@@ -326,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        table, summary = _COMMANDS[args.subcommand](args, config)
+        header, rows, summary = _COMMANDS[args.subcommand](args, config)
     except (AnalysisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -336,8 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.format == "csv":
-            emit_csv(table, args.out)
+            emit_csv(header, rows, args.out)
         else:
+            import json  # only a JSON summary pays for the import
             _write(json.dumps(_json_safe(summary), indent=2, sort_keys=True)
                    + "\n", args.out)
     except OSError as exc:

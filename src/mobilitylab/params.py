@@ -5,9 +5,8 @@ All quantities are SI. Parameter containers are frozen dataclasses.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -64,11 +63,12 @@ class _Section:
 
 @dataclass(frozen=True)
 class EnvironmentParams(_Section):
-    """Gravity, atmosphere and ambient temperature of a celestial body."""
+    """Gravity, atmosphere and ambient temperature of a celestial body; the
+    defaults are Titan's surface."""
 
-    gravity: float          # m/s^2
-    air_density: float      # kg/m^3
-    ambient_temperature: float  # degC
+    gravity: float = 1.352              # m/s^2
+    air_density: float = 5.4            # kg/m^3
+    ambient_temperature: float = -179.0  # degC
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class TerrainParams(_Section):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    environment: EnvironmentParams = field(
-        default_factory=lambda: titan_defaults())
+    environment: EnvironmentParams = field(default_factory=EnvironmentParams)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     terrain: TerrainParams = field(default_factory=TerrainParams)
     num_agents: int = 2
@@ -129,7 +128,9 @@ class ScenarioConfig:
                   [f"num_agents must be >= 1 (got {self.num_agents!r})"])
         for name in ("cobot_mass", "battery_energy"):
             value = getattr(veh, name)
-            if not _holds(abs(n * value) < math.inf):
+            # for a whole count n, n * value is finite iff (n 2^-1024) value
+            # < 1, a product that cannot overflow (and warn, for an array)
+            if not _holds(n * 2.0 ** -1024 * value < 1.0):
                 report.append(f"num_agents * {name} must be finite "
                               f"(got {n!r} * {value!r})")
         if not report:
@@ -157,8 +158,7 @@ class ScenarioConfig:
 
 def titan_defaults() -> EnvironmentParams:
     """Titan surface environment."""
-    return EnvironmentParams(gravity=1.352, air_density=5.4,
-                             ambient_temperature=-179.0)
+    return EnvironmentParams()
 
 
 def earth_defaults() -> EnvironmentParams:
@@ -224,9 +224,8 @@ def config_from_mapping(values: dict) -> ScenarioConfig:
     if unknown:
         raise ValidationError("unknown configuration keys: "
                               + ", ".join(sorted(unknown)))
-    titan = titan_defaults()
-    env = EnvironmentParams(**{**asdict(titan), **env_kw})
-    return ScenarioConfig(environment=env, vehicle=VehicleParams(**veh_kw),
+    return ScenarioConfig(environment=EnvironmentParams(**env_kw),
+                          vehicle=VehicleParams(**veh_kw),
                           terrain=TerrainParams(**ter_kw), **top_kw)
 
 
@@ -235,6 +234,7 @@ def parse_document(text: str) -> dict:
     JSON object), without defaults or validation."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json  # only a JSON document pays for the import
         try:
             values = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -7,8 +7,8 @@ along-slope weight component and the rolling resistance:
     tau = (drag + m g sin(theta) + C_rr N) * l,      N = m g cos(theta)
 
 which is the fixed point of the rolling dynamics equation in the dynamics
-module. The reported traction force F_t is the total resistive force
-drag + m g sin(theta) + C_rr N.
+module; ``rolling_resistive_force`` is the bracketed sum, the traction
+force F_t.
 
 Rolling rotor freestream: each rotor sees the translational speed v edgewise
 (alpha = 0). The rotor tangential speed about the roll axis is comparable to
@@ -59,10 +59,7 @@ class InfeasibleError(AnalysisError):
 class RollingSolution:
     speed_v: float
     required_torque: float          # N m about the roll axis
-    per_rotor_thrust: np.ndarray    # N, 2 per pair: 8 for any num_agents
-    normal_force: float             # N
     drag: float                     # N
-    rolling_resistance_force: float  # N (C_rr * N)
     total_electrical_power: float   # W
 
 
@@ -104,18 +101,6 @@ def _pair_terms(config: ScenarioConfig, n_pairs: int):
             *aeropower._rotor_terms(config.environment, config.vehicle))
 
 
-def _pair_force_power(config: ScenarioConfig, torque, v, n_pairs: int):
-    """Pair force |torque| / lever, NaN beyond the rotor thrust limit, and
-    the total power of one edgewise rotor a pair at it."""
-    lever, rho2a, eta = _pair_terms(config, n_pairs)
-    f = abs(torque) / lever
-    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
-    # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
-    with np.errstate(invalid="ignore", over="ignore"):
-        return f, n_pairs * aeropower.momentum_power(
-            f, rho2a, abs(v), v, v * -0.0, eta)[1]
-
-
 def rolling_power(config: ScenarioConfig, torque, v,
                   n_pairs: int = CYLINDER_PAIRS):
     """Total electrical power of a pure roll torque held at speed v.
@@ -127,36 +112,30 @@ def rolling_power(config: ScenarioConfig, torque, v,
     ``dynamics.simulate_closed_loop``'s tick writes the same arithmetic out
     on Python floats; a test pins the two bit for bit.
     """
-    return _pair_force_power(config, torque, v, n_pairs)[1]
+    lever, rho2a, eta = _pair_terms(config, n_pairs)
+    f = abs(torque) / lever
+    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
+    # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
+    with np.errstate(invalid="ignore", over="ignore"):
+        return n_pairs * aeropower.momentum_power(
+            f, rho2a, abs(v), v, v * -0.0, eta)[1]
 
 
 def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
     """Steady rolling at speed v on the configured slope."""
     if v < 0:
         raise ValueError(f"v must be >= 0, got {v!r}")
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m = config.total_mass
-    normal = m * env.gravity * math.cos(ter.slope_theta)
-    drag = aeropower.drag_force(env, average_rolling_area(config), v,
+    veh = config.vehicle
+    drag = aeropower.drag_force(config.environment,
+                                average_rolling_area(config), v,
                                 cd=veh.drag_coefficient_cd)
     torque = rolling_resistive_force(config, v) * veh.shell_radius_l
-    f, power = map(float, _pair_force_power(config, torque, v,
-                                            CYLINDER_PAIRS))
+    power = float(rolling_power(config, torque, v))
     if math.isnan(power):
         raise InfeasibleError(
             f"rolling at v={v} m/s needs torque {torque:.3f} N m, beyond "
             f"max rotor thrust {veh.max_rotor_thrust} N per pair")
-
-    # one rotor a pair spins at the force rolling_power charges; the mixer
-    # picks rotors 2..5 for a positive torque, 0, 1, 6, 7 for a negative one
-    rotor_thrust = np.zeros(2 * CYLINDER_PAIRS)
-    rotor_thrust[[2, 3, 4, 5] if torque > 0 else [0, 1, 6, 7]] = f
-
-    return RollingSolution(speed_v=v, required_torque=torque,
-                           per_rotor_thrust=rotor_thrust,
-                           normal_force=normal, drag=drag,
-                           rolling_resistance_force=(
-                               ter.rolling_resistance_crr * normal),
+    return RollingSolution(speed_v=v, required_torque=torque, drag=drag,
                            total_electrical_power=power)
 
 
@@ -173,7 +152,7 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     # kl sign(sin a) cos a - kh sin a, as cos a >= 0 on the bracket
     k = 0.5 * veh.drag_coefficient_cd * env.air_density
     h, two_l = veh.body_height_h_flying, 2.0 * veh.shell_radius_l
-    w, speed, normal_sq = veh.shell_width_w, abs(v), normal_weight ** 2
+    w, speed = veh.shell_width_w, abs(v)
     kh, kl = (k * (c * w) * v * speed for c in (h, two_l))
 
     def drag_at(cos, sin):
@@ -194,12 +173,16 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
     up = alpha > 0.0
     lo = np.where(up, 0.0, -0.5 * math.pi)
     hi = lo + 0.5 * math.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a weight or drag past 1e154 N overflows the slope's squares only (it
+    # reads 1, its limit, or NaN and bisects): no rotor lifts it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        normal_sq = normal_weight ** 2
         alpha = alpha / (1.0 - normal_weight * np.where(up, kl, -kl)
                          / (along * along + normal_sq))
     alpha = np.where((alpha >= lo) & (alpha <= hi), alpha, 0.5 * (lo + hi))
-    alpha, moving = aeropower._newton(residual, alpha, lo, hi, TRIM_TOL,
-                                      TRIM_MAX_ITER)
+    with np.errstate(over="ignore"):
+        alpha, moving = aeropower._newton(residual, alpha, lo, hi, TRIM_TOL,
+                                          TRIM_MAX_ITER)
     if moving.any():
         stuck = np.broadcast_to(v, alpha.shape)[moving]
         raise aeropower.SolverError(

@@ -10,6 +10,14 @@ from mobilitylab import aeropower, params
 TITAN = params.titan_defaults()
 EARTH = params.earth_defaults()
 VEH = params.VehicleParams()
+RHO2A = 2 * TITAN.air_density * VEH.rotor_disk_area
+ETA = 0.6 * 0.85 * 0.95
+
+
+def _inflow(f, v=0.0, alpha=0.0, rho2a=RHO2A):
+    """momentum_power's nu for a freestream v at alpha from the disk plane."""
+    return aeropower.momentum_power(f, rho2a, np.abs(v), v * np.cos(alpha),
+                                    v * np.sin(alpha), 1.0)[0]
 
 
 # --- projected area ---------------------------------------------------------
@@ -54,19 +62,19 @@ def test_drag_quadratic_in_speed(v):
     assert d2 == pytest.approx(4 * d1, rel=1e-9, abs=1e-12)
 
 
-# --- induced velocity -------------------------------------------------------
+# --- induced velocity: momentum_power's nu ---------------------------------
 
 def test_hover_induced_velocity_value():
     # per-rotor hover thrust on Titan, 2-agent Rollocopter geometry
     f = 0.8 * 1.352 / 4.0
-    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
+    nu = _inflow(f)
     assert nu == pytest.approx(1.1716, rel=1e-3)
     assert nu == pytest.approx(math.sqrt(f / (2 * 5.4 * VEH.rotor_disk_area)),
                                rel=1e-12)
 
 
 def test_zero_thrust_zero_inflow():
-    assert aeropower.induced_velocity(0.0, TITAN, VEH.rotor_disk_area) == 0.0
+    assert _inflow(0.0) == 0.0
 
 
 def test_induced_velocity_input_validation():
@@ -80,8 +88,7 @@ def test_induced_velocity_input_validation():
 @given(f=st.floats(1e-6, 100.0), v=st.floats(0.0, 20.0),
        alpha=st.floats(0.0, 1.3))
 def test_induced_velocity_satisfies_implicit_equation(f, v, alpha):
-    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area,
-                                    v_inf=v, alpha=alpha)
+    nu = _inflow(f, v, alpha)
     rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
     lhs = nu * math.hypot(v * math.cos(alpha), v * math.sin(alpha) + nu)
     # solver tolerance on nu maps to ~|d lhs/d nu| * tol ~ (v + nu) * tol
@@ -90,18 +97,12 @@ def test_induced_velocity_satisfies_implicit_equation(f, v, alpha):
 
 @given(f=st.floats(0.01, 10.0), v=st.floats(0.0, 5.0))
 def test_induced_velocity_monotone_in_thrust(f, v):
-    nu1 = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area, v_inf=v)
-    nu2 = aeropower.induced_velocity(2 * f, TITAN, VEH.rotor_disk_area,
-                                     v_inf=v)
-    assert nu2 > nu1
+    assert _inflow(2 * f, v) > _inflow(f, v)
 
 
 def test_forward_speed_reduces_edgewise_inflow():
     f = 0.2704
-    nu0 = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
-    nu1 = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area,
-                                     v_inf=2.0, alpha=0.0)
-    assert nu1 < nu0
+    assert _inflow(f, 2.0, 0.0) < _inflow(f)
 
 
 # --- bracketed Newton -------------------------------------------------------
@@ -143,14 +144,11 @@ def test_newton_returns_still_moving_mask_without_raising():
 
 # --- rotor power ------------------------------------------------------------
 
-RHO2A = 2 * TITAN.air_density * VEH.rotor_disk_area
-ETA = 0.6 * 0.85 * 0.95
-
 
 def test_hover_rotor_power_titan():
     f = 0.8 * 1.352 / 4.0
     nu, p = aeropower.momentum_power(f, RHO2A, 0.0, 0.0, 0.0, ETA)
-    assert nu == aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area)
+    assert nu == _inflow(f)
     assert p == pytest.approx(0.6538, rel=1e-3)
 
 
@@ -203,15 +201,12 @@ def test_mixed_axial_speeds_equal_element_calls():
 
 
 def test_induced_velocity_broadcasts_over_disk_area():
-    area = np.array([[0.01], [VEH.rotor_disk_area]])
-    nu = aeropower.induced_velocity(0.3, TITAN, area, v_inf=[0.0, 2.0],
-                                    alpha=0.4)
+    rho2a = 2 * TITAN.air_density * np.array([[0.01], [VEH.rotor_disk_area]])
+    v = np.array([0.0, 2.0])
+    nu = _inflow(0.3, v, 0.4, rho2a)
     assert nu.shape == (2, 2)
     for i, j in itertools.product(range(2), range(2)):
-        assert nu[i, j] == aeropower.induced_velocity(
-            0.3, TITAN, float(area[i, 0]), v_inf=[0.0, 2.0][j], alpha=0.4)
-    with pytest.raises(ValueError, match="disk_area must be > 0"):
-        aeropower.induced_velocity(0.3, TITAN, np.array([0.01, 0.0]))
+        assert nu[i, j] == _inflow(0.3, v[j], 0.4, rho2a[i, 0])
 
 
 # thrust, freestream speed and angle: descent (clamped power), zero thrust
@@ -256,11 +251,8 @@ _op_points = st.one_of(
 @given(points=st.lists(_op_points, min_size=1, max_size=12))
 def test_array_induced_velocity_matches_scalar_calls(points):
     f, v, alpha = (np.array(col) for col in zip(*points))
-    nu = aeropower.induced_velocity(f, TITAN, VEH.rotor_disk_area,
-                                    v_inf=v, alpha=alpha)
-    scalar = [aeropower.induced_velocity(p[0], TITAN, VEH.rotor_disk_area,
-                                         v_inf=p[1], alpha=p[2])
-              for p in points]
+    nu = _inflow(f, v, alpha)
+    scalar = [_inflow(*p) for p in points]
     assert np.array_equal(nu, scalar)
     rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
     lhs = nu * np.hypot(v * np.cos(alpha), v * np.sin(alpha) + nu)

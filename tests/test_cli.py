@@ -25,9 +25,8 @@ def run(argv, capsys):
 
 
 def test_emit_csv_formatting(tmp_path):
-    table = cli.Table(header=["a", "b"], rows=[[1.0, 0.123456789123]])
     path = tmp_path / "t.csv"
-    n = cli.emit_csv(table, str(path))
+    n = cli.emit_csv(["a", "b"], [[1.0, 0.123456789123]], str(path))
     data = path.read_bytes()
     assert n == len(data)
     assert data == b"a,b\n1,0.123456789\n"
@@ -35,15 +34,15 @@ def test_emit_csv_formatting(tmp_path):
 
 def test_emit_csv_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    cli.emit_csv(cli.Table(header=["x"], rows=[]), str(path))
+    cli.emit_csv(["x"], [], str(path))
     assert path.read_bytes() == b"x\n"
 
 
 def test_emit_csv_deterministic(tmp_path):
-    table = cli.Table(header=["a"], rows=[[1 / 3], [2 / 7]])
+    rows = [[1 / 3], [2 / 7]]
     p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
-    cli.emit_csv(table, str(p1))
-    cli.emit_csv(table, str(p2))
+    cli.emit_csv(["a"], rows, str(p1))
+    cli.emit_csv(["a"], rows, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -576,7 +575,8 @@ _ENV = {**{k: v for k, v in os.environ.items() if k != "MOBILITYLAB_CONFIG"},
         "PYTHONPATH": os.pathsep.join(
             filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
-#: runs the CLI, then prints the exit code and the loaded modules on stderr
+#: runs the CLI, then prints the exit code and the loaded modules (json,
+#: numpy and the package's) on stderr
 _PROBE = """
 import sys
 from mobilitylab.cli import main
@@ -585,26 +585,31 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code, *sorted(m for m in sys.modules
-                    if m == "numpy" or m.startswith("mobilitylab.")),
+                    if m in ("json", "numpy") or m.startswith("mobilitylab.")),
       file=sys.stderr)
 """
 
 
 def _python(*args):
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=_ENV, timeout=120)
+    """A fresh interpreter, every warning an error as in the in-process
+    suite."""
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=_ENV,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("argv", [
     ["range-sweep", "--mode", "rolling", "--set", "num_agents=1e300"],
     ["scaling", "--set", "battery_energy=1e307"],
-], ids=["thrust-far-beyond-limit", "range-overflow"])
+    ["scaling", "--set", "cobot_mass=1e307", "--set", "num_agents=1"],
+], ids=["thrust-far-beyond-limit", "range-overflow", "weight-overflow"])
 def test_huge_input_exits_1_without_runtime_warning(argv):
     # a fresh process: stderr is what a user sees, warning filters included
     proc = _python("-m", "mobilitylab.cli", *argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1  # the error line and nothing else
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -631,14 +636,15 @@ def test_import_loads_no_submodule():
 def test_cold_call_without_numpy(argv, exit_code):
     code, loaded = _cold(*argv)
     assert code == exit_code
-    assert "numpy" not in loaded
+    assert not loaded & {"json", "numpy"}
 
 
 def test_range_sweep_loads_no_dynamics_or_thermal():
     code, loaded = _cold("range-sweep", "--mode", "rolling")
     assert code == 0
     assert "mobilitylab.rangeopt" in loaded
-    assert not loaded & {"mobilitylab.dynamics", "mobilitylab.thermal"}
+    assert not loaded & {"json", "mobilitylab.dynamics",
+                         "mobilitylab.thermal"}
 
 
 def test_run_as_module_is_quiet():

@@ -77,7 +77,10 @@ _OUT_OF_DOMAIN = {"ambient_temperature": [-273.15, -500.0],
                   "num_agents": [0.0, -1.0],
                   # in domain, but pi r^2 and the roll inertia underflow
                   "rotor_disk_radius": [0.0, -1.0, 1e-200],
-                  "shell_radius_l": [0.0, -1.0, 1e-200]}
+                  "shell_radius_l": [0.0, -1.0, 1e-200],
+                  # in domain, but the total over the agents overflows
+                  "cobot_mass": [0.0, -1.0, 1e308],
+                  "battery_energy": [0.0, -1.0, 1e308]}
 
 
 def _defaults():

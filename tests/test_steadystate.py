@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mobilitylab import aeropower, control, rangeopt, steadystate
+from mobilitylab import aeropower, rangeopt, steadystate
 from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
                                VehicleParams, earth_defaults)
 
@@ -27,7 +27,6 @@ def test_traction_force_at_rest():
     assert ft == pytest.approx(0.02163, rel=1e-3)
     assert sol.required_torque == pytest.approx(ft * 0.2, rel=1e-12)
     assert sol.drag == 0.0
-    assert sol.rolling_resistance_force == pytest.approx(ft, rel=1e-12)
 
 
 def test_rolling_torque_residual_exact():
@@ -38,23 +37,25 @@ def test_rolling_torque_residual_exact():
 
 
 def test_rolling_rotor_thrusts_consistent():
-    sol = steadystate.rolling_equilibrium(CFG, 0.2)
-    thrusts = sol.per_rotor_thrust
-    assert thrusts.shape == (8,)
-    assert np.all(thrusts >= 0)
-    # 4 pairs, one spinning rotor each, equal magnitude tau/(4c)
+    # 4 pairs, one edgewise rotor each at the pair force |tau| / (4 c)
     c = 0.14 / math.sqrt(2)
-    expect = sol.required_torque / (4 * c)
-    assert np.count_nonzero(thrusts) == 4
-    assert np.allclose(thrusts[thrusts > 0], expect, rtol=1e-12)
-    # pair k maps to rotors (k, k+4): positive torque spins rotors 2..5
+    rho2a, eta = aeropower._rotor_terms(CFG.environment, CFG.vehicle)
+
+    def charged(sol):
+        f = abs(sol.required_torque) / (4 * c)
+        v = sol.speed_v
+        return 4 * aeropower.momentum_power(f, rho2a, v, v, 0.0, eta)[1]
+
+    sol = steadystate.rolling_equilibrium(CFG, 0.2)
     assert sol.required_torque > 0
-    assert np.flatnonzero(thrusts).tolist() == [2, 3, 4, 5]
-    # downhill with no rolling resistance the torque brakes: the other four
+    assert sol.total_electrical_power == pytest.approx(charged(sol),
+                                                       rel=1e-12)
+    # downhill with no rolling resistance the torque brakes: |tau| is charged
     downhill = replace(CFG, terrain=TerrainParams(0.0, -0.3))
     sol = steadystate.rolling_equilibrium(downhill, 0.05)
     assert sol.required_torque < 0
-    assert np.flatnonzero(sol.per_rotor_thrust).tolist() == [0, 1, 6, 7]
+    assert sol.total_electrical_power == pytest.approx(charged(sol),
+                                                       rel=1e-12)
 
 
 @settings(deadline=None)
@@ -64,24 +65,14 @@ def test_rolling_rotor_thrusts_consistent():
 @example(v=0.05, theta=-0.3, crr=0.0)    # braking: tau < 0
 @example(v=0.5, theta=0.1, crr=0.01)     # climbing: tau > 0
 def test_rolling_rotor_thrusts_are_the_charged_pair_force(v, theta, crr):
+    # the equilibrium's power is rolling_power at its torque, bit for bit
     config = replace(CFG, terrain=TerrainParams(crr, theta))
+    torque = (steadystate.rolling_resistive_force(config, v)
+              * config.vehicle.shell_radius_l)
     sol = steadystate.rolling_equilibrium(config, v)
-    tau, thrusts = sol.required_torque, sol.per_rotor_thrust
-    pairs = steadystate.CYLINDER_PAIRS
-    assert thrusts.shape == (2 * pairs,)
-    # the pair force rolling_power charges, bit for bit, on one rotor a pair
-    lever = steadystate._pair_terms(config, pairs)[0]
-    spinning = thrusts[thrusts != 0]
-    assert spinning.size == (pairs if tau != 0 else 0)
-    assert (spinning == abs(tau) / lever).all()
-    # the paper's mixer as oracle: pair k spins rotor k for a positive
-    # pair force, rotor k + 4 for a negative one; any yaw constant will do
-    mixer = control.mixer_matrix(config.vehicle.rotor_arm_length_a, 0.016)
-    oracle = np.zeros(2 * pairs)
-    for k, f in enumerate(control.allocate((0.0, tau, 0.0), mixer)):
-        oracle[k if f >= 0 else k + pairs] = abs(f)
-    assert np.array_equal(thrusts != 0, oracle != 0)
-    assert (abs(thrusts - oracle) <= 4 * np.spacing(oracle)).all()
+    assert sol.required_torque == torque
+    assert sol.total_electrical_power == steadystate.rolling_power(
+        config, torque, v)
 
 
 def test_rolling_rejects_negative_speed():
