@@ -60,7 +60,7 @@ def main() -> None:
     tail = statistics.fmean(power[len(power) // 2:])
     cfg = ScenarioConfig()
     v = OMEGA_DES * cfg.vehicle.shell_radius_l
-    ss = steadystate.rolling_equilibrium(cfg, v).total_electrical_power
+    ss = steadystate.rolling_state(cfg, v).power
     print(f"mean steady-tail power: {tail:.4f} W")
     print(f"steady-state solver at v={v} m/s: {ss:.4f} W")
     print(f"relative difference: {abs(tail - ss) / ss * 100:.2f}%")

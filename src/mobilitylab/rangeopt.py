@@ -82,18 +82,14 @@ def default_velocity_grid(mode: str) -> np.ndarray:
 def _powers(config: ScenarioConfig, mode: str, v, shell=None):
     """Total electrical power at speed(s) v; NaN where infeasible.
 
-    A rolling ``shell`` is (radius, drag area, propeller pairs). Rolling
-    sweeps and the trade-off map use the docked cylinder, whose torque loads
-    its pairs for any ``num_agents``; ``scaling_bounds`` gives n agents 2 n
-    pairs. Mass and energy scale with ``num_agents`` in both.
+    A rolling ``shell`` is ``steadystate.rolling_state``'s: the docked
+    cylinder by default, and n agents' shell on 2 n pairs in
+    ``scaling_bounds``. Mass and energy scale with ``num_agents`` in both.
     """
     if mode == "rolling":
-        radius, area, pairs = shell or (config.vehicle.shell_radius_l, None,
-                                        steadystate.CYLINDER_PAIRS)
-        torque = steadystate.rolling_resistive_force(config, v, area) * radius
-        return steadystate.rolling_power(config, torque, v, pairs)
+        return steadystate.rolling_state(config, v, shell).power
     if mode == "flying":
-        return steadystate.flying_power(config, v)
+        return steadystate.flying_state(config, v).power
     raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
 
 

@@ -1,4 +1,6 @@
-"""Steady-state planar equilibria: rolling on a slope, flying above one.
+"""Steady-state planar equilibria: rolling on a slope, flying above one,
+one record per mode (``rolling_state``, ``flying_state``), NaN power where
+a rotor saturates.
 
 Rolling model (no slip, pure rotor torque): at constant speed the commanded
 torque must overcome, through the contact point, the aerodynamic drag, the
@@ -37,12 +39,12 @@ components the balance gives, with no trigonometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import aeropower
-from .params import AnalysisError, ScenarioConfig
+from .params import ScenarioConfig
 
 #: propeller pairs the docked cylinder's roll torque loads, any num_agents
 CYLINDER_PAIRS = 4
@@ -51,25 +53,16 @@ TRIM_MAX_ITER = 100
 TRIM_TOL = 1e-9
 
 
-class InfeasibleError(AnalysisError):
-    """The equilibrium demands more thrust than a rotor can produce."""
+class RollingState(NamedTuple):
+    torque: np.ndarray              # N m about the roll axis
+    power: np.ndarray               # W total, NaN where a rotor saturates
 
 
-@dataclass(frozen=True)
-class RollingSolution:
-    speed_v: float
-    required_torque: float          # N m about the roll axis
-    drag: float                     # N
-    total_electrical_power: float   # W
-
-
-@dataclass(frozen=True)
-class FlyingSolution:
-    speed_v: float
-    tilt_alpha: float               # rad, positive tilted into flight
-    total_thrust: float             # N, summed over all agents
-    drag: float                     # N, summed over all agents
-    total_electrical_power: float   # W, summed over all agents
+class FlyingState(NamedTuple):
+    tilt: np.ndarray                # rad, positive tilted into flight
+    drag: np.ndarray                # N per agent
+    thrust: np.ndarray              # N per agent
+    power: np.ndarray               # W total, NaN where a rotor saturates
 
 
 def average_rolling_area(config: ScenarioConfig) -> float:
@@ -121,29 +114,31 @@ def rolling_power(config: ScenarioConfig, torque, v,
             f, rho2a, abs(v), v, v * -0.0, eta)[1]
 
 
-def rolling_equilibrium(config: ScenarioConfig, v: float) -> RollingSolution:
-    """Steady rolling at speed v on the configured slope."""
-    if v < 0:
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    veh = config.vehicle
-    drag = aeropower.drag_force(config.environment,
-                                average_rolling_area(config), v,
-                                cd=veh.drag_coefficient_cd)
-    torque = rolling_resistive_force(config, v) * veh.shell_radius_l
-    power = float(rolling_power(config, torque, v))
-    if math.isnan(power):
-        raise InfeasibleError(
-            f"rolling at v={v} m/s needs torque {torque:.3f} N m, beyond "
-            f"max rotor thrust {veh.max_rotor_thrust} N per pair")
-    return RollingSolution(speed_v=v, required_torque=torque, drag=drag,
-                           total_electrical_power=power)
+def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:
+    """Steady rolling at speed(s) v on the configured slope: the torque is
+    the resistive force times the shell radius, its power ``rolling_power``
+    on the shell's pairs. A ``shell`` is (radius, drag area, propeller
+    pairs), by default the docked cylinder's. Broadcasts like
+    ``rolling_resistive_force``. Rolling resistance does not flip sign with
+    v, so v < 0 raises rather than give a wrong power.
+    """
+    if np.min(v, initial=0.0) < 0:
+        raise ValueError(f"v must be >= 0, got {np.min(v)}")
+    radius, area, pairs = shell or (config.vehicle.shell_radius_l, None,
+                                    CYLINDER_PAIRS)
+    torque = rolling_resistive_force(config, v, area) * radius
+    return RollingState(torque, rolling_power(config, torque, v, pairs))
 
 
-def _flying_trim(config: ScenarioConfig, v: np.ndarray):
-    """Tilt, per-agent drag and thrust, and total power (NaN where
-    infeasible) at speeds v, broadcast over array-valued slopes and
-    environment and vehicle fields; the tilt is ``aeropower._newton``'s
-    root, elementwise."""
+def flying_state(config: ScenarioConfig, v) -> FlyingState:
+    """Constant-height trim of the ``num_agents`` independent agents at
+    speed(s) v above the slope. Broadcasts over v and over array-valued
+    slopes and environment and vehicle fields; the tilt is
+    ``aeropower._newton``'s root, elementwise. v < 0 raises.
+    """
+    if np.min(v, initial=0.0) < 0:
+        raise ValueError(f"v must be >= 0, got {np.min(v)}")
+    v = np.asarray(v, float)
     env, veh, ter = config.environment, config.vehicle, config.terrain
     along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
     normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
@@ -204,30 +199,4 @@ def _flying_trim(config: ScenarioConfig, v: np.ndarray):
         eta)[1]
     power = np.where(f > veh.max_rotor_thrust, np.nan,
                      config.num_agents * (4 * per_rotor))
-    return alpha, drag, thrust, power
-
-
-def flying_power(config: ScenarioConfig, v):
-    """Total flying power at speed(s) v; NaN where a rotor saturates.
-    Broadcasts over v and over an array-valued slope."""
-    return _flying_trim(config, np.asarray(v, float))[3]
-
-
-def flying_equilibrium(config: ScenarioConfig, v: float) -> FlyingSolution:
-    """Constant-height-above-slope trim of the flying agents at speed v.
-
-    Each of the ``num_agents`` agents flies independently; reported thrust,
-    drag and power are totals over all agents.
-    """
-    if v < 0:
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    alpha, drag, thrust, power = map(
-        float, _flying_trim(config, np.asarray(v, float)))
-    if math.isnan(power):
-        raise InfeasibleError(
-            f"flying at v={v} m/s needs per-rotor thrust {thrust / 4.0:.3f} "
-            f"N > max rotor thrust {config.vehicle.max_rotor_thrust} N")
-    n = config.num_agents
-    return FlyingSolution(speed_v=v, tilt_alpha=alpha,
-                          total_thrust=n * thrust, drag=n * drag,
-                          total_electrical_power=power)
+    return FlyingState(alpha, drag, thrust, power)

@@ -29,8 +29,8 @@ def sizing_table(ambient: float, thicknesses) -> list[list[float]]:
     rows = []
     for t in thicknesses:
         r2 = r1 + t
-        if not r2 > r1:
-            raise ValueError(f"thickness must be > 0 and above float "
+        if not (math.isfinite(t) and r2 > r1):
+            raise ValueError(f"thickness must be finite, > 0 and above float "
                              f"resolution at r1 = {r1} m, got {t!r}")
         loss = 4.0 * math.pi * CONDUCTIVITY * r1 * r2 * dt / (r2 - r1)
         rows.append([t, loss, loss / HEATER_EFFICIENCY,
@@ -47,8 +47,8 @@ def thickness_for_budget(budget: float, ambient: float) -> float:
     r2 -> infinity. Budgets at or below Q_min / HEATER_EFFICIENCY, or so
     large that t is below float resolution at r1, raise ValueError.
     """
-    if not budget > 0:
-        raise ValueError(f"budget must be > 0, got {budget!r}")
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be finite and > 0, got {budget!r}")
     r1, dt = CAVITY_RADIUS, SET_POINT - ambient
     if dt <= 0:
         raise ValueError(

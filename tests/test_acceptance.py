@@ -172,25 +172,20 @@ def test_criterion_09_cross_module_consistency():
                                          dt=0.01)
     tail = traj.power[len(traj.power) // 2:]  # steady tail, transient gone
     mean_power = float(np.mean(tail))
-    p_ss = steadystate.rolling_equilibrium(CFG, v).total_electrical_power
+    p_ss = float(steadystate.rolling_state(CFG, v).power)
     power_ok = abs(mean_power - p_ss) / p_ss < 0.10
 
-    # trim residuals on returned solutions
-    worst = 0.0
-    for speed in (0.0, 0.12, 0.5, 1.0):
-        sol = steadystate.rolling_equilibrium(CFG, speed)
-        resist = steadystate.rolling_resistive_force(CFG, speed)
-        worst = max(worst, abs(sol.required_torque
-                               - resist * CFG.vehicle.shell_radius_l))
-        flysol = steadystate.flying_equilibrium(CFG, speed)
-        t_a = flysol.total_thrust / CFG.num_agents
-        d_a = flysol.drag / CFG.num_agents
-        m = CFG.vehicle.cobot_mass
-        worst = max(
-            worst,
-            abs(t_a * math.sin(flysol.tilt_alpha) - d_a),
-            abs(t_a * math.cos(flysol.tilt_alpha)
-                - m * CFG.environment.gravity))
+    # trim residuals on the returned states, drag and thrust per agent
+    speeds = np.array([0.0, 0.12, 0.5, 1.0])
+    roll = steadystate.rolling_state(CFG, speeds)
+    resist = steadystate.rolling_resistive_force(CFG, speeds)
+    fly = steadystate.flying_state(CFG, speeds)
+    m = CFG.vehicle.cobot_mass
+    worst = float(max(
+        np.max(np.abs(roll.torque - resist * CFG.vehicle.shell_radius_l)),
+        np.max(np.abs(fly.thrust * np.sin(fly.tilt) - fly.drag)),
+        np.max(np.abs(fly.thrust * np.cos(fly.tilt)
+                      - m * CFG.environment.gravity))))
     residual_ok = worst < 1e-9
     ok = power_ok and residual_ok
     assert _verdict(9, ok,
@@ -254,11 +249,10 @@ def test_criterion_12_determinism(tmp_path):
         if a.read_bytes() != b.read_bytes():
             repeat_ok = False
     batch_ok = True
-    for mode, solve in (("rolling", steadystate.rolling_equilibrium),
-                        ("flying", steadystate.flying_equilibrium)):
+    for mode, state in (("rolling", steadystate.rolling_state),
+                        ("flying", steadystate.flying_state)):
         curve = rangeopt.range_sweep(CFG, mode)
-        pointwise = [solve(CFG, float(v)).total_electrical_power
-                     for v in curve.velocity]
+        pointwise = [state(CFG, float(v)).power for v in curve.velocity]
         batch_ok &= np.array_equal(curve.power, pointwise)
     ok = repeat_ok and batch_ok
     assert _verdict(12, ok,

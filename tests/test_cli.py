@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -652,3 +653,18 @@ def test_run_as_module_is_quiet():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("thickness_m,loss_w,heater_w,mass_kg\n")
+
+
+def test_readme_examples_exit_0(tmp_path, capsys):
+    # every mobilitylab line of README.md's "Examples:" block, as written
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("mobilitylab ")]
+    assert lines
+    for line in lines:
+        out = tmp_path / "out"
+        assert cli.main(shlex.split(line)[1:] + ["--out", str(out)]) == 0, \
+            line
+        assert out.stat().st_size > 0, line

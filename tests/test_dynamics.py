@@ -47,7 +47,7 @@ def test_uphill_rest_rolls_backwards_without_torque():
 def test_steady_state_is_a_fixed_point():
     # hold the equilibrium torque at the equilibrium rate: stays put
     v = 0.12
-    sol = steadystate.rolling_equilibrium(CFG, v)
+    torque = steadystate.rolling_state(CFG, v).torque
     omega = v / 0.2
     # instantaneous drag area differs from the revolution average; pick the
     # roll angle where they coincide so the comparison is exact
@@ -57,16 +57,15 @@ def test_steady_state_is_a_fixed_point():
              for a in angles]
     phi = angles[int(np.argmin(np.abs(np.array(areas) - avg)))]
     dt = 1e-6
-    _, omega_new = dynamics._roll_step(CFG, dt)(phi, omega,
-                                                sol.required_torque)
+    _, omega_new = dynamics._roll_step(CFG, dt)(phi, omega, torque)
     assert abs(omega_new - omega) / dt < 1e-4
 
 
 def test_rolling_power_matches_steady_state_module():
     v = 0.3
-    sol = steadystate.rolling_equilibrium(CFG, v)
-    p = steadystate.rolling_power(CFG, sol.required_torque, abs(v))
-    assert p == pytest.approx(sol.total_electrical_power, rel=1e-12)
+    state = steadystate.rolling_state(CFG, v)
+    p = steadystate.rolling_power(CFG, state.torque, abs(v))
+    assert p == pytest.approx(state.power, rel=1e-12)
 
 
 def test_closed_loop_tracks_rate_command():

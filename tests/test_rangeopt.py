@@ -393,12 +393,9 @@ def test_rolling_at_least_doubles_flying_range():
 
 
 def _pointwise_power(config, mode, v):
-    solve = (steadystate.rolling_equilibrium if mode == "rolling"
-             else steadystate.flying_equilibrium)
-    try:
-        return solve(config, float(v)).total_electrical_power
-    except steadystate.InfeasibleError:
-        return math.nan
+    state = (steadystate.rolling_state if mode == "rolling"
+             else steadystate.flying_state)
+    return state(config, float(v)).power
 
 
 @pytest.mark.parametrize("mode", ["rolling", "flying"])

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mobilitylab import aeropower, rangeopt, steadystate
-from mobilitylab.params import (AnalysisError, ScenarioConfig, TerrainParams,
-                               VehicleParams, earth_defaults)
+from mobilitylab.params import ScenarioConfig, TerrainParams, earth_defaults
 
 CFG = ScenarioConfig()
 
@@ -22,40 +21,37 @@ def test_average_rolling_area_value():
 
 def test_traction_force_at_rest():
     # v = 0: only rolling resistance, F_t = C_rr m g
-    sol = steadystate.rolling_equilibrium(CFG, 0.0)
     ft = 0.01 * 1.6 * 1.352
     assert ft == pytest.approx(0.02163, rel=1e-3)
-    assert sol.required_torque == pytest.approx(ft * 0.2, rel=1e-12)
-    assert sol.drag == 0.0
+    assert steadystate.rolling_state(CFG, 0.0).torque == pytest.approx(
+        ft * 0.2, rel=1e-12)
 
 
 def test_rolling_torque_residual_exact():
     for v in (0.0, 0.1, 0.5, 1.5):
-        sol = steadystate.rolling_equilibrium(CFG, v)
+        torque = steadystate.rolling_state(CFG, v).torque
         resist = steadystate.rolling_resistive_force(CFG, v)
-        assert abs(sol.required_torque - resist * 0.2) < 1e-12
+        assert abs(torque - resist * 0.2) < 1e-12
 
 
 def test_rolling_rotor_thrusts_consistent():
-    # 4 pairs, one edgewise rotor each at the pair force |tau| / (4 c)
+    # the torque is the resistive force times the shell radius, and the
+    # power 4 pairs, one edgewise rotor each at the pair force |tau| / (4 c):
+    # climbing (tau > 0), and braking downhill with no rolling resistance
+    # (tau < 0), where |tau| is charged
     c = 0.14 / math.sqrt(2)
     rho2a, eta = aeropower._rotor_terms(CFG.environment, CFG.vehicle)
-
-    def charged(sol):
-        f = abs(sol.required_torque) / (4 * c)
-        v = sol.speed_v
-        return 4 * aeropower.momentum_power(f, rho2a, v, v, 0.0, eta)[1]
-
-    sol = steadystate.rolling_equilibrium(CFG, 0.2)
-    assert sol.required_torque > 0
-    assert sol.total_electrical_power == pytest.approx(charged(sol),
-                                                       rel=1e-12)
-    # downhill with no rolling resistance the torque brakes: |tau| is charged
-    downhill = replace(CFG, terrain=TerrainParams(0.0, -0.3))
-    sol = steadystate.rolling_equilibrium(downhill, 0.05)
-    assert sol.required_torque < 0
-    assert sol.total_electrical_power == pytest.approx(charged(sol),
-                                                       rel=1e-12)
+    for terrain, v, sign in ((CFG.terrain, 0.2, 1.0),
+                             (TerrainParams(0.0, -0.3), 0.05, -1.0)):
+        config = replace(CFG, terrain=terrain)
+        state = steadystate.rolling_state(config, v)
+        assert state.torque == (steadystate.rolling_resistive_force(config, v)
+                                * config.vehicle.shell_radius_l)
+        assert np.sign(state.torque) == sign
+        f = abs(state.torque) / (4 * c)
+        assert state.power == pytest.approx(
+            4 * aeropower.momentum_power(f, rho2a, v, v, 0.0, eta)[1],
+            rel=1e-12)
 
 
 @settings(deadline=None)
@@ -65,25 +61,34 @@ def test_rolling_rotor_thrusts_consistent():
 @example(v=0.05, theta=-0.3, crr=0.0)    # braking: tau < 0
 @example(v=0.5, theta=0.1, crr=0.01)     # climbing: tau > 0
 def test_rolling_rotor_thrusts_are_the_charged_pair_force(v, theta, crr):
-    # the equilibrium's power is rolling_power at its torque, bit for bit
+    # the record's power is rolling_power at its torque, bit for bit, as a
+    # scalar and as one element of a broadcast call
     config = replace(CFG, terrain=TerrainParams(crr, theta))
     torque = (steadystate.rolling_resistive_force(config, v)
               * config.vehicle.shell_radius_l)
-    sol = steadystate.rolling_equilibrium(config, v)
-    assert sol.required_torque == torque
-    assert sol.total_electrical_power == steadystate.rolling_power(
-        config, torque, v)
+    state = steadystate.rolling_state(config, v)
+    assert state.torque == torque
+    assert state.power == steadystate.rolling_power(config, torque, v)
+    batch = steadystate.rolling_state(config, np.array([0.0, v, 2.0]))
+    assert np.array_equal(batch.power[1], state.power, equal_nan=True)
 
 
 def test_rolling_rejects_negative_speed():
-    with pytest.raises(ValueError):
-        steadystate.rolling_equilibrium(CFG, -0.1)
+    for v in (-0.1, np.array([0.5, -0.0, -1e-300])):
+        with pytest.raises(ValueError, match=r"v must be >= 0, got -"):
+            steadystate.rolling_state(CFG, v)
 
 
-def test_rolling_infeasible_raises():
+def test_flying_rejects_negative_speed():
+    for v in (-0.1, [[0.5], [-2.0]]):
+        with pytest.raises(ValueError, match=r"v must be >= 0, got -"):
+            steadystate.flying_state(CFG, v)
+
+
+def test_rolling_infeasible_is_nan_power():
     weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-6))
-    with pytest.raises(steadystate.InfeasibleError):
-        steadystate.rolling_equilibrium(weak, 0.5)
+    state = steadystate.rolling_state(weak, 0.5)
+    assert state.torque > 0 and math.isnan(state.power)
 
 
 @settings(max_examples=30)
@@ -92,8 +97,8 @@ def test_rolling_infeasible_raises():
 def test_rolling_power_monotone_in_resistance(v, crr, theta):
     base = replace(CFG, terrain=TerrainParams(crr, theta))
     worse = replace(CFG, terrain=TerrainParams(crr + 0.05, theta))
-    p0 = steadystate.rolling_equilibrium(base, v).total_electrical_power
-    p1 = steadystate.rolling_equilibrium(worse, v).total_electrical_power
+    p0 = steadystate.rolling_state(base, v).power
+    p1 = steadystate.rolling_state(worse, v).power
     assert p1 >= p0
 
 
@@ -145,7 +150,7 @@ def test_rolling_power_masks_beyond_limit_before_power_chain():
 def test_rolling_power_thrust_limit_is_strict():
     # one limit, no slack: finite at a pair force of exactly
     # max_rotor_thrust, NaN one ulp above it, the same strict > that
-    # _flying_trim applies
+    # flying_state applies
     f_max = CFG.vehicle.max_rotor_thrust
     lever = steadystate._pair_terms(CFG, 4)[0]
     for f, finite in ((f_max, True), (math.nextafter(f_max, math.inf),
@@ -157,8 +162,7 @@ def test_rolling_power_thrust_limit_is_strict():
 
 
 def test_rolling_power_increases_with_speed():
-    powers = [steadystate.rolling_equilibrium(CFG, v).total_electrical_power
-              for v in np.linspace(0.05, 1.5, 10)]
+    powers = steadystate.rolling_state(CFG, np.linspace(0.05, 1.5, 10)).power
     assert np.all(np.diff(powers) > 0)
 
 
@@ -166,40 +170,36 @@ def test_downhill_needs_braking_torque():
     # steep descent: gravity beats resistance, rotors brake (torque < 0)
     # and braking thrust still costs electrical power in this model
     downhill = replace(CFG, terrain=TerrainParams(0.01, -0.1))
-    sol = steadystate.rolling_equilibrium(downhill, 0.1)
-    assert sol.required_torque < 0
-    assert sol.total_electrical_power > 0
+    state = steadystate.rolling_state(downhill, 0.1)
+    assert state.torque < 0
+    assert state.power > 0
 
 
-def _trim_residuals(config, sol):
+def _trim_residuals(config, state):
+    """Per-agent force balance along and normal to the slope."""
     env, ter = config.environment, config.terrain
     m = config.vehicle.cobot_mass
-    thrust = sol.total_thrust / config.num_agents
-    drag = sol.drag / config.num_agents
-    along = (thrust * math.sin(sol.tilt_alpha) - drag
+    along = (state.thrust * np.sin(state.tilt) - state.drag
              - m * env.gravity * math.sin(ter.slope_theta))
-    normal = (thrust * math.cos(sol.tilt_alpha)
+    normal = (state.thrust * np.cos(state.tilt)
               - m * env.gravity * math.cos(ter.slope_theta))
     return along, normal
 
 
 def test_flying_trim_residuals():
-    for v in (0.0, 0.5, 1.0, 2.0):
-        along, normal = _trim_residuals(CFG, steadystate.flying_equilibrium(
-            CFG, v))
-        assert abs(along) < 1e-9
-        assert abs(normal) < 1e-9
+    state = steadystate.flying_state(CFG, [0.0, 0.5, 1.0, 2.0])
+    for residual in _trim_residuals(CFG, state):
+        assert np.max(np.abs(residual)) < 1e-9
 
 
 def test_steep_downhill_trim_takes_lowest_power_root():
     # at 1.45 m/s on a -0.5 rad slope the tilt balance has three roots,
     # near -0.0481, 0.1497 and 0.9103 rad; the first needs the least power
     steep = replace(CFG, terrain=TerrainParams(0.01, -0.5))
-    sol = steadystate.flying_equilibrium(steep, 1.45)
-    assert sol.tilt_alpha == pytest.approx(-0.0481, abs=5e-5)
-    assert max(map(abs, _trim_residuals(steep, sol))) < 1e-9
-    assert sol.total_electrical_power / CFG.num_agents == pytest.approx(
-        1.34, abs=5e-3)
+    state = steadystate.flying_state(steep, 1.45)
+    assert state.tilt == pytest.approx(-0.0481, abs=5e-5)
+    assert max(map(abs, _trim_residuals(steep, state))) < 1e-9
+    assert state.power / CFG.num_agents == pytest.approx(1.34, abs=5e-3)
 
 
 def _bisected_tilt(config, v):
@@ -232,11 +232,11 @@ def test_trim_tilt_is_the_bisection_root_of_its_half(theta, v, env):
     config = _on_slopes(CFG, theta)
     if env == "earth":
         config = replace(config, environment=earth_defaults())
-    tilt = steadystate._flying_trim(config, np.float64(v))[0]
+    tilt = steadystate.flying_state(config, np.float64(v)).tilt
     assert abs(tilt - _bisected_tilt(config, v)) <= 1e-12
 
 
-def _fixed_point_flying_power(config, v, steps=400):
+def _fixed_point_trim_power(config, v, steps=400):
     """Flying power from the plain tilt fixed point run for many steps."""
     env, veh, ter = config.environment, config.vehicle, config.terrain
     along = veh.cobot_mass * env.gravity * math.sin(ter.slope_theta)
@@ -265,8 +265,8 @@ def test_flying_power_matches_long_fixed_point(env, theta_deg):
     if env == "earth":
         config = replace(config, environment=earth_defaults())
     v = rangeopt.default_velocity_grid("flying")
-    got = steadystate.flying_power(config, v)
-    want = _fixed_point_flying_power(config, v)
+    got = steadystate.flying_state(config, v).power
+    want = _fixed_point_trim_power(config, v)
     assert np.isfinite(want).all()
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
@@ -274,16 +274,15 @@ def test_flying_power_matches_long_fixed_point(env, theta_deg):
 def test_flying_at_zero_speed_is_hover():
     # the same kernel call, bit for bit, on Titan and on Earth
     for config in (CFG, replace(CFG, environment=earth_defaults())):
-        sol = steadystate.flying_equilibrium(config, 0.0)
+        state = steadystate.flying_state(config, 0.0)
         hover = aeropower.cobot_hover_power(config.environment,
                                             config.vehicle)
-        assert sol.tilt_alpha == 0.0
-        assert sol.total_electrical_power == config.num_agents * hover
+        assert state.tilt == 0.0
+        assert state.power == config.num_agents * hover
 
 
 def test_flying_tilt_grows_with_speed():
-    tilts = [steadystate.flying_equilibrium(CFG, v).tilt_alpha
-             for v in (0.2, 0.8, 1.6, 3.0)]
+    tilts = steadystate.flying_state(CFG, [0.2, 0.8, 1.6, 3.0]).tilt
     assert np.all(np.diff(tilts) > 0)
     assert all(0 < t < math.pi / 2 for t in tilts)
 
@@ -297,8 +296,8 @@ def test_flying_power_broadcasts_over_slope_bitwise():
     weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.4))
     theta = np.radians(np.linspace(-0.5, 20.0, 9))
     v = np.linspace(0.0, 3.0, 40)
-    rows = steadystate.flying_power(_on_slopes(weak, theta[:, None]), v)
-    per_slope = [steadystate.flying_power(_on_slopes(weak, float(th)), v)
+    rows = steadystate.flying_state(_on_slopes(weak, theta[:, None]), v).power
+    per_slope = [steadystate.flying_state(_on_slopes(weak, float(th)), v).power
                  for th in theta]
     assert rows.shape == (9, 40)
     assert np.isnan(rows).any() and np.isfinite(rows).any()
@@ -306,7 +305,7 @@ def test_flying_power_broadcasts_over_slope_bitwise():
 
 
 def _trim_at(config, v, alpha):
-    """``_flying_trim`` at speed v with its tilt solve replaced by the tilt
+    """``flying_state`` at speed v with its tilt solve replaced by the tilt
     alpha: the residual it hands to ``aeropower._newton``, and the drag it
     re-evaluates at alpha."""
     newton, seen = aeropower._newton, []
@@ -318,7 +317,7 @@ def _trim_at(config, v, alpha):
         return np.full(np.shape(x), alpha), np.zeros(np.shape(x), bool)
 
     with mock.patch.object(aeropower, "_newton", at_alpha):
-        drag = steadystate._flying_trim(config, np.asarray(v, float))[1]
+        drag = steadystate.flying_state(config, v).drag
     return seen[0], drag
 
 
@@ -378,7 +377,7 @@ def test_flying_trim_failure_names_broadcast_speeds(monkeypatch):
     theta = np.radians([0.0, 1.0])[:, None]
     with pytest.raises(aeropower.SolverError,
                        match=r"at 4 speed\(s\), v = 0\.5 to 1 m/s$"):
-        steadystate.flying_power(_on_slopes(CFG, theta), [0.5, 1.0])
+        steadystate.flying_state(_on_slopes(CFG, theta), [0.5, 1.0])
 
 
 def test_unconverged_inflow_raises_solver_error(monkeypatch):
@@ -386,7 +385,7 @@ def test_unconverged_inflow_raises_solver_error(monkeypatch):
     with pytest.raises(aeropower.SolverError,
                        match=r"^induced velocity Newton solve did not "
                              r"converge to 1e-10 in 1 iterations$"):
-        steadystate.flying_power(CFG, rangeopt.default_velocity_grid(
+        steadystate.flying_state(CFG, rangeopt.default_velocity_grid(
             "flying"))
 
 
@@ -401,20 +400,15 @@ def test_flying_inflow_converges_in_few_iterations(monkeypatch, env,
     if env == "earth":
         config = replace(config, environment=earth_defaults())
     theta = np.radians(np.linspace(-0.5, 6.5, 15))[:, None]
-    power = steadystate.flying_power(_on_slopes(config, theta),
+    state = steadystate.flying_state(_on_slopes(config, theta),
                                      rangeopt.default_velocity_grid("flying"))
-    assert np.isfinite(power).any()
+    assert np.isfinite(state.power).any()
 
 
-def test_flying_infeasible_raises():
+def test_flying_infeasible_is_nan_power():
     weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.01))
-    with pytest.raises(steadystate.InfeasibleError):
-        steadystate.flying_equilibrium(weak, 1.0)
-
-
-def test_infeasible_error_is_an_analysis_error():
-    # the CLI reports every AnalysisError as exit 1 with an error: line
-    assert issubclass(steadystate.InfeasibleError, AnalysisError)
+    state = steadystate.flying_state(weak, 1.0)
+    assert state.thrust / 4 > 0.01 and math.isnan(state.power)
 
 
 def test_resistive_force_area_changes_drag_only():
@@ -428,22 +422,25 @@ def test_resistive_force_area_changes_drag_only():
 
 def test_flying_totals_scale_with_agents():
     solo = replace(CFG, num_agents=1)
-    one = steadystate.flying_equilibrium(solo, 1.0)
-    two = steadystate.flying_equilibrium(CFG, 1.0)
-    assert two.total_electrical_power == pytest.approx(
-        2 * one.total_electrical_power, rel=1e-12)
-    assert two.total_thrust == pytest.approx(2 * one.total_thrust, rel=1e-12)
+    one = steadystate.flying_state(solo, 1.0)
+    two = steadystate.flying_state(CFG, 1.0)
+    assert two.power == pytest.approx(2 * one.power, rel=1e-12)
+    # the agents fly independently: the same trim per agent
+    assert (one.tilt, one.drag, one.thrust) == (two.tilt, two.drag, two.thrust)
 
 
 def test_rolling_cheaper_than_flying_headline():
     # same speed, ideal surface: the docked roller wins by a wide margin
     v = 0.5
-    roll = steadystate.rolling_equilibrium(CFG, v).total_electrical_power
-    fly = steadystate.flying_equilibrium(CFG, v).total_electrical_power
+    roll = steadystate.rolling_state(CFG, v).power
+    fly = steadystate.flying_state(CFG, v).power
     assert roll < fly / 5
 
 
 def test_rolling_power_drag_only_at_zero_crr():
     ideal = replace(CFG, terrain=TerrainParams(0.0, 0.0))
-    sol = steadystate.rolling_equilibrium(ideal, 0.3)
-    assert sol.required_torque == pytest.approx(sol.drag * 0.2, rel=1e-12)
+    drag = aeropower.drag_force(CFG.environment,
+                                steadystate.average_rolling_area(CFG), 0.3,
+                                CFG.vehicle.drag_coefficient_cd)
+    assert steadystate.rolling_state(ideal, 0.3).torque == pytest.approx(
+        drag * 0.2, rel=1e-12)

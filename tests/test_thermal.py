@@ -26,9 +26,10 @@ def test_no_gradient_no_loss():
 
 
 def test_spec_validation():
-    # r2 = r1 + t must exceed r1: no zero, negative, NaN or sub-resolution t
-    for t in (0.0, -0.05, math.nan, 1e-300):
-        with pytest.raises(ValueError, match="thickness"):
+    # t must be finite and r2 = r1 + t exceed r1: no zero, negative, NaN,
+    # infinite or sub-resolution t
+    for t in (0.0, -0.05, math.nan, math.inf, 1e-300):
+        with pytest.raises(ValueError, match="^thickness must be finite"):
             thermal.sizing_table(TITAN, [t])
 
 
@@ -75,8 +76,8 @@ def test_thickness_rejects_unreachable_budget():
     with pytest.raises(ValueError, match="asymptote"):
         thermal.thickness_for_budget(
             q_min / thermal.HEATER_EFFICIENCY * 0.99, TITAN)
-    for budget in (0.0, -2.0):
-        with pytest.raises(ValueError, match="budget"):
+    for budget in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^budget must be finite"):
             thermal.thickness_for_budget(budget, TITAN)
 
 
