@@ -49,17 +49,16 @@ def main() -> None:
             raise SystemExit(f"{name}: exit {status}")
         print(f"wrote {path}")
 
-    ambient = ScenarioConfig().environment.ambient_temperature  # Titan
+    cfg = ScenarioConfig()  # Titan
     for budget in (2.0, 5.68, 10.42):
-        t = thermal.thickness_for_budget(budget, ambient)
+        t = thermal.thickness_for_budget(budget, cfg)
         print(f"heater budget {budget:5.2f} W -> thickness {t * 1e3:.1f} mm")
 
     rows = csv.DictReader((OUT / "closed_loop_rolling.csv").read_text(
         encoding="utf-8").splitlines())
     power = [float(row["power_w"]) for row in rows]
     tail = statistics.fmean(power[len(power) // 2:])
-    cfg = ScenarioConfig()
-    v = OMEGA_DES * cfg.vehicle.shell_radius_l
+    v = OMEGA_DES * cfg.shell_radius_l
     ss = steadystate.rolling_state(cfg, v).power
     print(f"mean steady-tail power: {tail:.4f} W")
     print(f"steady-state solver at v={v} m/s: {ss:.4f} W")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import AnalysisError, EnvironmentParams, VehicleParams
+from .params import AnalysisError, ScenarioConfig
 
 #: Newton step tolerance on induced velocity, m/s
 INDUCED_TOL = 1e-10
@@ -24,28 +24,23 @@ class SolverError(AnalysisError):
     """An iterative solve (induced velocity, flying trim) did not converge."""
 
 
-def _body_height(vehicle: VehicleParams, mode: str) -> float:
-    if mode not in ("rolling", "flying"):
-        raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
-    return getattr(vehicle, f"body_height_h_{mode}")
-
-
-def projected_area(vehicle: VehicleParams, alpha: float, mode: str) -> float:
+def projected_area(config: ScenarioConfig, alpha: float, mode: str) -> float:
     """Body area projected on the plane orthogonal to the velocity vector.
 
     A = (h|cos a| + 2 l |sin a|) w, with h selected by ``mode`` ("rolling"
     or "flying"). Pi-periodic and strictly positive; broadcasts over alpha.
     """
-    h = _body_height(vehicle, mode)
-    return (h * abs(np.cos(alpha))
-            + 2.0 * vehicle.shell_radius_l * abs(np.sin(alpha))
-            ) * vehicle.shell_width_w
+    if mode not in ("rolling", "flying"):
+        raise ValueError(f"mode must be 'rolling' or 'flying', got {mode!r}")
+    return (getattr(config, f"body_height_h_{mode}") * abs(np.cos(alpha))
+            + 2.0 * config.shell_radius_l * abs(np.sin(alpha))
+            ) * config.shell_width_w
 
 
-def drag_force(env: EnvironmentParams, area: float, speed: float,
-               cd: float) -> float:
+def drag_force(config: ScenarioConfig, area: float, speed: float) -> float:
     """Drag 0.5 * cd * rho * A * v |v|, signed with v (it opposes motion)."""
-    return 0.5 * cd * env.air_density * area * speed * abs(speed)
+    return (0.5 * config.drag_coefficient_cd * config.air_density * area
+            * speed * abs(speed))
 
 
 def _edgewise_inflow(rhs, vx):
@@ -136,7 +131,7 @@ def momentum_power(thrust, rho2a, speed, vx, vz, eta):
         return nu, np.maximum(thrust * (nu + vz), 0.0) / eta
 
 
-def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
+def induced_velocity(thrust, config: ScenarioConfig, disk_area: float,
                      v_inf=0.0, alpha=0.0):
     """Momentum-theory induced velocity through a rotor disk.
 
@@ -154,20 +149,20 @@ def induced_velocity(thrust, env: EnvironmentParams, disk_area: float,
     if np.any(thrust < 0):
         raise ValueError(f"thrust must be >= 0, got {thrust.min()!r}")
     with np.errstate(invalid="ignore", over="ignore"):  # inf * sin(0)
-        nu = momentum_power(thrust, 2.0 * env.air_density * disk_area,
+        nu = momentum_power(thrust, 2.0 * config.air_density * disk_area,
                             np.abs(v_inf), v_inf * np.cos(alpha),
                             v_inf * np.sin(alpha), 1.0)[0]
     return float(nu) if nu.ndim == 0 else nu
 
 
-def _rotor_terms(env: EnvironmentParams, vehicle: VehicleParams):
+def _rotor_terms(config: ScenarioConfig):
     """``momentum_power``'s 2 rho A and chain efficiency for a vehicle."""
-    return (2.0 * env.air_density * vehicle.rotor_disk_area,
-            vehicle.eta_propeller * vehicle.eta_motor * vehicle.eta_controller)
+    return (2.0 * config.air_density * config.rotor_disk_area,
+            config.eta_propeller * config.eta_motor * config.eta_controller)
 
 
-def cobot_hover_power(env: EnvironmentParams, vehicle: VehicleParams) -> float:
+def cobot_hover_power(config: ScenarioConfig) -> float:
     """Total electrical hover power of one agent (4 rotors, v_inf = 0)."""
-    rho2a, eta = _rotor_terms(env, vehicle)
-    return 4 * momentum_power(vehicle.cobot_mass * env.gravity / 4.0, rho2a,
+    rho2a, eta = _rotor_terms(config)
+    return 4 * momentum_power(config.cobot_mass * config.gravity / 4.0, rho2a,
                               0.0, 0.0, 0.0, eta)[1]

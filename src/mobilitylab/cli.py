@@ -18,10 +18,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 
-from .params import (DT_MAX, AnalysisError, ConfigError, ScenarioConfig,
-                     ValidationError, config_from_mapping, earth_defaults,
+from .params import (DT_MAX, EARTH, AnalysisError, ConfigError,
+                     ScenarioConfig, ValidationError, config_from_mapping,
                      parse_document)
 
 #: default thickness sweep for the thermal table, m; equal bit for bit to
@@ -59,7 +58,7 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     """Layer the preset, then the config file's keys, then each --set."""
     values: dict = {}
     if args.env == "earth":
-        values.update(asdict(earth_defaults()))
+        values.update(EARTH)
     path = args.config or os.environ.get("MOBILITYLAB_CONFIG")
     if path:
         try:
@@ -158,10 +157,9 @@ def _cmd_simulate(args, config) -> tuple[list[str], list, dict]:
 
 def _cmd_thermal(args, config) -> tuple[list[str], list, dict]:
     from . import thermal
-    ambient = config.environment.ambient_temperature
-    summary: dict = {"ambient_temp_c": ambient}
+    summary: dict = {"ambient_temp_c": config.ambient_temperature}
     if args.budget_w is not None:
-        t = thermal.thickness_for_budget(args.budget_w, ambient)
+        t = thermal.thickness_for_budget(args.budget_w, config)
         thicknesses = [t]
         summary["budget_w"] = args.budget_w
         summary["thickness_m"] = t
@@ -169,7 +167,7 @@ def _cmd_thermal(args, config) -> tuple[list[str], list, dict]:
         thicknesses = [args.thickness_m]
     else:
         thicknesses = THERMAL_THICKNESS_GRID
-    rows = thermal.sizing_table(ambient, thicknesses)
+    rows = thermal.sizing_table(config, thicknesses)
     summary["rows"] = len(rows)
     return ["thickness_m", "loss_w", "heater_w", "mass_kg"], rows, summary
 

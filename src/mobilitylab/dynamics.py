@@ -67,7 +67,7 @@ CSV_HEADER = ["time_s", "position_m", "speed_mps", "omega_radps",
 
 def rolling_inertia(config: ScenarioConfig) -> float:
     """Roll-axis inertia; solid-cylinder default J_yy = m l^2 / 2."""
-    return 0.5 * config.total_mass * config.vehicle.shell_radius_l ** 2
+    return 0.5 * config.total_mass * config.shell_radius_l ** 2
 
 
 def _roll_step(config: ScenarioConfig, dt: float
@@ -81,15 +81,15 @@ def _roll_step(config: ScenarioConfig, dt: float
     on coefficients built once per run: ``drag_force`` on the rolling
     ``projected_area`` times l, with v = omega l, gives c_h = k w l^3 h / J
     and c_l = k w l^3 2l / J (k = cd rho / 2)."""
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m, radius = config.total_mass, veh.shell_radius_l
+    m, radius = config.total_mass, config.shell_radius_l
     inertia = rolling_inertia(config) + m * radius ** 2
-    drag = (0.5 * veh.drag_coefficient_cd * env.air_density
-            * veh.shell_width_w * radius ** 3 / inertia)
-    c_h, c_l = drag * veh.body_height_h_rolling, drag * (2.0 * radius)
-    slope = m * env.gravity * math.sin(ter.slope_theta) * radius / inertia
-    crr = (ter.rolling_resistance_crr * m * env.gravity
-           * math.cos(ter.slope_theta) * radius / inertia)
+    drag = (0.5 * config.drag_coefficient_cd * config.air_density
+            * config.shell_width_w * radius ** 3 / inertia)
+    c_h, c_l = drag * config.body_height_h_rolling, drag * (2.0 * radius)
+    slope = (m * config.gravity * math.sin(config.slope_theta) * radius
+             / inertia)
+    crr = (config.rolling_resistance_crr * m * config.gravity
+           * math.cos(config.slope_theta) * radius / inertia)
     cos, sin, gate = math.cos, math.sin, OMEGA_STATIC
     half, sixth = 0.5 * dt, dt / 6.0
 
@@ -144,8 +144,7 @@ def simulate_closed_loop(config: ScenarioConfig,
         raise ValueError(f"omega_des must be a finite number or a "
                          f"callable, got {omega_des!r}")
 
-    veh = config.vehicle
-    radius, f_max = veh.shell_radius_l, veh.max_rotor_thrust
+    radius, f_max = config.shell_radius_l, config.max_rotor_thrust
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
     # steadystate.rolling_power on the docked cylinder's pairs

@@ -1,12 +1,14 @@
-"""Physical, vehicle and terrain parameters, presets, and config parsing.
+"""The scenario config (environment, vehicle and terrain fields in one flat
+frozen dataclass), the Earth preset, and config parsing.
 
-All quantities are SI. Parameter containers are frozen dataclasses.
+All quantities are SI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 
 class ConfigError(ValueError):
@@ -41,39 +43,16 @@ _DOMAINS = {
     "rolling_resistance_crr": (lambda crr: crr >= 0, "must be >= 0"),
     "slope_theta": (lambda theta: abs(theta) < math.pi / 2,
                     "must satisfy |theta| < pi/2"),
+    "num_agents": (lambda n: n >= 1, "must be >= 1"),
 }
 _POSITIVE = (lambda x: x > 0, "must be > 0")
 
 
-class _Section:
-    """A config section, valid by construction: each field, scalar or array,
-    is finite and in its domain element by element."""
-
-    def __post_init__(self):
-        report = []
-        for name, value in vars(self).items():
-            test, rule = _DOMAINS.get(name, _POSITIVE)
-            if not _holds(abs(value) < math.inf):
-                report.append(f"{name} must be finite (got {value!r})")
-            elif not _holds(test(value)):
-                report.append(f"{name} {rule} (got {value!r})")
-        if report:
-            raise ValidationError("; ".join(report))
-
-
 @dataclass(frozen=True)
-class EnvironmentParams(_Section):
-    """Gravity, atmosphere and ambient temperature of a celestial body; the
-    defaults are Titan's surface."""
-
-    gravity: float = 1.352              # m/s^2
-    air_density: float = 5.4            # kg/m^3
-    ambient_temperature: float = -179.0  # degC
-
-
-@dataclass(frozen=True)
-class VehicleParams(_Section):
-    """Single-agent (Cobot) mass, geometry, rotor and battery properties.
+class ScenarioConfig:
+    """One scenario, valid by construction: each field, scalar or array, is
+    finite and in its domain element by element, and the rules across fields
+    hold. The defaults are two Cobots on flat ground at Titan's surface.
 
     ``body_height_h_rolling`` is the rotor-to-opposite-rotor height of the
     docked two-agent cylinder; ``body_height_h_flying`` the rotor-to-base
@@ -82,6 +61,11 @@ class VehicleParams(_Section):
     config files may set it, but no analysis reads it.
     """
 
+    # environment: gravity, atmosphere and ambient temperature of the body
+    gravity: float = 1.352              # m/s^2
+    air_density: float = 5.4            # kg/m^3
+    ambient_temperature: float = -179.0  # degC
+    # vehicle: single-agent (Cobot) mass, geometry, rotors and battery
     cobot_mass: float = 0.8              # kg
     shell_radius_l: float = 0.2          # m (cylinder radius)
     shell_width_w: float = 0.4           # m (cylinder width)
@@ -96,38 +80,30 @@ class VehicleParams(_Section):
     eta_controller: float = 0.95
     battery_energy: float = 870e3        # J per agent
     max_rotor_thrust: float = 8.0        # N per rotor (32 N over 4 rotors)
-
-    @property
-    def rotor_disk_area(self) -> float:
-        return math.pi * self.rotor_disk_radius ** 2
-
-
-@dataclass(frozen=True)
-class TerrainParams(_Section):
+    # terrain
     rolling_resistance_crr: float = 0.01
     slope_theta: float = 0.0  # rad, positive uphill
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    environment: EnvironmentParams = field(default_factory=EnvironmentParams)
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
-    terrain: TerrainParams = field(default_factory=TerrainParams)
     num_agents: int = 2
 
     def __post_init__(self):
-        """Check the rules across sections: num_agents >= 1, finite totals
-        over the agents, and no underflow of the products the models
-        divide by."""
-        veh = self.vehicle
+        """Check each field against its domain, then, once every field is
+        valid, the rules across them: finite totals over the agents, and no
+        underflow of the products the models divide by."""
+        report = []
+        for name, value in vars(self).items():
+            test, rule = _DOMAINS.get(name, _POSITIVE)
+            if not _holds(abs(value) < math.inf):
+                report.append(f"{name} must be finite (got {value!r})")
+            elif not _holds(test(value)):
+                report.append(f"{name} {rule} (got {value!r})")
+        if report:
+            raise ValidationError("; ".join(report))
         try:
             n = self.num_agents * 1.0
         except OverflowError:  # an agent count beyond float range
             n = math.inf
-        report = ([] if _holds(n >= 1) else
-                  [f"num_agents must be >= 1 (got {self.num_agents!r})"])
         for name in ("cobot_mass", "battery_energy"):
-            value = getattr(veh, name)
+            value = getattr(self, name)
             # for a whole count n, n * value is finite iff (n 2^-1024) value
             # < 1, a product that cannot overflow (and warn, for an array)
             if not _holds(n * 2.0 ** -1024 * value < 1.0):
@@ -136,41 +112,41 @@ class ScenarioConfig:
         if not report:
             # tiny in-domain fields underflow these products (x * x: x ** 2
             # raises OverflowError on huge ones)
-            disk, shell = veh.rotor_disk_radius, veh.shell_radius_l
+            disk, shell = self.rotor_disk_radius, self.shell_radius_l
             for name, value in (
                     ("air_density * rotor_disk_area (pi rotor_disk_radius^2)",
-                     self.environment.air_density * (math.pi * (disk * disk))),
+                     self.air_density * (math.pi * (disk * disk))),
                     ("roll inertia num_agents * cobot_mass * shell_radius_l^2",
-                     n * veh.cobot_mass * (shell * shell))):
+                     n * self.cobot_mass * (shell * shell))):
                 if not _holds(value > 0):
                     report.append(f"{name} must be > 0 (got {value!r})")
         if report:
             raise ValidationError("; ".join(report))
 
     @property
+    def rotor_disk_area(self) -> float:
+        return math.pi * self.rotor_disk_radius ** 2
+
+    @property
     def total_mass(self) -> float:
-        return self.num_agents * self.vehicle.cobot_mass
+        return self.num_agents * self.cobot_mass
 
     @property
     def total_energy(self) -> float:
-        return self.num_agents * self.vehicle.battery_energy
+        return self.num_agents * self.battery_energy
 
 
-def titan_defaults() -> EnvironmentParams:
-    """Titan surface environment."""
-    return EnvironmentParams()
+def titan_defaults() -> ScenarioConfig:
+    """The default scenario, at Titan's surface."""
+    return ScenarioConfig()
 
 
-def earth_defaults() -> EnvironmentParams:
-    """Standard sea-level Earth environment (comparison baseline)."""
-    return EnvironmentParams(gravity=9.81, air_density=1.225,
-                             ambient_temperature=15.0)
+#: the Earth preset: standard sea-level fields over the Titan defaults, for
+#: ``replace(config, **EARTH)`` or under a document's keys (``--env earth``)
+EARTH = MappingProxyType({"gravity": 9.81, "air_density": 1.225,
+                          "ambient_temperature": 15.0})
 
-
-# flat key -> (section, field) mapping used by the config document format
-_ENV_FIELDS = {f.name: f for f in fields(EnvironmentParams)}
-_VEH_FIELDS = {f.name: f for f in fields(VehicleParams)}
-_TER_FIELDS = {f.name: f for f in fields(TerrainParams)}
+_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
 
 
 def _parse_kv_text(text: str) -> dict:
@@ -204,29 +180,17 @@ def _coerce(key: str, value):
 
 def config_from_mapping(values: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a flat key/value mapping."""
-    env_kw, veh_kw, ter_kw, top_kw = {}, {}, {}, {}
-    unknown = []
+    kwargs = {}
     for key, value in values.items():
         try:
-            coerced = _coerce(key, value)
+            kwargs[key] = _coerce(key, value)
         except (TypeError, ValueError):
             raise ValidationError(f"{key}: cannot parse value {value!r}")
-        if key in _ENV_FIELDS:
-            env_kw[key] = coerced
-        elif key in _VEH_FIELDS:
-            veh_kw[key] = coerced
-        elif key in _TER_FIELDS:
-            ter_kw[key] = coerced
-        elif key == "num_agents":
-            top_kw[key] = coerced
-        else:
-            unknown.append(key)
+    unknown = kwargs.keys() - _FIELDS
     if unknown:
         raise ValidationError("unknown configuration keys: "
                               + ", ".join(sorted(unknown)))
-    return ScenarioConfig(environment=EnvironmentParams(**env_kw),
-                          vehicle=VehicleParams(**veh_kw),
-                          terrain=TerrainParams(**ter_kw), **top_kw)
+    return ScenarioConfig(**kwargs)
 
 
 def parse_document(text: str) -> dict:
@@ -257,9 +221,5 @@ def load_config(text: str) -> ScenarioConfig:
 
 def serialize(config: ScenarioConfig) -> str:
     """Render a config as a flat key=value document; load_config inverse."""
-    lines = []
-    for section in (config.environment, config.vehicle, config.terrain):
-        for f in fields(section):
-            lines.append(f"{f.name} = {getattr(section, f.name)!r}")
-    lines.append(f"num_agents = {config.num_agents}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {value}\n"
+                   for name, value in vars(config).items())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import steadystate
-from .params import AnalysisError, ScenarioConfig, TerrainParams
+from .params import AnalysisError, ScenarioConfig
 
 #: default velocity grids, m/s
 ROLLING_V_GRID = (0.01, 2.0, 200)
@@ -131,9 +131,8 @@ def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
     elements give (NaN, NaN)."""
     speeds = default_velocity_grid(mode)
     shape = np.broadcast_shapes(speeds.shape, np.shape(hotel_w), *(
-        x.shape for part in (config.environment, config.vehicle,
-                             config.terrain)
-        for x in vars(part).values() if isinstance(x, np.ndarray)))[:-1]
+        x.shape for x in vars(config).values()
+        if isinstance(x, np.ndarray)))[:-1]
     return tuple(x if np.shape(x) == shape else
                  np.broadcast_to(x, shape).copy()
                  for x in _sweep(config, mode, speeds, hotel_w, refine)[2:])
@@ -167,11 +166,13 @@ def tradeoff_grid(config: ScenarioConfig,
     crr_axis = np.linspace(*crr_range, resolution)
     theta_axis = np.linspace(*theta_range_deg, resolution)
     slopes = np.radians(theta_axis)[:, None]
-    fly_by_theta = best_range(replace(config, terrain=TerrainParams(
-        crr_axis[0], slopes)), "flying")[1]
+    fly_by_theta = best_range(replace(
+        config, rolling_resistance_crr=crr_axis[0], slope_theta=slopes),
+        "flying")[1]
     step = max(1, BLOCK_POINTS // (resolution * ROLLING_V_GRID[2]))
-    delta = np.concatenate([best_range(replace(config, terrain=TerrainParams(
-        crr_axis[i:i + step, None, None], slopes)), "rolling")[1]
+    delta = np.concatenate([best_range(replace(
+        config, rolling_resistance_crr=crr_axis[i:i + step, None, None],
+        slope_theta=slopes), "rolling")[1]
         for i in range(0, resolution, step)]) - fly_by_theta
     fly = np.tile(fly_by_theta, (resolution, 1))
     return TradeoffGrid(crr=crr_axis, theta_deg=theta_axis,
@@ -218,7 +219,7 @@ def scaling_bounds(config: ScenarioConfig,
     """
     if any(n < 1 for n in n_range):
         raise ValueError("agent count must be >= 1")
-    width = config.vehicle.shell_width_w
+    width = config.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
     speeds = default_velocity_grid("rolling")
     ns = np.array(n_range)

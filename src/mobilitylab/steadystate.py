@@ -67,9 +67,9 @@ class FlyingState(NamedTuple):
 
 def average_rolling_area(config: ScenarioConfig) -> float:
     """Revolution-averaged projected area of the rolling cylinder."""
-    veh = config.vehicle
-    return (2.0 / math.pi) * (veh.body_height_h_rolling
-                              + 2.0 * veh.shell_radius_l) * veh.shell_width_w
+    return ((2.0 / math.pi) * (config.body_height_h_rolling
+                               + 2.0 * config.shell_radius_l)
+            * config.shell_width_w)
 
 
 def rolling_resistive_force(config: ScenarioConfig, v, area=None):
@@ -78,20 +78,18 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
     ``area`` is the drag area, by default the revolution-averaged cylinder.
     Broadcasts over v and over array-valued terrain fields.
     """
-    env, ter = config.environment, config.terrain
-    weight = config.total_mass * env.gravity
+    weight, theta = config.total_mass * config.gravity, config.slope_theta
     if area is None:
         area = average_rolling_area(config)
-    drag = aeropower.drag_force(env, area, v,
-                                cd=config.vehicle.drag_coefficient_cd)
-    return (drag + weight * np.sin(ter.slope_theta)
-            + ter.rolling_resistance_crr * (weight * np.cos(ter.slope_theta)))
+    drag = aeropower.drag_force(config, area, v)
+    return (drag + weight * np.sin(theta)
+            + config.rolling_resistance_crr * (weight * np.cos(theta)))
 
 
 def _pair_terms(config: ScenarioConfig, n_pairs: int):
     """Lever n a/sqrt(2), 2 rho A and chain efficiency."""
-    return (n_pairs * config.vehicle.rotor_arm_length_a / math.sqrt(2.0),
-            *aeropower._rotor_terms(config.environment, config.vehicle))
+    return (n_pairs * config.rotor_arm_length_a / math.sqrt(2.0),
+            *aeropower._rotor_terms(config))
 
 
 def rolling_power(config: ScenarioConfig, torque, v,
@@ -107,7 +105,7 @@ def rolling_power(config: ScenarioConfig, torque, v,
     """
     lever, rho2a, eta = _pair_terms(config, n_pairs)
     f = abs(torque) / lever
-    f = np.where(f > config.vehicle.max_rotor_thrust, np.nan, f)
+    f = np.where(f > config.max_rotor_thrust, np.nan, f)
     # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
     with np.errstate(invalid="ignore", over="ignore"):
         return n_pairs * aeropower.momentum_power(
@@ -124,7 +122,8 @@ def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:
     """
     if np.min(v, initial=0.0) < 0:
         raise ValueError(f"v must be >= 0, got {np.min(v)}")
-    radius, area, pairs = shell or (config.vehicle.shell_radius_l, None,
+    v = np.asarray(v, float)
+    radius, area, pairs = shell or (config.shell_radius_l, None,
                                     CYLINDER_PAIRS)
     torque = rolling_resistive_force(config, v, area) * radius
     return RollingState(torque, rolling_power(config, torque, v, pairs))
@@ -139,15 +138,15 @@ def flying_state(config: ScenarioConfig, v) -> FlyingState:
     if np.min(v, initial=0.0) < 0:
         raise ValueError(f"v must be >= 0, got {np.min(v)}")
     v = np.asarray(v, float)
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    along_weight = veh.cobot_mass * env.gravity * np.sin(ter.slope_theta)
-    normal_weight = veh.cobot_mass * env.gravity * np.cos(ter.slope_theta)
+    weight = config.cobot_mass * config.gravity
+    along_weight = weight * np.sin(config.slope_theta)
+    normal_weight = weight * np.cos(config.slope_theta)
     # drag_force(projected_area(a, "flying"), v) written out in the same
     # operation order on one cos and sin of a; its a-slope is
     # kl sign(sin a) cos a - kh sin a, as cos a >= 0 on the bracket
-    k = 0.5 * veh.drag_coefficient_cd * env.air_density
-    h, two_l = veh.body_height_h_flying, 2.0 * veh.shell_radius_l
-    w, speed = veh.shell_width_w, abs(v)
+    k = 0.5 * config.drag_coefficient_cd * config.air_density
+    h, two_l = config.body_height_h_flying, 2.0 * config.shell_radius_l
+    w, speed = config.shell_width_w, abs(v)
     kh, kl = (k * (c * w) * v * speed for c in (h, two_l))
 
     def drag_at(cos, sin):
@@ -193,10 +192,10 @@ def flying_state(config: ScenarioConfig, v) -> FlyingState:
     # the freestream components on the rotor axes are v cos and v sin of
     # that tilt, the thrust's normal and along-slope shares
     f = thrust / 4.0
-    rho2a, eta = aeropower._rotor_terms(env, veh)
+    rho2a, eta = aeropower._rotor_terms(config)
     per_rotor = aeropower.momentum_power(
         f, rho2a, speed, v * (normal_weight / thrust), v * (along / thrust),
         eta)[1]
-    power = np.where(f > veh.max_rotor_thrust, np.nan,
+    power = np.where(f > config.max_rotor_thrust, np.nan,
                      config.num_agents * (4 * per_rotor))
     return FlyingState(alpha, drag, thrust, power)

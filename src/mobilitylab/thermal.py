@@ -5,15 +5,18 @@ r1 = CAVITY_RADIUS and outer radius r2 = r1 + t, t the insulation thickness:
 
     Q = 4 pi k r1 r2 (T1 - T2) / (r2 - r1)
 
-with the cavity held at T1 = SET_POINT and T2 the ambient temperature,
-reported as a positive outward loss for a heated interior. A heater of
-efficiency HEATER_EFFICIENCY replaces Q. Everything here is closed form;
-``thickness_for_budget`` inverts Q for r2 analytically.
+with the cavity held at T1 = SET_POINT and T2 the config's
+``ambient_temperature``, reported as a positive outward loss for a heated
+interior. A heater of efficiency HEATER_EFFICIENCY replaces Q. Everything
+here is closed form; ``thickness_for_budget`` inverts Q for r2
+analytically.
 """
 
 from __future__ import annotations
 
 import math
+
+from .params import ScenarioConfig
 
 CONDUCTIVITY = 0.004      # aerogel k, W/(m K)
 AEROGEL_DENSITY = 1.9     # kg/m^3, silica aerogel (0.0019 g/cm^3)
@@ -22,10 +25,11 @@ SET_POINT = 0.0           # electronics temperature T1, degC
 HEATER_EFFICIENCY = 0.95  # heat delivered per electrical W
 
 
-def sizing_table(ambient: float, thicknesses) -> list[list[float]]:
+def sizing_table(config: ScenarioConfig, thicknesses) -> list[list[float]]:
     """Rows (thickness_m, loss_w, heater_w, mass_kg) for a thickness sweep
-    at ambient temperature T2 (degC); the mass is the aerogel shell's."""
-    r1, dt = CAVITY_RADIUS, SET_POINT - ambient
+    at the config's ambient temperature T2 (degC); the mass is the aerogel
+    shell's."""
+    r1, dt = CAVITY_RADIUS, SET_POINT - config.ambient_temperature
     rows = []
     for t in thicknesses:
         r2 = r1 + t
@@ -39,7 +43,7 @@ def sizing_table(ambient: float, thicknesses) -> list[list[float]]:
     return rows
 
 
-def thickness_for_budget(budget: float, ambient: float) -> float:
+def thickness_for_budget(budget: float, config: ScenarioConfig) -> float:
     """Insulation thickness t = r2 - r1 whose loss equals the heater budget.
 
     The target loss is Q = budget * HEATER_EFFICIENCY. Solved in closed form:
@@ -49,12 +53,12 @@ def thickness_for_budget(budget: float, ambient: float) -> float:
     """
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be finite and > 0, got {budget!r}")
-    r1, dt = CAVITY_RADIUS, SET_POINT - ambient
+    r1, dt = CAVITY_RADIUS, SET_POINT - config.ambient_temperature
     if dt <= 0:
         raise ValueError(
             f"ambient_temperature must be below the {SET_POINT} degC set "
             f"point for a heater budget to size the insulation, got "
-            f"{ambient!r}")
+            f"{config.ambient_temperature!r}")
     q = budget * HEATER_EFFICIENCY
     q_min = 4.0 * math.pi * CONDUCTIVITY * r1 * dt
     if q <= q_min:

@@ -9,14 +9,14 @@ implemented faithfully at the stated tolerances and are expected to fail.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mobilitylab import (aeropower, cli, control, dynamics, rangeopt,
                          steadystate, thermal)
-from mobilitylab.params import (ScenarioConfig, VehicleParams,
-                                earth_defaults, titan_defaults)
+from mobilitylab.params import EARTH, ScenarioConfig
 
 CFG = ScenarioConfig()  # Titan, 2 agents, C_rr = 0.01, theta = 0
 
@@ -102,7 +102,7 @@ def test_criterion_05_scaling_ordering():
 def test_criterion_06_earth_titan_contrast(headline_curves):
     _, fly, _ = headline_curves
     p_titan = fly.power[int(np.nanargmax(fly.range_km))] / CFG.num_agents
-    p_earth = aeropower.cobot_hover_power(earth_defaults(), VehicleParams())
+    p_earth = aeropower.cobot_hover_power(replace(CFG, **EARTH))
     ok = p_titan < 15.0 and p_earth > 60.0
     assert _verdict(6, ok,
                     f"Titan flying optimum {p_titan:.2f} W/agent (<15), "
@@ -129,9 +129,8 @@ def test_criterion_07_allocation_oracle():
 
 
 def test_criterion_08_induced_velocity_oracle():
-    env = titan_defaults()
-    area = VehicleParams().rotor_disk_area
-    rho2a = 2 * env.air_density * area
+    area = CFG.rotor_disk_area
+    rho2a = 2 * CFG.air_density * area
     # hover closed form over eight decades of thrust
     hover_err = 0.0
     for f in np.geomspace(1e-6, 100.0, 25):
@@ -167,7 +166,7 @@ def test_criterion_08_induced_velocity_oracle():
 
 def test_criterion_09_cross_module_consistency():
     omega_des = 0.6
-    v = omega_des * CFG.vehicle.shell_radius_l
+    v = omega_des * CFG.shell_radius_l
     traj = dynamics.simulate_closed_loop(CFG, omega_des, duration=60.0,
                                          dt=0.01)
     tail = traj.power[len(traj.power) // 2:]  # steady tail, transient gone
@@ -180,12 +179,12 @@ def test_criterion_09_cross_module_consistency():
     roll = steadystate.rolling_state(CFG, speeds)
     resist = steadystate.rolling_resistive_force(CFG, speeds)
     fly = steadystate.flying_state(CFG, speeds)
-    m = CFG.vehicle.cobot_mass
+    m = CFG.cobot_mass
     worst = float(max(
-        np.max(np.abs(roll.torque - resist * CFG.vehicle.shell_radius_l)),
+        np.max(np.abs(roll.torque - resist * CFG.shell_radius_l)),
         np.max(np.abs(fly.thrust * np.sin(fly.tilt) - fly.drag)),
         np.max(np.abs(fly.thrust * np.cos(fly.tilt)
-                      - m * CFG.environment.gravity))))
+                      - m * CFG.gravity))))
     residual_ok = worst < 1e-9
     ok = power_ok and residual_ok
     assert _verdict(9, ok,
@@ -196,13 +195,13 @@ def test_criterion_09_cross_module_consistency():
 
 
 def test_criterion_10_thermal_pin():
-    ambient = CFG.environment.ambient_temperature  # dT = 179 K
-    q = thermal.sizing_table(ambient, [0.02])[0][1]  # r1=0.1, r2=0.12
+    # ambient -179 degC: dT = 179 K
+    q = thermal.sizing_table(CFG, [0.02])[0][1]  # r1=0.1, r2=0.12
     pin_ok = abs(q - 5.40) / 5.40 < 0.005
     worst = 0.0
     for budget in np.linspace(1.2, 50.0, 25):
-        t = thermal.thickness_for_budget(budget, ambient)
-        back = thermal.sizing_table(ambient, [t])[0][1]
+        t = thermal.thickness_for_budget(budget, CFG)
+        back = thermal.sizing_table(CFG, [t])[0][1]
         target = budget * thermal.HEATER_EFFICIENCY
         worst = max(worst, abs(back - target) / target)
     ok = pin_ok and worst < 1e-9

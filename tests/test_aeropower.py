@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mobilitylab import aeropower, params
 
 TITAN = params.titan_defaults()
-EARTH = params.earth_defaults()
-VEH = params.VehicleParams()
-RHO2A = 2 * TITAN.air_density * VEH.rotor_disk_area
+EARTH = replace(TITAN, **params.EARTH)
+RHO2A = 2 * TITAN.air_density * TITAN.rotor_disk_area
 ETA = 0.6 * 0.85 * 0.95
 
 
@@ -24,23 +24,23 @@ def _inflow(f, v=0.0, alpha=0.0, rho2a=RHO2A):
 
 def test_projected_area_axis_aligned():
     # A = (h |cos a| + 2 l |sin a|) w
-    assert aeropower.projected_area(VEH, 0.0, "rolling") == \
+    assert aeropower.projected_area(TITAN, 0.0, "rolling") == \
         pytest.approx(0.16 * 0.4)
-    assert aeropower.projected_area(VEH, 0.0, "flying") == \
+    assert aeropower.projected_area(TITAN, 0.0, "flying") == \
         pytest.approx(0.08 * 0.4)
-    assert aeropower.projected_area(VEH, math.pi / 2, "rolling") == \
+    assert aeropower.projected_area(TITAN, math.pi / 2, "rolling") == \
         pytest.approx(2 * 0.2 * 0.4)
 
 
 def test_projected_area_rejects_bad_mode():
     with pytest.raises(ValueError):
-        aeropower.projected_area(VEH, 0.0, "swimming")
+        aeropower.projected_area(TITAN, 0.0, "swimming")
 
 
 @given(alpha=st.floats(-10.0, 10.0))
 def test_projected_area_pi_periodic_and_positive(alpha):
-    a0 = aeropower.projected_area(VEH, alpha, "rolling")
-    a1 = aeropower.projected_area(VEH, alpha + math.pi, "rolling")
+    a0 = aeropower.projected_area(TITAN, alpha, "rolling")
+    a1 = aeropower.projected_area(TITAN, alpha + math.pi, "rolling")
     assert a0 > 0
     assert a0 == pytest.approx(a1, rel=1e-9, abs=1e-12)
 
@@ -49,16 +49,15 @@ def test_projected_area_pi_periodic_and_positive(alpha):
 
 def test_drag_force_value():
     # rolling, axis-aligned area, v = 1 m/s on Titan
-    area = aeropower.projected_area(VEH, 0.0, "rolling")
-    assert aeropower.drag_force(TITAN, area, 1.0,
-                                VEH.drag_coefficient_cd) == pytest.approx(
+    area = aeropower.projected_area(TITAN, 0.0, "rolling")
+    assert aeropower.drag_force(TITAN, area, 1.0) == pytest.approx(
         0.5 * 2.1 * 5.4 * 0.064, rel=1e-12)
 
 
 @given(v=st.floats(0.0, 50.0))
 def test_drag_quadratic_in_speed(v):
-    d1 = aeropower.drag_force(TITAN, 0.1, v, VEH.drag_coefficient_cd)
-    d2 = aeropower.drag_force(TITAN, 0.1, 2 * v, VEH.drag_coefficient_cd)
+    d1 = aeropower.drag_force(TITAN, 0.1, v)
+    d2 = aeropower.drag_force(TITAN, 0.1, 2 * v)
     assert d2 == pytest.approx(4 * d1, rel=1e-9, abs=1e-12)
 
 
@@ -69,7 +68,8 @@ def test_hover_induced_velocity_value():
     f = 0.8 * 1.352 / 4.0
     nu = _inflow(f)
     assert nu == pytest.approx(1.1716, rel=1e-3)
-    assert nu == pytest.approx(math.sqrt(f / (2 * 5.4 * VEH.rotor_disk_area)),
+    assert nu == pytest.approx(math.sqrt(f / (2 * 5.4
+                                              * TITAN.rotor_disk_area)),
                                rel=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_zero_thrust_zero_inflow():
 
 def test_induced_velocity_input_validation():
     with pytest.raises(ValueError):
-        aeropower.induced_velocity(-1.0, TITAN, VEH.rotor_disk_area)
+        aeropower.induced_velocity(-1.0, TITAN, TITAN.rotor_disk_area)
     with pytest.raises(ValueError):
         aeropower.induced_velocity(1.0, TITAN, 0.0)
 
@@ -89,7 +89,7 @@ def test_induced_velocity_input_validation():
        alpha=st.floats(0.0, 1.3))
 def test_induced_velocity_satisfies_implicit_equation(f, v, alpha):
     nu = _inflow(f, v, alpha)
-    rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
+    rhs = f / (2 * TITAN.air_density * TITAN.rotor_disk_area)
     lhs = nu * math.hypot(v * math.cos(alpha), v * math.sin(alpha) + nu)
     # solver tolerance on nu maps to ~|d lhs/d nu| * tol ~ (v + nu) * tol
     assert lhs == pytest.approx(rhs, rel=1e-6, abs=5e-9 * (1.0 + v))
@@ -153,10 +153,10 @@ def test_hover_rotor_power_titan():
 
 
 def test_cobot_hover_power_titan_and_earth():
-    assert aeropower.cobot_hover_power(TITAN, VEH) == \
+    assert aeropower.cobot_hover_power(TITAN) == \
         pytest.approx(2.62, rel=5e-3)
     # same vehicle hovering on Earth: two orders harder
-    assert aeropower.cobot_hover_power(EARTH, VEH) == \
+    assert aeropower.cobot_hover_power(EARTH) == \
         pytest.approx(107.0, rel=2e-2)
 
 
@@ -201,7 +201,7 @@ def test_mixed_axial_speeds_equal_element_calls():
 
 
 def test_induced_velocity_broadcasts_over_disk_area():
-    rho2a = 2 * TITAN.air_density * np.array([[0.01], [VEH.rotor_disk_area]])
+    rho2a = 2 * TITAN.air_density * np.array([[0.01], [TITAN.rotor_disk_area]])
     v = np.array([0.0, 2.0])
     nu = _inflow(0.3, v, 0.4, rho2a)
     assert nu.shape == (2, 2)
@@ -254,6 +254,6 @@ def test_array_induced_velocity_matches_scalar_calls(points):
     nu = _inflow(f, v, alpha)
     scalar = [_inflow(*p) for p in points]
     assert np.array_equal(nu, scalar)
-    rhs = f / (2 * TITAN.air_density * VEH.rotor_disk_area)
+    rhs = f / (2 * TITAN.air_density * TITAN.rotor_disk_area)
     lhs = nu * np.hypot(v * np.cos(alpha), v * np.sin(alpha) + nu)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=0.0)

@@ -7,7 +7,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -486,14 +486,8 @@ def test_thermal_error_names_a_settable_input(capsys, argv, name):
 
 
 def _config_fields():
-    """Every config field name, the sections' fields flattened."""
-    config = ScenarioConfig()
-    for f in fields(config):
-        section = getattr(config, f.name)
-        if is_dataclass(section):
-            yield from (g.name for g in fields(section))
-        else:
-            yield f.name
+    """Every config field name."""
+    return [f.name for f in fields(ScenarioConfig)]
 
 
 #: keys of removed fields: a document naming one fails by name, whatever
@@ -655,10 +649,12 @@ def test_run_as_module_is_quiet():
     assert proc.stdout.startswith("thickness_m,loss_w,heater_w,mass_kg\n")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_examples_exit_0(tmp_path, capsys):
     # every mobilitylab line of README.md's "Examples:" block, as written
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split(
+    block = README.read_text(encoding="utf-8").split(
         "Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines()
              if line.startswith("mobilitylab ")]
@@ -668,3 +664,14 @@ def test_readme_examples_exit_0(tmp_path, capsys):
         assert cli.main(shlex.split(line)[1:] + ["--out", str(out)]) == 0, \
             line
         assert out.stat().st_size > 0, line
+
+
+def test_readme_python_block_runs(capsys):
+    # README.md's "Python:" block, as written, prints the Earth flying
+    # optimum and one rolling optimum per row of its C_rr column
+    block = README.read_text(encoding="utf-8").split(
+        "Python:\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("Earth flying:") and lines[1].startswith("[")

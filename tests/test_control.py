@@ -83,10 +83,9 @@ def test_allocation_round_trip(tx, ty, tz):
 
 def _config(max_rotor_thrust):
     cfg = ScenarioConfig()
-    assert cfg.vehicle.rotor_arm_length_a == A
-    assert not hasattr(cfg.vehicle, "torque_constant_k_tau")
-    return replace(cfg, vehicle=replace(cfg.vehicle,
-                                        max_rotor_thrust=max_rotor_thrust))
+    assert cfg.rotor_arm_length_a == A
+    assert not hasattr(cfg, "torque_constant_k_tau")
+    return replace(cfg, max_rotor_thrust=max_rotor_thrust)
 
 
 def _ticks(calls, max_rotor_thrust=sys.float_info.max, dt=0.01):
@@ -223,9 +222,9 @@ def _check_against_roll_chain(config, setpoints, dt):
                                              duration=len(setpoints) * dt,
                                              dt=dt)
     rows = traj.to_csv_rows()
-    tick = _roll_chain(config.vehicle.max_rotor_thrust, dt)
+    tick = _roll_chain(config.max_rotor_thrust, dt)
     unlimited = _config(sys.float_info.max)
-    radius = config.vehicle.shell_radius_l
+    radius = config.shell_radius_l
     assert len(handed) == len(setpoints) == len(rows) - 1
     for omega_des, (omega, torque_y), row in zip(setpoints, handed, rows[1:]):
         want, sat = tick(omega_des[1], omega)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mobilitylab import aeropower, control, dynamics, steadystate
-from mobilitylab.params import ScenarioConfig, TerrainParams, earth_defaults
+from mobilitylab.params import EARTH, ScenarioConfig
 
 CFG = ScenarioConfig()
 
@@ -37,7 +37,7 @@ def test_rest_stays_at_rest_without_torque():
 
 def test_uphill_rest_rolls_backwards_without_torque():
     # zero error gives zero torque on the first tick
-    uphill = replace(CFG, terrain=TerrainParams(0.01, 0.05))
+    uphill = replace(CFG, rolling_resistance_crr=0.01, slope_theta=0.05)
     traj = dynamics.simulate_closed_loop(uphill, 0.0, duration=0.01,
                                          dt=0.01)
     assert traj.power[1] == 0.0
@@ -53,7 +53,7 @@ def test_steady_state_is_a_fixed_point():
     # roll angle where they coincide so the comparison is exact
     avg = steadystate.average_rolling_area(CFG)
     angles = np.linspace(0, math.pi / 2, 20001)
-    areas = [aeropower.projected_area(CFG.vehicle, a, "rolling")
+    areas = [aeropower.projected_area(CFG, a, "rolling")
              for a in angles]
     phi = angles[int(np.argmin(np.abs(np.array(areas) - avg)))]
     dt = 1e-6
@@ -138,14 +138,12 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     at t = i dt. Returns the trajectory's CSV rows."""
     kp, ki = control.KP, control.KI
     limit = control.INTEGRATOR_LIMIT
-    veh = config.vehicle
-    lever = 4 * veh.rotor_arm_length_a / math.sqrt(2.0)
-    unlimited = replace(config, vehicle=replace(
-        veh, max_rotor_thrust=sys.float_info.max))
+    lever = 4 * config.rotor_arm_length_a / math.sqrt(2.0)
+    unlimited = replace(config, max_rotor_thrust=sys.float_info.max)
     if not callable(omega_des):
         const = np.array([0.0, omega_des, 0.0])
         omega_des = lambda t: const  # noqa: E731
-    radius = veh.shell_radius_l
+    radius = config.shell_radius_l
     step = dynamics._roll_step(config, dt)
     phi = omega = position = energy = t = integ = 0.0
     rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
@@ -155,9 +153,10 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         e = w_y - omega
         integ = float(np.clip(integ + e * dt, -limit, limit))
         torque = float(kp * e + ki * integ)
-        sat = bool(abs(torque) / lever > veh.max_rotor_thrust)
+        sat = bool(abs(torque) / lever > config.max_rotor_thrust)
         if sat:
-            torque = float(np.copysign(lever * veh.max_rotor_thrust, torque))
+            torque = float(np.copysign(lever * config.max_rotor_thrust,
+                                       torque))
         power = float(steadystate.rolling_power(unlimited, torque,
                                                 abs(omega * radius)))
         phi_new, omega = step(phi, omega, torque)
@@ -171,10 +170,10 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     return rows
 
 
-SLOPED = replace(CFG, terrain=TerrainParams(0.03, math.radians(1.5)))
-DOWNHILL = replace(CFG, terrain=TerrainParams(0.05, -0.2))
-WEAK_ROTORS = replace(CFG, vehicle=replace(CFG.vehicle,
-                                           max_rotor_thrust=0.1))
+SLOPED = replace(CFG, rolling_resistance_crr=0.03,
+                 slope_theta=math.radians(1.5))
+DOWNHILL = replace(CFG, rolling_resistance_crr=0.05, slope_theta=-0.2)
+WEAK_ROTORS = replace(CFG, max_rotor_thrust=0.1)
 
 
 def _step_to_16(t):
@@ -225,7 +224,7 @@ ROLL_STEP_ULPS = 8
             math.nextafter(_OMEGA_GATE, 1.0),
             -math.nextafter(_OMEGA_GATE, 1.0)])),
        torque=st.floats(-1e3, 1e3),
-       config=st.sampled_from([CFG, replace(CFG, environment=earth_defaults()),
+       config=st.sampled_from([CFG, replace(CFG, **EARTH),
                                SLOPED, DOWNHILL]),
        dt=st.sampled_from([1e-6, 0.005, 0.01]))
 def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
@@ -237,20 +236,19 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     # rounding of those terms dominates, so omega's scale takes
     # dt (|torque| + the largest stage's resisting torques) / J, and phi's
     # takes dt times omega's, as the stage rates feed phi.
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    m, r = config.total_mass, veh.shell_radius_l
+    m, r = config.total_mass, config.shell_radius_l
     inertia = dynamics.rolling_inertia(config) + m * r ** 2
     resisting = []
 
     def accel(phi, omega):
         drag = aeropower.drag_force(
-            env, aeropower.projected_area(veh, phi, "rolling"), omega * r,
-            veh.drag_coefficient_cd)
-        slope = m * env.gravity * math.sin(ter.slope_theta) * r
+            config, aeropower.projected_area(config, phi, "rolling"),
+            omega * r)
+        slope = m * config.gravity * math.sin(config.slope_theta) * r
         resist, size = slope + drag * r, abs(slope) + abs(drag * r)
         if abs(omega) > dynamics.OMEGA_STATIC:
-            normal = m * env.gravity * math.cos(ter.slope_theta)
-            crr = ter.rolling_resistance_crr * normal * r
+            normal = m * config.gravity * math.cos(config.slope_theta)
+            crr = config.rolling_resistance_crr * normal * r
             resist, size = resist + math.copysign(crr, omega), size + crr
         resisting.append(size)
         return (torque - resist) / inertia

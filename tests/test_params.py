@@ -16,18 +16,21 @@ def test_titan_preset_values():
 
 
 def test_earth_preset_values():
-    env = params.earth_defaults()
-    assert env.gravity == 9.81
-    assert env.air_density == 1.225
-    assert env.ambient_temperature == 15.0
+    assert dict(params.EARTH) == {"gravity": 9.81, "air_density": 1.225,
+                                  "ambient_temperature": 15.0}
+    earth = replace(params.ScenarioConfig(), **params.EARTH)
+    assert earth == params.ScenarioConfig(gravity=9.81, air_density=1.225,
+                                          ambient_temperature=15.0)
+    with pytest.raises(TypeError):  # the preset is read-only
+        params.EARTH["gravity"] = 1.0
 
 
 def test_default_scenario_is_titan_two_agents():
     cfg = params.ScenarioConfig()
-    assert cfg.environment == params.titan_defaults()
+    assert cfg == params.titan_defaults()
     assert cfg.num_agents == 2
-    assert cfg.terrain.rolling_resistance_crr == 0.01
-    assert cfg.terrain.slope_theta == 0.0
+    assert cfg.rolling_resistance_crr == 0.01
+    assert cfg.slope_theta == 0.0
 
 
 def test_derived_totals():
@@ -37,14 +40,15 @@ def test_derived_totals():
 
 
 def test_rotor_disk_area():
-    veh = params.VehicleParams()
-    assert veh.rotor_disk_area == pytest.approx(math.pi * 0.0762 ** 2)
+    cfg = params.ScenarioConfig()
+    assert cfg.rotor_disk_area == pytest.approx(math.pi * 0.0762 ** 2)
 
 
 def test_validate_default_is_clean():
     # both presets and every default construct without a violation
-    for env in (params.titan_defaults(), params.earth_defaults()):
-        assert params.ScenarioConfig(environment=env).environment == env
+    for preset in ({}, params.EARTH):
+        config = replace(params.titan_defaults(), **preset)
+        assert vars(config).items() >= preset.items()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -62,9 +66,9 @@ def test_validate_names_offending_field(key, value):
 def test_validate_slope_bound():
     for theta in (math.pi / 2, -math.pi / 2):
         with pytest.raises(params.ValidationError, match="slope_theta"):
-            params.TerrainParams(slope_theta=theta)
+            params.ScenarioConfig(slope_theta=theta)
     below = math.nextafter(math.pi / 2, 0.0)
-    assert params.TerrainParams(slope_theta=-below).slope_theta == -below
+    assert params.ScenarioConfig(slope_theta=-below).slope_theta == -below
 
 
 #: out-of-domain values of the fields whose domain is not "> 0"
@@ -83,68 +87,105 @@ _OUT_OF_DOMAIN = {"ambient_temperature": [-273.15, -500.0],
                   "battery_energy": [0.0, -1.0, 1e308]}
 
 
+#: each field's group, in ScenarioConfig's field order: the label of its
+#: test cases (None for num_agents)
+_GROUPS = (["environment"] * 3 + ["vehicle"] * 14 + ["terrain"] * 2
+           + [None])
+
+
 def _defaults():
-    """(section, field name, default value) of every config field; the
-    section is None for num_agents."""
-    config = params.ScenarioConfig()
-    for section in ("environment", "vehicle", "terrain"):
-        for name, value in vars(getattr(config, section)).items():
-            yield section, name, value
-    yield None, "num_agents", config.num_agents
+    """(group, field name, default value) of every config field."""
+    fields = vars(params.ScenarioConfig()).items()
+    assert len(fields) == len(_GROUPS)
+    for group, (name, value) in zip(_GROUPS, fields):
+        yield group, name, value
 
 
-def _builds(section, name, value):
+def _builds(name, value):
     """Two ways to a default config whose field ``name`` is ``value``: the
-    constructors, and ``dataclasses.replace``."""
-    config = params.ScenarioConfig()
-    if section is None:
-        return (lambda: params.ScenarioConfig(num_agents=value),
-                lambda: replace(config, num_agents=value))
-    part = getattr(config, section)
-    return (lambda: params.ScenarioConfig(**{section: type(part)(
-                **{**vars(part), name: value})}),
-            lambda: replace(config, **{section: replace(part, **{
-                name: value})}))
+    constructor, and ``dataclasses.replace``."""
+    return (lambda: params.ScenarioConfig(**{name: value}),
+            lambda: replace(params.ScenarioConfig(), **{name: value}))
 
 
-@pytest.mark.parametrize("section, name, default, bad", [
-    (section, name, default, bad) for section, name, default in _defaults()
+@pytest.mark.parametrize("group, name, default, bad", [
+    (group, name, default, bad) for group, name, default in _defaults()
     for bad in [math.nan, math.inf, -math.inf,
                 *_OUT_OF_DOMAIN.get(name, [0.0, -1.0])]])
-def test_bad_column_element_names_the_field(section, name, default, bad):
+def test_bad_column_element_names_the_field(group, name, default, bad):
     # one bad element of an array column fails the whole config, scalar
     # fields and array fields checked by the same rule
-    for build in _builds(section, name, np.array([[default], [bad]])):
+    for build in _builds(name, np.array([[default], [bad]])):
         with pytest.raises(params.ValidationError, match=name):
             build()
-    for build in _builds(section, name, bad):
+    for build in _builds(name, bad):
         with pytest.raises(params.ValidationError, match=name):
             build()
 
 
-@pytest.mark.parametrize("section, name, default", list(_defaults()))
-def test_valid_column_constructs(section, name, default):
+@pytest.mark.parametrize("group, name, default", list(_defaults()))
+def test_valid_column_constructs(group, name, default):
     column = np.array([[default], [default / 2]])
-    for build in _builds(section, name, column):
-        config = build()
-        part = config if section is None else getattr(config, section)
-        assert getattr(part, name) is column
+    for build in _builds(name, column):
+        assert getattr(build(), name) is column
+
+
+def _moved():
+    """A valid value off the default for every field, by field name."""
+    moved = {name: value / 2 if value else 0.01
+             for name, value in vars(params.ScenarioConfig()).items()}
+    return {**moved, "num_agents": 3}
+
+
+@pytest.mark.parametrize("name, value", _moved().items())
+def test_document_key_is_the_field(name, value):
+    # the config and its document are one namespace: each key sets the
+    # field of its name
+    assert params.config_from_mapping({name: str(value)}) == \
+        params.ScenarioConfig(**{name: value})
+
+
+def test_every_field_moved_round_trips():
+    cfg = params.ScenarioConfig(**_moved())
+    assert all(value != default for value, default in zip(
+        vars(cfg).values(), vars(params.ScenarioConfig()).values()))
+    assert params.load_config(params.serialize(cfg)) == cfg
+
+
+def test_serialize_default_document():
+    assert params.serialize(params.ScenarioConfig()) == (
+        "gravity = 1.352\nair_density = 5.4\nambient_temperature = -179.0\n"
+        "cobot_mass = 0.8\nshell_radius_l = 0.2\nshell_width_w = 0.4\n"
+        "body_height_h_rolling = 0.16\nbody_height_h_flying = 0.08\n"
+        "drag_coefficient_cd = 2.1\nrotor_disk_radius = 0.0762\n"
+        "rotor_arm_length_a = 0.14\nthrust_constant_k_t = 2e-06\n"
+        "eta_propeller = 0.6\neta_motor = 0.85\neta_controller = 0.95\n"
+        "battery_energy = 870000.0\nmax_rotor_thrust = 8.0\n"
+        "rolling_resistance_crr = 0.01\nslope_theta = 0.0\n"
+        "num_agents = 2\n")
+
+
+def test_one_error_names_every_bad_field():
+    with pytest.raises(params.ValidationError) as exc:
+        params.load_config("air_density = -1\ncobot_mass = nan\n")
+    assert str(exc.value) == ("air_density must be > 0 (got -1.0); "
+                              "cobot_mass must be finite (got nan)")
 
 
 def test_load_config_kv_text():
     cfg = params.load_config(
         "cobot_mass = 1.0\nrolling_resistance_crr = 0.05  # loose soil\n"
         "num_agents = 3\n")
-    assert cfg.vehicle.cobot_mass == 1.0
-    assert cfg.terrain.rolling_resistance_crr == 0.05
+    assert cfg.cobot_mass == 1.0
+    assert cfg.rolling_resistance_crr == 0.05
     assert cfg.num_agents == 3
     # unspecified fields keep defaults
-    assert cfg.environment.gravity == 1.352
+    assert cfg.gravity == 1.352
 
 
 def test_load_config_json():
     cfg = params.load_config('{"gravity": 9.81, "num_agents": 1}')
-    assert cfg.environment.gravity == 9.81
+    assert cfg.gravity == 9.81
     assert cfg.num_agents == 1
 
 

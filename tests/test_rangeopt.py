@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobilitylab import aeropower, params, rangeopt, steadystate
-from mobilitylab.params import ScenarioConfig, TerrainParams
+from mobilitylab.params import EARTH, ScenarioConfig
 
 CFG = ScenarioConfig()
 
@@ -44,7 +44,7 @@ def test_range_definition_holds_pointwise():
 
 
 def test_zero_crr_range_decreases_monotonically():
-    ideal = replace(CFG, terrain=TerrainParams(0.0, 0.0))
+    ideal = replace(CFG, rolling_resistance_crr=0.0, slope_theta=0.0)
     curve = rangeopt.range_sweep(ideal, "rolling")
     assert np.all(np.diff(curve.range_km) < 0)
     assert curve.optimum_v == curve.velocity[0]
@@ -156,8 +156,7 @@ def test_tradeoff_grid_equals_per_row_best_range_bitwise(resolution, limit):
     # 11 rows split into blocks of 7 and 4; a row of 100 x 200 points is
     # past the budget on its own; thrust limit 0.3 N leaves high-C_rr rows
     # infeasible at every slope
-    config = replace(CFG, vehicle=replace(CFG.vehicle,
-                                          max_rotor_thrust=limit))
+    config = replace(CFG, max_rotor_thrust=limit)
     grid = rangeopt.tradeoff_grid(config, (0.01, 0.4), (-0.5, 6.0),
                                   resolution)
     slopes = np.radians(grid.theta_deg)[:, None]
@@ -179,7 +178,7 @@ def test_scaling_bounds_equals_per_n_sweeps_bitwise(monkeypatch, n_range,
     # a budget of 1000 points splits the agent counts into blocks of 5
     monkeypatch.setattr(rangeopt, "BLOCK_POINTS", budget)
     curve = rangeopt.scaling_bounds(CFG, n_range)
-    width = CFG.vehicle.shell_width_w
+    width = CFG.shell_width_w
     speeds = rangeopt.default_velocity_grid("rolling")
     fly = rangeopt.range_sweep(CFG, "flying").optimum_range_km
     lower, upper = [], []
@@ -212,8 +211,7 @@ def test_tradeoff_grid_rejects_out_of_domain_axis(axis, span, name):
 
 
 @pytest.mark.parametrize("mode", ["rolling", "flying"])
-@pytest.mark.parametrize("env", [params.titan_defaults(),
-                                 params.earth_defaults()])
+@pytest.mark.parametrize("env", [{}, EARTH])
 @pytest.mark.parametrize("lam", [0.25, 2.0, 3.0, 4.0])
 def test_similarity_laws(mode, env, lam):
     # on flat ground with no hotel load, g and max_rotor_thrust times lam
@@ -221,20 +219,17 @@ def test_similarity_laws(mode, env, lam):
     # sqrt(lam): R* / lam at v* sqrt(lam); rho times lam with v times
     # 1 / sqrt(lam) keep every force and scale the inflow by 1 / sqrt(lam):
     # R* at v* / sqrt(lam)
-    config = replace(CFG, environment=env)
+    config = replace(CFG, **env)
     speeds = rangeopt.default_velocity_grid(mode)
     root = math.sqrt(lam)
     v0, r0 = rangeopt._sweep(config, mode, speeds)[2:]
     assert np.isfinite(r0)
-    heavy = replace(config,
-                    environment=replace(env, gravity=lam * env.gravity),
-                    vehicle=replace(config.vehicle, max_rotor_thrust=lam * (
-                        config.vehicle.max_rotor_thrust)))
+    heavy = replace(config, gravity=lam * config.gravity,
+                    max_rotor_thrust=lam * config.max_rotor_thrust)
     v1, r1 = rangeopt._sweep(heavy, mode, speeds * root)[2:]
     assert v1 == pytest.approx(v0 * root, rel=1e-12, abs=0.0)
     assert r1 == pytest.approx(r0 / lam, rel=1e-12, abs=0.0)
-    dense = replace(config, environment=replace(
-        env, air_density=lam * env.air_density))
+    dense = replace(config, air_density=lam * config.air_density)
     v2, r2 = rangeopt._sweep(dense, mode, speeds / root)[2:]
     assert v2 == pytest.approx(v0 / root, rel=1e-12, abs=0.0)
     assert r2 == pytest.approx(r0, rel=1e-12, abs=0.0)
@@ -242,7 +237,7 @@ def test_similarity_laws(mode, env, lam):
 
 def test_default_rolling_shell_is_the_docked_cylinder():
     v = rangeopt.default_velocity_grid("rolling")
-    shell = (CFG.vehicle.shell_radius_l,
+    shell = (CFG.shell_radius_l,
              steadystate.average_rolling_area(CFG), steadystate.CYLINDER_PAIRS)
     assert np.array_equal(rangeopt._powers(CFG, "rolling", v),
                           rangeopt._powers(CFG, "rolling", v, shell),
@@ -250,7 +245,7 @@ def test_default_rolling_shell_is_the_docked_cylinder():
 
 
 def _on_terrain(config, crr, theta):
-    return replace(config, terrain=TerrainParams(crr, theta))
+    return replace(config, rolling_resistance_crr=crr, slope_theta=theta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,8 +258,7 @@ def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
                                                     hotel_w, limit):
     # thrust limit 0.3 N leaves steep rolling rows infeasible, 0.25 N
     # every flying row
-    config = replace(CFG, vehicle=replace(CFG.vehicle,
-                                          max_rotor_thrust=limit))
+    config = replace(CFG, max_rotor_thrust=limit)
     crr, theta = np.array(terrain).T
     v_opt, r_opt = rangeopt.best_range(
         _on_terrain(config, crr[:, None], theta[:, None]), mode, hotel_w,
@@ -295,7 +289,7 @@ def _solve_flying_box(env, agents, theta_deg):
     """A 7 x 7 trade-off grid and refined flying sweeps at both slopes."""
     config = replace(CFG, num_agents=agents)
     if env == "earth":
-        config = replace(config, environment=params.earth_defaults())
+        config = replace(config, **EARTH)
     grid = rangeopt.tradeoff_grid(config, (0.01, 0.25), theta_deg, 7)
     assert np.isfinite(grid.flying_range_km).all()
     for theta in np.radians(theta_deg):
@@ -322,7 +316,7 @@ def test_flying_inflow_converges_in_few_iterations_on_the_boxes(
 
 
 @pytest.mark.parametrize("mode", ["rolling", "flying"])
-@pytest.mark.parametrize("section, name, column", [
+@pytest.mark.parametrize("group, name, column", [
     ("environment", "air_density", (1.0, 5.4, 60.0)),
     ("vehicle", "rotor_disk_radius", (0.05, 0.0762, 0.1)),
     ("vehicle", "eta_propeller", (0.5, 0.6, 1.0)),
@@ -333,14 +327,13 @@ def test_flying_inflow_converges_in_few_iterations_on_the_boxes(
     ("environment", "ambient_temperature", (-179.0, 15.0)),
     ("vehicle", "thrust_constant_k_t", (1e-6, 2e-6, 4e-6)),
     ("vehicle", "body_height_h_flying", (0.04, 0.08))])
-def test_best_range_broadcasts_over_a_field_column_bitwise(mode, section,
+def test_best_range_broadcasts_over_a_field_column_bitwise(mode, group,
                                                            name, column):
-    # an (N, 1) terrain, environment or vehicle field gives, row by row, the
-    # scalar calls, also where the mode ignores it; the densest air leaves
-    # the fast flying speeds infeasible
+    # an (N, 1) field of each group (environment, vehicle, terrain) gives,
+    # row by row, the scalar calls, also where the mode ignores it; the
+    # densest air leaves the fast flying speeds infeasible
     def with_field(value):
-        return replace(CFG, **{section: replace(getattr(CFG, section),
-                                                **{name: value})})
+        return replace(CFG, **{name: value})
 
     for refine in (False, True):
         v_opt, r_opt = rangeopt.best_range(
@@ -372,7 +365,7 @@ def test_best_range_broadcasts_an_ignored_field_with_the_read_ones(refine):
 
 
 def test_best_range_marks_infeasible_without_raising():
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-9))
+    weak = replace(CFG, max_rotor_thrust=1e-9)
     for mode, refine in itertools.product(("rolling", "flying"),
                                           (False, True)):
         v_opt, r_opt = rangeopt.best_range(
@@ -381,7 +374,7 @@ def test_best_range_marks_infeasible_without_raising():
 
 
 def test_all_infeasible_raises():
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-9))
+    weak = replace(CFG, max_rotor_thrust=1e-9)
     with pytest.raises(rangeopt.AllInfeasibleError):
         rangeopt.range_sweep(weak, "rolling")
 
@@ -401,8 +394,8 @@ def _pointwise_power(config, mode, v):
 @pytest.mark.parametrize("mode", ["rolling", "flying"])
 def test_batch_matches_pointwise_bitwise(mode):
     # one infeasible tail on the steep grid checks the NaN pattern too
-    steep = replace(CFG, terrain=TerrainParams(0.05, 0.02),
-                    vehicle=replace(CFG.vehicle, max_rotor_thrust=0.3))
+    steep = replace(CFG, rolling_resistance_crr=0.05, slope_theta=0.02,
+                    max_rotor_thrust=0.3)
     speeds = np.linspace(0.05, 1.0, 24)
     for config in (CFG, steep):
         powers = rangeopt._sweep(config, mode, speeds)[0]
@@ -422,7 +415,7 @@ def test_tradeoff_grid_structure():
 
 
 def test_tradeoff_marks_infeasible_cells():
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-9))
+    weak = replace(CFG, max_rotor_thrust=1e-9)
     grid = rangeopt.tradeoff_grid(weak, resolution=3)
     assert np.all(np.isnan(grid.delta_range_km))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mobilitylab import aeropower, rangeopt, steadystate
-from mobilitylab.params import ScenarioConfig, TerrainParams, earth_defaults
+from mobilitylab.params import EARTH, ScenarioConfig
 
 CFG = ScenarioConfig()
 
@@ -40,13 +40,13 @@ def test_rolling_rotor_thrusts_consistent():
     # climbing (tau > 0), and braking downhill with no rolling resistance
     # (tau < 0), where |tau| is charged
     c = 0.14 / math.sqrt(2)
-    rho2a, eta = aeropower._rotor_terms(CFG.environment, CFG.vehicle)
-    for terrain, v, sign in ((CFG.terrain, 0.2, 1.0),
-                             (TerrainParams(0.0, -0.3), 0.05, -1.0)):
-        config = replace(CFG, terrain=terrain)
+    rho2a, eta = aeropower._rotor_terms(CFG)
+    for config, v, sign in ((CFG, 0.2, 1.0),
+                            (replace(CFG, rolling_resistance_crr=0.0,
+                                     slope_theta=-0.3), 0.05, -1.0)):
         state = steadystate.rolling_state(config, v)
         assert state.torque == (steadystate.rolling_resistive_force(config, v)
-                                * config.vehicle.shell_radius_l)
+                                * config.shell_radius_l)
         assert np.sign(state.torque) == sign
         f = abs(state.torque) / (4 * c)
         assert state.power == pytest.approx(
@@ -63,9 +63,9 @@ def test_rolling_rotor_thrusts_consistent():
 def test_rolling_rotor_thrusts_are_the_charged_pair_force(v, theta, crr):
     # the record's power is rolling_power at its torque, bit for bit, as a
     # scalar and as one element of a broadcast call
-    config = replace(CFG, terrain=TerrainParams(crr, theta))
+    config = replace(CFG, rolling_resistance_crr=crr, slope_theta=theta)
     torque = (steadystate.rolling_resistive_force(config, v)
-              * config.vehicle.shell_radius_l)
+              * config.shell_radius_l)
     state = steadystate.rolling_state(config, v)
     assert state.torque == torque
     assert state.power == steadystate.rolling_power(config, torque, v)
@@ -79,6 +79,16 @@ def test_rolling_rejects_negative_speed():
             steadystate.rolling_state(CFG, v)
 
 
+@pytest.mark.parametrize("state", [steadystate.rolling_state,
+                                   steadystate.flying_state])
+def test_speed_list_equals_array_call(state):
+    # both records take a list of speeds as they take an array
+    got, want = state(CFG, [0.1, 0.2]), state(CFG, np.array([0.1, 0.2]))
+    assert type(got) is type(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_flying_rejects_negative_speed():
     for v in (-0.1, [[0.5], [-2.0]]):
         with pytest.raises(ValueError, match=r"v must be >= 0, got -"):
@@ -86,7 +96,7 @@ def test_flying_rejects_negative_speed():
 
 
 def test_rolling_infeasible_is_nan_power():
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=1e-6))
+    weak = replace(CFG, max_rotor_thrust=1e-6)
     state = steadystate.rolling_state(weak, 0.5)
     assert state.torque > 0 and math.isnan(state.power)
 
@@ -95,8 +105,8 @@ def test_rolling_infeasible_is_nan_power():
 @given(v=st.floats(0.0, 2.0), crr=st.floats(0.0, 0.3),
        theta=st.floats(0.0, 0.03))
 def test_rolling_power_monotone_in_resistance(v, crr, theta):
-    base = replace(CFG, terrain=TerrainParams(crr, theta))
-    worse = replace(CFG, terrain=TerrainParams(crr + 0.05, theta))
+    base = replace(CFG, rolling_resistance_crr=crr, slope_theta=theta)
+    worse = replace(CFG, rolling_resistance_crr=crr + 0.05, slope_theta=theta)
     p0 = steadystate.rolling_state(base, v).power
     p1 = steadystate.rolling_state(worse, v).power
     assert p1 >= p0
@@ -151,7 +161,7 @@ def test_rolling_power_thrust_limit_is_strict():
     # one limit, no slack: finite at a pair force of exactly
     # max_rotor_thrust, NaN one ulp above it, the same strict > that
     # flying_state applies
-    f_max = CFG.vehicle.max_rotor_thrust
+    f_max = CFG.max_rotor_thrust
     lever = steadystate._pair_terms(CFG, 4)[0]
     for f, finite in ((f_max, True), (math.nextafter(f_max, math.inf),
                                       False)):
@@ -169,7 +179,7 @@ def test_rolling_power_increases_with_speed():
 def test_downhill_needs_braking_torque():
     # steep descent: gravity beats resistance, rotors brake (torque < 0)
     # and braking thrust still costs electrical power in this model
-    downhill = replace(CFG, terrain=TerrainParams(0.01, -0.1))
+    downhill = replace(CFG, rolling_resistance_crr=0.01, slope_theta=-0.1)
     state = steadystate.rolling_state(downhill, 0.1)
     assert state.torque < 0
     assert state.power > 0
@@ -177,12 +187,11 @@ def test_downhill_needs_braking_torque():
 
 def _trim_residuals(config, state):
     """Per-agent force balance along and normal to the slope."""
-    env, ter = config.environment, config.terrain
-    m = config.vehicle.cobot_mass
+    m = config.cobot_mass
     along = (state.thrust * np.sin(state.tilt) - state.drag
-             - m * env.gravity * math.sin(ter.slope_theta))
+             - m * config.gravity * math.sin(config.slope_theta))
     normal = (state.thrust * np.cos(state.tilt)
-              - m * env.gravity * math.cos(ter.slope_theta))
+              - m * config.gravity * math.cos(config.slope_theta))
     return along, normal
 
 
@@ -195,7 +204,7 @@ def test_flying_trim_residuals():
 def test_steep_downhill_trim_takes_lowest_power_root():
     # at 1.45 m/s on a -0.5 rad slope the tilt balance has three roots,
     # near -0.0481, 0.1497 and 0.9103 rad; the first needs the least power
-    steep = replace(CFG, terrain=TerrainParams(0.01, -0.5))
+    steep = replace(CFG, rolling_resistance_crr=0.01, slope_theta=-0.5)
     state = steadystate.flying_state(steep, 1.45)
     assert state.tilt == pytest.approx(-0.0481, abs=5e-5)
     assert max(map(abs, _trim_residuals(steep, state))) < 1e-9
@@ -205,15 +214,13 @@ def test_steep_downhill_trim_takes_lowest_power_root():
 def _bisected_tilt(config, v):
     """The trim tilt by bisection alone, on drag_force(projected_area), in
     the half-bracket that the fixed-point step from a = 0 picks."""
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    weight = veh.cobot_mass * env.gravity
-    along, normal = (weight * math.sin(ter.slope_theta),
-                     weight * math.cos(ter.slope_theta))
+    weight = config.cobot_mass * config.gravity
+    along, normal = (weight * math.sin(config.slope_theta),
+                     weight * math.cos(config.slope_theta))
 
     def residual(alpha):
         drag = aeropower.drag_force(
-            env, aeropower.projected_area(veh, alpha, "flying"), v,
-            veh.drag_coefficient_cd)
+            config, aeropower.projected_area(config, alpha, "flying"), v)
         return alpha - math.atan2(drag + along, normal)
 
     lo = 0.0 if residual(0.0) < 0.0 else -math.pi / 2
@@ -231,39 +238,38 @@ def _bisected_tilt(config, v):
 def test_trim_tilt_is_the_bisection_root_of_its_half(theta, v, env):
     config = _on_slopes(CFG, theta)
     if env == "earth":
-        config = replace(config, environment=earth_defaults())
+        config = replace(config, **EARTH)
     tilt = steadystate.flying_state(config, np.float64(v)).tilt
     assert abs(tilt - _bisected_tilt(config, v)) <= 1e-12
 
 
 def _fixed_point_trim_power(config, v, steps=400):
     """Flying power from the plain tilt fixed point run for many steps."""
-    env, veh, ter = config.environment, config.vehicle, config.terrain
-    along = veh.cobot_mass * env.gravity * math.sin(ter.slope_theta)
-    normal = veh.cobot_mass * env.gravity * math.cos(ter.slope_theta)
+    along = config.cobot_mass * config.gravity * math.sin(config.slope_theta)
+    normal = config.cobot_mass * config.gravity * math.cos(config.slope_theta)
 
     def drag_at(alpha):
         return aeropower.drag_force(
-            env, aeropower.projected_area(veh, alpha, "flying"), v,
-            veh.drag_coefficient_cd)
+            config, aeropower.projected_area(config, alpha, "flying"), v)
 
     alpha = np.zeros_like(v)
     for _ in range(steps):
         alpha = np.arctan2(drag_at(alpha) + along, normal)
     thrust = np.hypot(drag_at(alpha) + along, normal)
     _, per_rotor = aeropower.momentum_power(
-        thrust / 4.0, 2.0 * env.air_density * veh.rotor_disk_area, v,
+        thrust / 4.0, 2.0 * config.air_density * config.rotor_disk_area, v,
         v * np.cos(alpha), v * np.sin(alpha),
-        veh.eta_propeller * veh.eta_motor * veh.eta_controller)
+        config.eta_propeller * config.eta_motor * config.eta_controller)
     return config.num_agents * 4 * per_rotor
 
 
 @pytest.mark.parametrize("env", ["titan", "earth"])
 @pytest.mark.parametrize("theta_deg", [-0.5, 0.0, 1.0, 3.0, 6.5])
 def test_flying_power_matches_long_fixed_point(env, theta_deg):
-    config = replace(CFG, terrain=TerrainParams(0.01, math.radians(theta_deg)))
+    config = replace(CFG, rolling_resistance_crr=0.01,
+                     slope_theta=math.radians(theta_deg))
     if env == "earth":
-        config = replace(config, environment=earth_defaults())
+        config = replace(config, **EARTH)
     v = rangeopt.default_velocity_grid("flying")
     got = steadystate.flying_state(config, v).power
     want = _fixed_point_trim_power(config, v)
@@ -273,10 +279,9 @@ def test_flying_power_matches_long_fixed_point(env, theta_deg):
 
 def test_flying_at_zero_speed_is_hover():
     # the same kernel call, bit for bit, on Titan and on Earth
-    for config in (CFG, replace(CFG, environment=earth_defaults())):
+    for config in (CFG, replace(CFG, **EARTH)):
         state = steadystate.flying_state(config, 0.0)
-        hover = aeropower.cobot_hover_power(config.environment,
-                                            config.vehicle)
+        hover = aeropower.cobot_hover_power(config)
         assert state.tilt == 0.0
         assert state.power == config.num_agents * hover
 
@@ -288,12 +293,12 @@ def test_flying_tilt_grows_with_speed():
 
 
 def _on_slopes(config, theta):
-    return replace(config, terrain=TerrainParams(0.01, theta))
+    return replace(config, rolling_resistance_crr=0.01, slope_theta=theta)
 
 
 def test_flying_power_broadcasts_over_slope_bitwise():
     # each row of an array-slope call is that slope's call, NaN included
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.4))
+    weak = replace(CFG, max_rotor_thrust=0.4)
     theta = np.radians(np.linspace(-0.5, 20.0, 9))
     v = np.linspace(0.0, 3.0, 40)
     rows = steadystate.flying_state(_on_slopes(weak, theta[:, None]), v).power
@@ -321,9 +326,8 @@ def _trim_at(config, v, alpha):
     return seen[0], drag
 
 
-_TRIM_CONFIGS = [CFG, replace(CFG, environment=earth_defaults()),
-                 replace(CFG, vehicle=replace(CFG.vehicle, shell_radius_l=0.1,
-                                              body_height_h_flying=0.3))]
+_TRIM_CONFIGS = [CFG, replace(CFG, **EARTH),
+                 replace(CFG, shell_radius_l=0.1, body_height_h_flying=0.3)]
 
 
 @settings(deadline=None)
@@ -337,13 +341,12 @@ def test_trim_residual_is_the_drag_and_weight_composition(alpha, v, theta,
     # drag_force on projected_area, and the residual its tilt balance,
     # bitwise
     config = _on_slopes(config, theta)
-    env, veh = config.environment, config.vehicle
     residual, drag = _trim_at(config, v, alpha)
     want = aeropower.drag_force(
-        env, aeropower.projected_area(veh, np.float64(alpha), "flying"),
-        np.float64(v), veh.drag_coefficient_cd)
+        config, aeropower.projected_area(config, np.float64(alpha), "flying"),
+        np.float64(v))
     assert drag.tobytes() == np.float64(want).tobytes()
-    weight = veh.cobot_mass * env.gravity
+    weight = config.cobot_mass * config.gravity
     r = np.float64(alpha) - np.arctan2(want + weight * math.sin(theta),
                                        weight * math.cos(theta))
     assert residual(np.float64(alpha))[0].tobytes() == r.tobytes()
@@ -398,7 +401,7 @@ def test_flying_inflow_converges_in_few_iterations(monkeypatch, env,
     monkeypatch.setattr(aeropower, "INDUCED_MAX_ITER", 5)
     config = replace(CFG, num_agents=agents)
     if env == "earth":
-        config = replace(config, environment=earth_defaults())
+        config = replace(config, **EARTH)
     theta = np.radians(np.linspace(-0.5, 6.5, 15))[:, None]
     state = steadystate.flying_state(_on_slopes(config, theta),
                                      rangeopt.default_velocity_grid("flying"))
@@ -406,7 +409,7 @@ def test_flying_inflow_converges_in_few_iterations(monkeypatch, env,
 
 
 def test_flying_infeasible_is_nan_power():
-    weak = replace(CFG, vehicle=replace(CFG.vehicle, max_rotor_thrust=0.01))
+    weak = replace(CFG, max_rotor_thrust=0.01)
     state = steadystate.flying_state(weak, 1.0)
     assert state.thrust / 4 > 0.01 and math.isnan(state.power)
 
@@ -416,8 +419,8 @@ def test_resistive_force_area_changes_drag_only():
     base = steadystate.rolling_resistive_force(CFG, v)
     assert steadystate.rolling_resistive_force(CFG, v, avg) == base
     extra = steadystate.rolling_resistive_force(CFG, v, 3.0 * avg) - base
-    assert extra == pytest.approx(2.0 * aeropower.drag_force(
-        CFG.environment, avg, v, CFG.vehicle.drag_coefficient_cd), rel=1e-12)
+    assert extra == pytest.approx(2.0 * aeropower.drag_force(CFG, avg, v),
+                                  rel=1e-12)
 
 
 def test_flying_totals_scale_with_agents():
@@ -438,9 +441,8 @@ def test_rolling_cheaper_than_flying_headline():
 
 
 def test_rolling_power_drag_only_at_zero_crr():
-    ideal = replace(CFG, terrain=TerrainParams(0.0, 0.0))
-    drag = aeropower.drag_force(CFG.environment,
-                                steadystate.average_rolling_area(CFG), 0.3,
-                                CFG.vehicle.drag_coefficient_cd)
+    ideal = replace(CFG, rolling_resistance_crr=0.0, slope_theta=0.0)
+    drag = aeropower.drag_force(CFG, steadystate.average_rolling_area(CFG),
+                                0.3)
     assert steadystate.rolling_state(ideal, 0.3).torque == pytest.approx(
         drag * 0.2, rel=1e-12)
