@@ -4,7 +4,7 @@ Range is defined as v * E / P: distance covered before the usable battery
 energy is exhausted at constant speed. One private sweep owns the optimum:
 the grid argmax, NaN where no speed is feasible, optionally refined by a
 re-sweep of its bracket. ``best_range`` exposes it, broadcast over config
-arrays; each sweep evaluates its powers in one array call.
+arrays; each sweep evaluates its powers in one array call per block.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ FLYING_V_GRID = (0.05, 5.0, 200)
 #: points of the refinement grid; odd, so a uniform grid's coarse optimum
 #: sits in its middle
 REFINE_POINTS = 1001
-#: points per rolling array call of the batch paths (bounds the peak memory)
+#: points per ``_powers`` call of a batch (bounds the peak memory)
 BLOCK_POINTS = 2 ** 14
 
 #: circumradius / edge length of the platonic solids, keyed by face count
@@ -105,10 +105,27 @@ def _ranges(v, powers, energy: float):
 
 def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
            refine: bool = False, shell=None):
-    """Powers, ranges and optimum (v*, R*) over speeds v: the first largest
-    finite range along the last axis, NaN where no speed is feasible.
-    ``refine`` re-sweeps ``REFINE_POINTS`` speeds between the optimum's two
-    neighbours on the 1-D grid v."""
+    """Powers, ranges and optimum (v*, R*) over speeds v, for the batch that
+    v, ``hotel_w``, ``shell`` and array config fields broadcast to: the first
+    largest finite range on the last axis, NaN if none. A batch past
+    ``BLOCK_POINTS`` points runs in blocks of leading-axis rows (as many as
+    fit, at least one) and keeps only its optima (powers, ranges None).
+    ``refine`` re-sweeps ``REFINE_POINTS`` speeds between the neighbours of
+    the optimum on a 1-D v."""
+    shape = np.broadcast(v, hotel_w, *(
+        x for x in (*vars(config).values(), *(shell or ()))
+        if isinstance(x, np.ndarray))).shape
+    rows = max(1, BLOCK_POINTS // (math.prod(shape[1:]) or 1))
+    if len(shape) > 1 and shape[0] > rows:
+        opt = np.empty((2, *shape[:-1]))
+        for i in range(0, shape[0], rows):
+            def cut(x):
+                return (x[i:i + rows] if np.ndim(x) == len(shape)
+                        and len(x) > 1 else x)
+            opt[:, i:i + rows] = _sweep(replace(config, **{
+                k: cut(x) for k, x in vars(config).items()}), mode, cut(v),
+                cut(hotel_w), refine, shell and tuple(map(cut, shell)))[2:]
+        return None, None, *opt
     powers = _powers(config, mode, v, shell) + hotel_w
     ranges = _ranges(v, powers, config.total_energy)
     opt_r = np.fmax.reduce(ranges, axis=-1)
@@ -120,22 +137,18 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
         fine = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
         opt_v, opt_r = np.where(np.isnan(opt_r), np.nan, _sweep(
             config, mode, fine, hotel_w, shell=shell)[2:])
-    return powers, ranges, np.where(np.isnan(opt_r), np.nan, opt_v), opt_r
+    return powers, ranges, *(  # a 0-d optimum as a numpy scalar
+        x[()] if x.shape == shape[:-1] else
+        np.broadcast_to(x, shape[:-1]).copy()
+        for x in (np.where(np.isnan(opt_r), np.nan, opt_v), opt_r))
 
 
-def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
-               refine: bool = False):
+def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0):
     """Optimum (v*, R*) over the mode's default speed grid. Array-valued
     config fields and ``hotel_w`` broadcast against a trailing speed axis
     (shape them (..., 1)), the fields the mode ignores too; infeasible
     elements give (NaN, NaN)."""
-    speeds = default_velocity_grid(mode)
-    shape = np.broadcast_shapes(speeds.shape, np.shape(hotel_w), *(
-        x.shape for x in vars(config).values()
-        if isinstance(x, np.ndarray)))[:-1]
-    return tuple(x if np.shape(x) == shape else
-                 np.broadcast_to(x, shape).copy()
-                 for x in _sweep(config, mode, speeds, hotel_w, refine)[2:])
+    return _sweep(config, mode, default_velocity_grid(mode), hotel_w)[2:]
 
 
 def range_sweep(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
@@ -159,8 +172,7 @@ def tradeoff_grid(config: ScenarioConfig,
                   resolution: int = 20) -> TradeoffGrid:
     """Rolling-minus-flying optimum range over a (C_rr, slope) grid: one
     flying ``best_range`` call over (theta x v), since flying ignores C_rr,
-    and one rolling call per block of C_rr rows over (C_rr x theta x v),
-    each block as many rows as fit ``BLOCK_POINTS`` points."""
+    and one rolling call over (C_rr x theta x v)."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     crr_axis = np.linspace(*crr_range, resolution)
@@ -169,11 +181,9 @@ def tradeoff_grid(config: ScenarioConfig,
     fly_by_theta = best_range(replace(
         config, rolling_resistance_crr=crr_axis[0], slope_theta=slopes),
         "flying")[1]
-    step = max(1, BLOCK_POINTS // (resolution * ROLLING_V_GRID[2]))
-    delta = np.concatenate([best_range(replace(
-        config, rolling_resistance_crr=crr_axis[i:i + step, None, None],
-        slope_theta=slopes), "rolling")[1]
-        for i in range(0, resolution, step)]) - fly_by_theta
+    delta = best_range(replace(
+        config, rolling_resistance_crr=crr_axis[:, None, None],
+        slope_theta=slopes), "rolling")[1] - fly_by_theta
     fly = np.tile(fly_by_theta, (resolution, 1))
     return TradeoffGrid(crr=crr_axis, theta_deg=theta_axis,
                         delta_range_km=delta, flying_range_km=fly)
@@ -215,25 +225,20 @@ def scaling_bounds(config: ScenarioConfig,
     rolls the regular n-gon prism (rectangular frontal area 2 R w, which
     grows quickly with n). Flying range is independent of n because n
     independent agents scale power and energy identically. Each bound is
-    one rolling sweep per block of agent counts, passed as an (n, 1) array.
+    one rolling sweep over the agent counts, passed as an (n, 1) array.
     """
     if any(n < 1 for n in n_range):
         raise ValueError("agent count must be >= 1")
     width = config.shell_width_w
     fly_range = range_sweep(config, "flying").optimum_range_km
-    speeds = default_velocity_grid("rolling")
-    ns = np.array(n_range)
-    r_up = [platonic_shell_radius(n, width) for n in n_range]
-    r_lo = np.array([polygon_prism_radius(n, width) for n in n_range])
+    n = np.array(n_range)[:, None]
+    cfg = replace(config, num_agents=n)
+    r_up = [platonic_shell_radius(k, width) for k in n_range]
+    r_lo = np.array([polygon_prism_radius(k, width) for k in n_range])
     shells = ((np.array(r_up), np.array([math.pi * r ** 2 for r in r_up])),
               (r_lo, 2.0 * r_lo * width))
-    step = max(1, BLOCK_POINTS // speeds.size)
-    ratios = np.empty((2, len(ns)))
-    for rows in (slice(i, i + step) for i in range(0, len(ns), step)):
-        n = ns[rows, None]
-        cfg = replace(config, num_agents=n)
-        for ratio, (radius, area) in zip(ratios, shells):
-            # the torque is shared by the 2 n propeller pairs
-            ratio[rows] = _sweep(cfg, "rolling", speeds, shell=(
-                radius[rows, None], area[rows, None], 2 * n))[3] / fly_range
-    return ScalingCurve(n=ns, ratio_lower=ratios[1], ratio_upper=ratios[0])
+    # the torque is shared by the 2 n propeller pairs
+    upper, lower = (_sweep(cfg, "rolling", default_velocity_grid("rolling"),
+                           shell=(radius[:, None], area[:, None], 2 * n))[3]
+                    / fly_range for radius, area in shells)
+    return ScalingCurve(n=n[:, 0], ratio_lower=lower, ratio_upper=upper)

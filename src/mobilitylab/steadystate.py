@@ -12,11 +12,11 @@ which is the fixed point of the rolling dynamics equation in the dynamics
 module; ``rolling_resistive_force`` is the bracketed sum, the traction
 force F_t.
 
-Rolling rotor freestream: each rotor sees the translational speed v edgewise
-(alpha = 0). The rotor tangential speed about the roll axis is comparable to
-v at the rolling optimum but its induced-power correction is second order,
-so it is neglected; the choice is isolated in ``rolling_power``, which
-hands ``aeropower.momentum_power`` the edgewise speed and no axial one.
+Rolling rotor freestream: each rotor sees the speed v edgewise (alpha = 0);
+``rolling_power`` hands ``aeropower.momentum_power`` no axial speed. That
+leaves out each rotor's motion along its thrust at omega c about the roll
+axis, whose work, f omega c over the pairs = F_t v, is first order, not
+second: a known limitation (README).
 
 Rolling drag area: the cylinder's attitude rotates continuously, so the
 steady-state drag area is the time average over one revolution,

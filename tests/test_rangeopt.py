@@ -150,6 +150,57 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _count_points(monkeypatch):
+    """Record the batch size, in points, of every ``_powers`` call."""
+    points = []
+    powers = rangeopt._powers
+
+    def counted(config, mode, v, shell=None):
+        points.append(math.prod(np.broadcast_shapes(np.shape(v), *map(
+            np.shape, (*vars(config).values(), *(shell or ()))))))
+        return powers(config, mode, v, shell)
+
+    monkeypatch.setattr(rangeopt, "_powers", counted)
+    return points
+
+
+@pytest.mark.parametrize("mode, refine", [("rolling", False),
+                                          ("flying", False),
+                                          ("rolling", True)])
+def test_ten_thousand_row_column_runs_in_bounded_blocks(monkeypatch, mode,
+                                                        refine):
+    # a 10 000-row slope column is 2e6 points per grid; each block holds
+    # 81 rows, so its first and last rows are checked against per-row calls;
+    # the steep rows leave rolling infeasible at a 0.3 N thrust limit
+    config = replace(CFG, max_rotor_thrust=0.3)
+    slopes = np.linspace(-0.01, 0.35, 10_000)
+    points = _count_points(monkeypatch)
+    v_opt, r_opt = _optimum(replace(config, slope_theta=slopes[:, None]),
+                            mode, refine=refine)
+    assert v_opt.shape == r_opt.shape == slopes.shape
+    assert len(points) > 100
+    assert max(points) <= rangeopt.BLOCK_POINTS
+    rows = max(1, rangeopt.BLOCK_POINTS // rangeopt.ROLLING_V_GRID[2])
+    sample = np.union1d(np.arange(0, slopes.size, rows),
+                        np.arange(rows - 1, slopes.size, rows))
+    each = [_optimum(replace(config, slope_theta=slopes[k]), mode,
+                     refine=refine) for k in sample]
+    assert _same_bits(np.stack([v_opt[sample], r_opt[sample]], axis=-1),
+                      each)
+    if mode == "rolling":
+        assert np.isnan(r_opt).any() and np.isfinite(r_opt).any()
+
+
+def test_scalar_optimum_is_one_type_of_shape_zero():
+    weak = replace(CFG, max_rotor_thrust=1e-9)
+    for config, mode, refine in itertools.product(
+            (CFG, weak), ("rolling", "flying"), (False, True)):
+        v_opt, r_opt = _optimum(config, mode, refine=refine)
+        assert type(v_opt) is type(r_opt)
+        assert np.shape(v_opt) == np.shape(r_opt) == ()
+        assert isinstance(v_opt, float)  # a numpy scalar, not a 0-d array
+
+
 @pytest.mark.parametrize("limit", [8.0, 0.3])
 @pytest.mark.parametrize("resolution", [1, 3, 7, 11, 20, 100])
 def test_tradeoff_grid_equals_per_row_best_range_bitwise(resolution, limit):
@@ -248,6 +299,14 @@ def _on_terrain(config, crr, theta):
     return replace(config, rolling_resistance_crr=crr, slope_theta=theta)
 
 
+def _optimum(config, mode, hotel_w=0.0, refine=False):
+    """``best_range``, or the refined optimum of its sweep."""
+    if not refine:
+        return rangeopt.best_range(config, mode, hotel_w)
+    return rangeopt._sweep(config, mode, rangeopt.default_velocity_grid(mode),
+                           hotel_w, refine=True)[2:]
+
+
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(("rolling", "flying")), refine=st.booleans(),
        terrain=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-0.5, 0.6)),
@@ -260,13 +319,13 @@ def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
     # every flying row
     config = replace(CFG, max_rotor_thrust=limit)
     crr, theta = np.array(terrain).T
-    v_opt, r_opt = rangeopt.best_range(
+    v_opt, r_opt = _optimum(
         _on_terrain(config, crr[:, None], theta[:, None]), mode, hotel_w,
         refine)
     assert v_opt.shape == r_opt.shape == (len(terrain),)
     for k, (c, th) in enumerate(terrain):
         one = _on_terrain(config, c, th)
-        v1, r1 = rangeopt.best_range(one, mode, hotel_w, refine)
+        v1, r1 = _optimum(one, mode, hotel_w, refine)
         assert np.array_equal([v_opt[k], r_opt[k]], [v1, r1], equal_nan=True)
         if np.isnan(r1):
             assert np.isnan(v1)
@@ -336,9 +395,9 @@ def test_best_range_broadcasts_over_a_field_column_bitwise(mode, group,
         return replace(CFG, **{name: value})
 
     for refine in (False, True):
-        v_opt, r_opt = rangeopt.best_range(
+        v_opt, r_opt = _optimum(
             with_field(np.array(column)[:, None]), mode, refine=refine)
-        each = [rangeopt.best_range(with_field(x), mode, refine=refine)
+        each = [_optimum(with_field(x), mode, refine=refine)
                 for x in column]
         assert _same_bits(np.stack([v_opt, r_opt], axis=-1), each)
 
@@ -349,18 +408,18 @@ def test_best_range_broadcasts_an_ignored_field_with_the_read_ones(refine):
     # each row the slopes' call, and a (3, 1) hotel load (3,)
     slopes = np.array([[0.0], [0.02]])
     crr = np.array([0.0, 0.01, 0.1])[:, None, None]
-    v_opt, r_opt = rangeopt.best_range(_on_terrain(CFG, crr, slopes),
-                                       "flying", refine=refine)
-    by_slope = rangeopt.best_range(_on_terrain(CFG, 0.01, slopes), "flying",
-                                   refine=refine)
+    v_opt, r_opt = _optimum(_on_terrain(CFG, crr, slopes), "flying",
+                            refine=refine)
+    by_slope = _optimum(_on_terrain(CFG, 0.01, slopes), "flying",
+                        refine=refine)
     assert v_opt.shape == r_opt.shape == (3, 2)
     assert _same_bits(np.stack([v_opt, r_opt]),
                       np.stack([np.broadcast_to(x, (3, 2))
                                 for x in by_slope]))
     hotel = np.array([0.0, 0.5, 1.0])[:, None]
-    v_opt, r_opt = rangeopt.best_range(CFG, "flying", hotel, refine)
+    v_opt, r_opt = _optimum(CFG, "flying", hotel, refine)
     assert _same_bits(np.stack([v_opt, r_opt], axis=-1),
-                      [rangeopt.best_range(CFG, "flying", h, refine)
+                      [_optimum(CFG, "flying", h, refine)
                        for h in hotel[:, 0]])
 
 
@@ -368,7 +427,7 @@ def test_best_range_marks_infeasible_without_raising():
     weak = replace(CFG, max_rotor_thrust=1e-9)
     for mode, refine in itertools.product(("rolling", "flying"),
                                           (False, True)):
-        v_opt, r_opt = rangeopt.best_range(
+        v_opt, r_opt = _optimum(
             _on_terrain(weak, 0.01, np.zeros((3, 1))), mode, refine=refine)
         assert np.isnan(v_opt).all() and np.isnan(r_opt).all()
 
