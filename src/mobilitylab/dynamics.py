@@ -20,16 +20,19 @@ tau, whose pair force |tau| / lever on the cylinder's pairs saturates
 beyond the thrust limit to tau = copysign(lever f_max, tau), and it writes
 ``steadystate.rolling_power``'s edgewise power at that force out; its one
 call is the RK4 step ``_roll_step`` builds once per run, plus a callable
-setpoint's. Only recorded ticks build a ``SimState``, at t = i dt. The loop
-is the one place that steps the roll and charges energy.
+setpoint's. A recorded tick, at t = i dt, appends its eight values to one
+flat buffer, so it leaves no object for the garbage collector to walk; a
+``SimState`` is built only when ``Trajectory.states`` is read. The loop is
+the one place that steps the roll and charges energy.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +52,56 @@ class SimState(NamedTuple):
     time: float = 0.0            # s
 
 
+class _States(Sequence):
+    """Read-only view of a trajectory's records as ``SimState``s, each built
+    when read: len, indices (negative too), slices (as lists), iteration
+    and == with a list."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: list):
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records) // 8
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # IndexError past either end
+        if isinstance(rows, range):
+            return [self[j] for j in rows]
+        return tuple.__new__(SimState, self._records[8 * rows:8 * rows + 6])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _States)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    states: list[SimState]
-    power: list[float]           # W, one per recorded state
-    saturated: list[bool]
+    """A run's records in one flat list, eight values per recorded tick: a
+    ``SimState``'s six, then its power (W) and saturation flag. ``states``
+    is a ``_States`` view over them; ``power`` and ``saturated`` are new
+    lists per read."""
+
+    records: list[float | bool]
+
+    @property
+    def states(self) -> _States:
+        return _States(self.records)
+
+    @property
+    def power(self) -> list[float]:
+        return self.records[6::8]
+
+    @property
+    def saturated(self) -> list[bool]:
+        return self.records[7::8]
 
     def to_csv_rows(self) -> list[list[float]]:
-        return [[st.time, st.position_s, st.speed_v, st.roll_rate_omega, p,
-                 st.energy_consumed, int(sat)]
-                for st, p, sat in zip(self.states, self.power, self.saturated)]
+        # zip over one iterator eight times reads the records a row at a time
+        return [[t, s, v, w, p, e, int(sat)] for s, v, _, w, e, t, p, sat
+                in zip(*[iter(self.records)] * 8)]
 
 
 CSV_HEADER = ["time_s", "position_m", "speed_mps", "omega_radps",
@@ -151,11 +194,12 @@ def simulate_closed_loop(config: ScenarioConfig,
     n_pairs = steadystate.CYLINDER_PAIRS
     lever, rho2a, eta = steadystate._pair_terms(config, n_pairs)
     sqrt, copysign, ndarray = math.sqrt, math.copysign, np.ndarray
-    step, new_tuple = _roll_step(config, dt), tuple.__new__
+    step = _roll_step(config, dt)
 
     phi = omega = position = energy = t = integ = 0.0
     w = float(omega_des) if const else 0.0
-    states, powers, saturated = [SimState()], [0.0], [False]
+    records = [*SimState(), 0.0, False]
+    record = records.extend
     for i in range(1, steps + 1):
         if not const:
             setpoint = omega_des(t)
@@ -196,8 +240,6 @@ def simulate_closed_loop(config: ScenarioConfig,
         energy += power * dt
         t = i * dt
         if i % record_every == 0:
-            states.append(new_tuple(SimState, (position, omega * radius, phi,
-                                               omega, energy, t)))
-            powers.append(power)
-            saturated.append(sat)
-    return Trajectory(states=states, power=powers, saturated=saturated)
+            record((position, omega * radius, phi, omega, energy, t, power,
+                    sat))
+    return Trajectory(records)

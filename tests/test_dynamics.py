@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mobilitylab import aeropower, control, dynamics, steadystate
 from mobilitylab.params import EARTH, ScenarioConfig
@@ -227,6 +227,10 @@ ROLL_STEP_ULPS = 8
        config=st.sampled_from([CFG, replace(CFG, **EARTH),
                                SLOPED, DOWNHILL]),
        dt=st.sampled_from([1e-6, 0.005, 0.01]))
+# a stage angle rounds to the next ulp of 654 rad, and omega lands 10 ulps
+# of its scale off without the angle term
+@example(phi=654.1037727830837, omega=654.1037727830837,
+         torque=654.1037727830837, config=replace(CFG, **EARTH), dt=0.01)
 def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
         phi, omega, torque, config, dt):
     # the roll step folds its constants into per-run coefficients: it must
@@ -235,10 +239,14 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     # output's scale. Where the torque and the resistances nearly cancel the
     # rounding of those terms dominates, so omega's scale takes
     # dt (|torque| + the largest stage's resisting torques) / J, and phi's
-    # takes dt times omega's, as the stage rates feed phi.
+    # takes dt times omega's, as the stage rates feed phi. A stage rate an
+    # ulp apart can round a stage angle to the next ulp of |phi|, which the
+    # drag turns into dt |d drag torque / d phi| |phi| / J of omega's scale;
+    # the drag torque over the largest area, (h + 2 l) w, bounds that slope.
     m, r = config.total_mass, config.shell_radius_l
     inertia = dynamics.rolling_inertia(config) + m * r ** 2
-    resisting = []
+    widest = (config.body_height_h_rolling + 2.0 * r) * config.shell_width_w
+    resisting, turning = [], []
 
     def accel(phi, omega):
         drag = aeropower.drag_force(
@@ -251,6 +259,8 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
             crr = config.rolling_resistance_crr * normal * r
             resist, size = resist + math.copysign(crr, omega), size + crr
         resisting.append(size)
+        turning.append(abs(aeropower.drag_force(config, widest, omega * r)
+                           * r))
         return (torque - resist) / inertia
 
     h = 0.5 * dt
@@ -265,9 +275,11 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     want_omega = omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
     got_phi, got_omega = dynamics._roll_step(config, dt)(phi, omega, torque)
     assert type(got_phi) is float and type(got_omega) is float
+    angle = max(abs(phi), abs(want_phi))
     omega_scale = (max(abs(omega), abs(want_omega))
-                   + dt * (abs(torque) + max(resisting)) / inertia)
-    phi_scale = max(abs(phi), abs(want_phi)) + dt * omega_scale
+                   + dt * (abs(torque) + max(resisting)
+                           + max(turning) * angle) / inertia)
+    phi_scale = angle + dt * omega_scale
     assert (abs(got_omega - want_omega)
             <= ROLL_STEP_ULPS * math.ulp(omega_scale))
     assert abs(got_phi - want_phi) <= ROLL_STEP_ULPS * math.ulp(phi_scale)
@@ -284,6 +296,57 @@ def test_closed_loop_records_are_simstates(record_every):
         assert tuple(state._asdict()) == (
             "position_s", "speed_v", "roll_angle", "roll_rate_omega",
             "energy_consumed", "time")
+
+
+def test_trajectory_states_is_a_read_only_view_of_simstates():
+    # the records live in one flat list: states builds a SimState when read
+    traj = dynamics.simulate_closed_loop(SLOPED, _step_to_16, duration=3.0,
+                                         dt=0.01, record_every=7)
+    states = list(traj.states)
+    n = len(states)
+    assert len(traj.states) == n == 1 + 300 // 7
+    assert traj.states[0] == states[0] == dynamics.SimState()
+    assert traj.states[-1] == states[-1] != states[-2]
+    assert traj.states[-n] == states[0]
+    for past_the_end in (n, -n - 1):
+        with pytest.raises(IndexError):
+            traj.states[past_the_end]
+    for cut in (slice(None), slice(1, None, 3), slice(-5, None),
+                slice(None, None, -2), slice(n, None)):
+        assert type(traj.states[cut]) is list
+        assert traj.states[cut] == states[cut]
+    assert all(type(state) is dynamics.SimState for state in (
+        traj.states[0], traj.states[-1], *traj.states, *traj.states[2:4]))
+    assert traj.states == states and states == traj.states
+    assert traj.states != states[:-1]
+    with pytest.raises(TypeError):
+        traj.states[0] = dynamics.SimState()
+
+
+@pytest.mark.parametrize("omega_des", [_step_to_16, _nan_after_3s],
+                         ids=["saturating-step", "nan-setpoint"])
+def test_csv_rows_equal_the_rows_of_the_records(omega_des):
+    # to_csv_rows reads the flat records; bit for bit (repr tells -0.0 and
+    # NaN apart) the rows built from states, power and saturated
+    traj = dynamics.simulate_closed_loop(SLOPED, omega_des, duration=6.0,
+                                         dt=0.01, record_every=3)
+    want = [[st.time, st.position_s, st.speed_v, st.roll_rate_omega, p,
+             st.energy_consumed, int(sat)]
+            for st, p, sat in zip(traj.states, traj.power, traj.saturated)]
+    assert len(want) == len(traj.power) == len(traj.saturated) == 201
+    assert repr(traj.to_csv_rows()) == repr(want)
+
+
+def test_closed_loop_records_leave_no_tracked_object_per_record():
+    # the collector never untracks a tuple subclass, so a SimState kept per
+    # record would add one object to every older-generation collection's
+    # walk; floats and bools in one flat list add none
+    gc.collect()
+    before = len(gc.get_objects())
+    traj = dynamics.simulate_closed_loop(CFG, 0.6, duration=30.0, dt=0.005)
+    gc.collect()
+    assert len(traj.states) == 6001
+    assert len(gc.get_objects()) - before < 100
 
 
 def test_energy_accumulates_power():
