@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import NamedTuple
 
@@ -81,8 +82,8 @@ class _States(Sequence):
 class Trajectory:
     """A run's records in one flat list, eight values per recorded tick: a
     ``SimState``'s six, then its power (W) and saturation flag. ``states``
-    is a ``_States`` view over them; ``power`` and ``saturated`` are new
-    lists per read."""
+    is a ``_States`` view over them, O(1) per index; ``power`` and
+    ``saturated`` are lists copied out at their first read."""
 
     records: list[float | bool]
 
@@ -90,11 +91,11 @@ class Trajectory:
     def states(self) -> _States:
         return _States(self.records)
 
-    @property
+    @cached_property
     def power(self) -> list[float]:
         return self.records[6::8]
 
-    @property
+    @cached_property
     def saturated(self) -> list[bool]:
         return self.records[7::8]
 

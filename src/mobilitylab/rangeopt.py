@@ -25,14 +25,6 @@ FLYING_V_GRID = (0.05, 5.0, 200)
 REFINE_POINTS = 1001
 #: points per ``_powers`` call of a batch (bounds the peak memory)
 BLOCK_POINTS = 2 ** 14
-#: config fields a mode's powers and ranges never read
-_UNREAD = {
-    "rolling": ("ambient_temperature", "body_height_h_flying",
-                "thrust_constant_k_t"),
-    "flying": ("ambient_temperature", "body_height_h_rolling",
-               "rotor_arm_length_a", "thrust_constant_k_t",
-               "rolling_resistance_crr"),
-}
 
 #: circumradius / edge length of the platonic solids, keyed by face count
 PLATONIC_CIRCUMRADIUS_PER_EDGE = {
@@ -115,47 +107,45 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
            refine: bool = False, shell=None):
     """Powers, ranges and optimum (v*, R*) over speeds v, for the batch that
     v, ``hotel_w``, ``shell`` and array config fields broadcast to: the first
-    largest finite range on the last axis, NaN if none. Array fields the
-    mode never reads (``_UNREAD``) take their defaults, and the optima
-    broadcast over them. A batch past ``BLOCK_POINTS`` points runs in blocks
-    of leading-axis rows (as many as fit, at least one) and keeps only its
-    optima (powers, ranges None). ``refine`` re-sweeps ``REFINE_POINTS``
-    speeds between the neighbours of the optimum on a 1-D v."""
+    largest finite range on the last axis, NaN if none. A batch past
+    ``BLOCK_POINTS`` points runs in blocks of leading-axis rows (as many as
+    fit, at least one) and keeps only its optima (powers, ranges None); if
+    the first block's ranges do not carry that axis (only fields the mode
+    never reads vary along it), its optima stand for every row.
+    ``refine`` re-sweeps ``REFINE_POINTS`` speeds between the neighbours of
+    the optimum on a 1-D v."""
     shape = np.broadcast(v, hotel_w, *(
         x for x in (*vars(config).values(), *(shell or ()))
         if isinstance(x, np.ndarray))).shape
-    unread = {k: getattr(ScenarioConfig, k) for k in _UNREAD.get(mode, ())
-              if isinstance(getattr(config, k), np.ndarray)}
     rows = max(1, BLOCK_POINTS // (math.prod(shape[1:]) or 1))
-    if unread:
-        powers, ranges, *opt = _sweep(replace(config, **unread), mode, v,
-                                      hotel_w, refine, shell)
-    elif len(shape) > 1 and shape[0] > rows:
-        powers = ranges = None
+    if len(shape) > 1 and shape[0] > rows:
         opt = np.empty((2, *shape[:-1]))
         for i in range(0, shape[0], rows):
             def cut(x):
                 return (x[i:i + rows] if np.ndim(x) == len(shape)
                         and len(x) > 1 else x)
-            opt[:, i:i + rows] = _sweep(replace(config, **{
+            _, ranges, *opt[:, i:i + rows] = _sweep(replace(config, **{
                 k: cut(x) for k, x in vars(config).items()}), mode, cut(v),
-                cut(hotel_w), refine, shell and tuple(map(cut, shell)))[2:]
-    else:
-        powers = _powers(config, mode, v, shell) + hotel_w
-        ranges = _ranges(v, powers, config.total_energy)
-        opt_r = np.fmax.reduce(ranges, axis=-1)
-        i = np.argmax(ranges == opt_r[..., None], axis=-1)  # first optimum
-        opt_v = (v[i] if v.ndim == 1
-                 else np.take_along_axis(v, i[..., None], -1)[..., 0])
-        if refine:
-            lo, hi = v[np.clip([i - 1, i + 1], 0, len(v) - 1)]
-            fine = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
-            opt_v, opt_r = np.where(np.isnan(opt_r), np.nan, _sweep(
-                config, mode, fine, hotel_w, shell=shell)[2:])
-        opt = np.where(np.isnan(opt_r), np.nan, opt_v), opt_r
+                cut(hotel_w), refine, shell and tuple(map(cut, shell)))
+            if i == 0 and (ranges.ndim < len(shape) or len(ranges) < rows):
+                opt[:] = opt[:, :1]
+                break
+        return None, None, *opt
+    powers = _powers(config, mode, v, shell) + hotel_w
+    ranges = _ranges(v, powers, config.total_energy)
+    opt_r = np.fmax.reduce(ranges, axis=-1)
+    i = np.argmax(ranges == opt_r[..., None], axis=-1)  # first optimum
+    opt_v = (v[i] if v.ndim == 1
+             else np.take_along_axis(v, i[..., None], -1)[..., 0])
+    if refine:
+        lo, hi = v[np.clip([i - 1, i + 1], 0, len(v) - 1)]
+        fine = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
+        opt_v, opt_r = np.where(np.isnan(opt_r), np.nan, _sweep(
+            config, mode, fine, hotel_w, shell=shell)[2:])
     return powers, ranges, *(  # a 0-d optimum as a numpy scalar
         x[()] if x.shape == shape[:-1] else
-        np.broadcast_to(x, shape[:-1]).copy() for x in opt)
+        np.broadcast_to(x, shape[:-1]).copy()
+        for x in (np.where(np.isnan(opt_r), np.nan, opt_v), opt_r))
 
 
 def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0):

@@ -423,46 +423,23 @@ def test_best_range_broadcasts_an_ignored_field_with_the_read_ones(refine):
                        for h in hotel[:, 0]])
 
 
-#: a valid value other than the default, for every config field
-_OTHER_VALUE = {
-    "gravity": 9.81, "air_density": 1.225, "ambient_temperature": 15.0,
-    "cobot_mass": 1.2, "shell_radius_l": 0.3, "shell_width_w": 0.5,
-    "body_height_h_rolling": 0.2, "body_height_h_flying": 0.1,
-    "drag_coefficient_cd": 1.0, "rotor_disk_radius": 0.1,
-    "rotor_arm_length_a": 0.2, "thrust_constant_k_t": 4e-6,
-    "eta_propeller": 0.7, "eta_motor": 0.9, "eta_controller": 0.9,
-    "battery_energy": 1e6, "max_rotor_thrust": 0.005,
-    "rolling_resistance_crr": 0.1, "slope_theta": 0.1, "num_agents": 3}
-
-
-@pytest.mark.parametrize("mode", ["rolling", "flying"])
-@pytest.mark.parametrize("name", sorted(_OTHER_VALUE))
-def test_unread_fields_are_the_ones_the_mode_never_reads(mode, name):
-    # a field listed as unread leaves the mode's powers and ranges the same
-    # bits; any other field moves them
-    assert set(_OTHER_VALUE) == set(vars(CFG))
-    grid = rangeopt.default_velocity_grid(mode)
-    want = rangeopt._sweep(CFG, mode, grid)[:2]
-    got = rangeopt._sweep(replace(CFG, **{name: _OTHER_VALUE[name]}), mode,
-                          grid)[:2]
-    assert all(map(_same_bits, got, want)) == (
-        name in rangeopt._UNREAD[mode])
-
-
-@pytest.mark.parametrize("mode", ["rolling", "flying"])
-def test_column_over_an_unread_field_is_one_sweep(monkeypatch, mode):
-    # 10 000 rows of a field the mode never reads give the scalar call,
-    # broadcast, bit for bit, from as few _powers calls as 10 rows
+@pytest.mark.parametrize("mode, name", [
+    ("flying", "rolling_resistance_crr"), ("rolling", "ambient_temperature")])
+def test_column_over_an_ignored_field_is_one_sweep(monkeypatch, mode, name):
+    # 10 000 rows of a field the mode never reads, alone or crossed with a
+    # column it reads, give the call without them, broadcast, bit for bit,
+    # from as few _powers calls as 10 rows
     calls = _count_powers(monkeypatch)
-    for name in rangeopt._UNREAD[mode]:
-        lo, hi = sorted((getattr(CFG, name), _OTHER_VALUE[name]))
-        want = rangeopt.best_range(CFG, mode)
+    for read in ({}, {"slope_theta": np.linspace(0.0, 0.1, 5)[:, None]}):
+        want = rangeopt.best_range(replace(CFG, **read), mode)
         for rows in (10, 10_000):
-            column = np.linspace(lo, hi, rows)[:, None]
+            column = np.linspace(0.0, 0.3, rows).reshape(
+                -1, *[1] * (np.ndim(want[0]) + 1))
             calls.clear()
-            got = rangeopt.best_range(replace(CFG, **{name: column}), mode)
+            got = rangeopt.best_range(
+                replace(CFG, **read, **{name: column}), mode)
             assert calls == [mode]
-            assert _same_bits(got, [np.broadcast_to(x, (rows,))
+            assert _same_bits(got, [np.broadcast_to(x, (rows, *np.shape(x)))
                                     for x in want])
 
 
