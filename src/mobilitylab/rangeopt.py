@@ -2,9 +2,9 @@
 
 Range is defined as v * E / P: distance covered before the usable battery
 energy is exhausted at constant speed. One private sweep owns the optimum:
-the grid argmax, NaN where no speed is feasible, optionally refined by a
-re-sweep of its bracket. ``best_range`` exposes it, broadcast over config
-arrays; each sweep evaluates its powers in one array call per block.
+the grid argmax, NaN where no speed is feasible, one array call per block.
+``best_range`` broadcasts it over config arrays; ``range_sweep`` optionally
+refines one scenario's optimum by re-sweeping the argmax's bracket.
 """
 
 from __future__ import annotations
@@ -104,16 +104,15 @@ def _ranges(v, powers, energy: float):
 
 
 def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
-           refine: bool = False, shell=None):
-    """Powers, ranges and optimum (v*, R*) over speeds v, for the batch that
-    v, ``hotel_w``, ``shell`` and array config fields broadcast to: the first
-    largest finite range on the last axis, NaN if none. A batch past
-    ``BLOCK_POINTS`` points runs in blocks of leading-axis rows (as many as
-    fit, at least one) and keeps only its optima (powers, ranges None); if
-    the first block's ranges do not carry that axis (only fields the mode
-    never reads vary along it), its optima stand for every row.
-    ``refine`` re-sweeps ``REFINE_POINTS`` speeds between the neighbours of
-    the optimum on a 1-D v."""
+           shell=None):
+    """Powers, ranges and optimum (v*, R*) over the 1-D speed axis v, for
+    the batch that v, ``hotel_w``, ``shell`` and array config fields
+    broadcast to: the first largest finite range on the last axis, NaN if
+    none. A batch past ``BLOCK_POINTS`` points runs in blocks of
+    leading-axis rows (as many as fit, at least one) and keeps only its
+    optima (powers, ranges None); if the first block's ranges do not carry
+    that axis (only fields the mode never reads vary along it), its optima
+    stand for every row."""
     shape = np.broadcast(v, hotel_w, *(
         x for x in (*vars(config).values(), *(shell or ()))
         if isinstance(x, np.ndarray))).shape
@@ -125,8 +124,8 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
                 return (x[i:i + rows] if np.ndim(x) == len(shape)
                         and len(x) > 1 else x)
             _, ranges, *opt[:, i:i + rows] = _sweep(replace(config, **{
-                k: cut(x) for k, x in vars(config).items()}), mode, cut(v),
-                cut(hotel_w), refine, shell and tuple(map(cut, shell)))
+                k: cut(x) for k, x in vars(config).items()}), mode, v,
+                cut(hotel_w), shell and tuple(map(cut, shell)))
             if i == 0 and (ranges.ndim < len(shape) or len(ranges) < rows):
                 opt[:] = opt[:, :1]
                 break
@@ -135,17 +134,10 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
     ranges = _ranges(v, powers, config.total_energy)
     opt_r = np.fmax.reduce(ranges, axis=-1)
     i = np.argmax(ranges == opt_r[..., None], axis=-1)  # first optimum
-    opt_v = (v[i] if v.ndim == 1
-             else np.take_along_axis(v, i[..., None], -1)[..., 0])
-    if refine:
-        lo, hi = v[np.clip([i - 1, i + 1], 0, len(v) - 1)]
-        fine = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
-        opt_v, opt_r = np.where(np.isnan(opt_r), np.nan, _sweep(
-            config, mode, fine, hotel_w, shell=shell)[2:])
     return powers, ranges, *(  # a 0-d optimum as a numpy scalar
         x[()] if x.shape == shape[:-1] else
         np.broadcast_to(x, shape[:-1]).copy()
-        for x in (np.where(np.isnan(opt_r), np.nan, opt_v), opt_r))
+        for x in (np.where(np.isnan(opt_r), np.nan, v[i]), opt_r))
 
 
 def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0):
@@ -159,13 +151,19 @@ def best_range(config: ScenarioConfig, mode: str, hotel_w: float = 0.0):
 def range_sweep(config: ScenarioConfig, mode: str, hotel_w: float = 0.0,
                 refine: bool = False) -> RangeCurve:
     """Equilibrium power and range over the mode's default velocity grid,
-    with optimum."""
+    with optimum. ``refine`` takes the optimum from a re-sweep of
+    ``REFINE_POINTS`` speeds between the grid argmax's neighbours; the
+    curve stays the grid's."""
     speeds = default_velocity_grid(mode)
-    powers, ranges, opt_v, opt_r = _sweep(config, mode, speeds, hotel_w,
-                                          refine)
+    powers, ranges, opt_v, opt_r = _sweep(config, mode, speeds, hotel_w)
     if np.isnan(opt_r):
         raise AllInfeasibleError(
             f"{mode} sweep: every grid point is infeasible")
+    if refine:
+        i = int(np.nanargmax(ranges))
+        opt_v, opt_r = _sweep(config, mode, np.linspace(
+            speeds[max(i - 1, 0)], speeds[min(i + 1, len(speeds) - 1)],
+            REFINE_POINTS), hotel_w)[2:]
     return RangeCurve(mode=mode, velocity=speeds, power=powers,
                       range_km=ranges, optimum_v=float(opt_v),
                       optimum_range_km=float(opt_r))

@@ -66,6 +66,28 @@ def test_range_sweep_json_summary(capsys):
     assert summary["optimum_range_km"] > 0
 
 
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+def test_range_sweep_refine_reports_the_refined_optimum(tmp_path, capsys,
+                                                        mode):
+    # --refine reports range_sweep's refined optimum and leaves the curve
+    from mobilitylab import rangeopt
+    summaries, tables = [], []
+    for extra in ([], ["--refine"]):
+        code, stdout, _ = run(["range-sweep", "--mode", mode, *extra,
+                               "--format", "json"], capsys)
+        assert code == 0
+        summaries.append(json.loads(stdout))
+        out = tmp_path / f"{mode}{len(extra)}.csv"
+        assert run(["range-sweep", "--mode", mode, *extra, "--out",
+                    str(out)], capsys)[0] == 0
+        tables.append(out.read_bytes())
+    curve = rangeopt.range_sweep(ScenarioConfig(), mode, refine=True)
+    assert summaries[1] == {"mode": mode, "optimum_v_mps": curve.optimum_v,
+                            "optimum_range_km": curve.optimum_range_km}
+    assert summaries[1] != summaries[0]
+    assert tables[1] == tables[0]
+
+
 def test_bad_override_exits_2(capsys):
     code, _, err = run(["range-sweep", "--mode", "rolling",
                         "--set", "cobot_mass=-1"], capsys)

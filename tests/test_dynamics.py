@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mobilitylab import aeropower, control, dynamics, steadystate
 from mobilitylab.params import EARTH, ScenarioConfig
@@ -216,6 +216,10 @@ _OMEGA_GATE = dynamics.OMEGA_STATIC
 #: bound of the roll step against its composition, in ulps of each output's
 #: scale (2 at most over 4e5 random draws from the strategies below)
 ROLL_STEP_ULPS = 8
+#: a draw whose stage angle rounds to the next ulp of 654 rad, where the
+#: drag's slope in phi sets omega's error; in hex, as hypothesis feeds a test
+#: module's float literals to its draws
+_ULP_OVER = float.fromhex("0x1.470d486d32c7ap+9")  # 654.1037727830837
 
 
 @given(phi=st.floats(-1e6, 1e6),
@@ -227,6 +231,8 @@ ROLL_STEP_ULPS = 8
        config=st.sampled_from([CFG, replace(CFG, **EARTH),
                                SLOPED, DOWNHILL]),
        dt=st.sampled_from([1e-6, 0.005, 0.01]))
+@example(phi=_ULP_OVER, omega=_ULP_OVER, torque=_ULP_OVER,
+         config=replace(CFG, **EARTH), dt=0.01)
 def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
         phi, omega, torque, config, dt):
     # the roll step folds its constants into per-run coefficients: it must
@@ -234,11 +240,15 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     # rolling-resistance torques, to within ROLL_STEP_ULPS ulps of each
     # output's scale. Where the torque and the resistances nearly cancel the
     # rounding of those terms dominates, so omega's scale takes
-    # dt (|torque| + the largest stage's resisting torques) / J, and phi's
-    # takes dt times omega's, as the stage rates feed phi.
+    # dt (|torque| + the largest stage's resisting torques) / J. The drag
+    # torque also varies with phi, by at most its value over the widest area
+    # (h + 2l) w per radian, so a stage angle rounded an ulp of |phi| apart
+    # moves omega by about an ulp of dt times that torque times |phi| / J,
+    # which omega's scale takes too. Phi's takes dt times omega's, as the
+    # stage rates feed phi.
     m, r = config.total_mass, config.shell_radius_l
     inertia = dynamics.rolling_inertia(config) + m * r ** 2
-    resisting = []
+    resisting, rates = [], []
 
     def accel(phi, omega):
         drag = aeropower.drag_force(
@@ -251,6 +261,7 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
             crr = config.rolling_resistance_crr * normal * r
             resist, size = resist + math.copysign(crr, omega), size + crr
         resisting.append(size)
+        rates.append(abs(omega))
         return (torque - resist) / inertia
 
     h = 0.5 * dt
@@ -265,25 +276,15 @@ def test_roll_step_is_rk4_on_the_drag_and_resistance_composition(
     want_omega = omega + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
     got_phi, got_omega = dynamics._roll_step(config, dt)(phi, omega, torque)
     assert type(got_phi) is float and type(got_omega) is float
+    widest = (config.body_height_h_rolling + 2.0 * r) * config.shell_width_w
+    drag_slope = aeropower.drag_force(config, widest, max(rates) * r) * r
     omega_scale = (max(abs(omega), abs(want_omega))
-                   + dt * (abs(torque) + max(resisting)) / inertia)
+                   + dt * (abs(torque) + max(resisting)
+                           + drag_slope * abs(phi)) / inertia)
     phi_scale = max(abs(phi), abs(want_phi)) + dt * omega_scale
     assert (abs(got_omega - want_omega)
             <= ROLL_STEP_ULPS * math.ulp(omega_scale))
     assert abs(got_phi - want_phi) <= ROLL_STEP_ULPS * math.ulp(phi_scale)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 21: the roll-step bound leaves out the drag's slope in "
-    "phi, so a stage angle rounded to the next ulp of 654 rad puts omega "
-    "10 ulps of its scale from the reference"))
-def test_roll_step_bound_at_a_stage_angle_an_ulp_over():
-    # in hex, as hypothesis feeds a test module's float literals to its
-    # draws, and this one would reach the property test on every run
-    x = float.fromhex("0x1.470d486d32c7ap+9")  # 654.1037727830837
-    test_roll_step_is_rk4_on_the_drag_and_resistance_composition.hypothesis \
-        .inner_test(phi=x, omega=x, torque=x, config=replace(CFG, **EARTH),
-                    dt=0.01)
 
 
 @pytest.mark.parametrize("record_every", [1, 7])

@@ -66,38 +66,52 @@ def _bracket_grid(speeds, optimum_v):
                        rangeopt.REFINE_POINTS)
 
 
+def _assert_refined_is_bracket_sweep(config, mode, hotel_w=0.0):
+    """``range_sweep``'s refined optimum is the sweep of the coarse
+    optimum's bracket grid, bit for bit, and the curve is the coarse one;
+    returns the coarse curve, the refined one and the bracket grid."""
+    coarse = rangeopt.range_sweep(config, mode, hotel_w=hotel_w)
+    refined = rangeopt.range_sweep(config, mode, hotel_w=hotel_w,
+                                   refine=True)
+    fine = _bracket_grid(coarse.velocity, coarse.optimum_v)
+    direct_v, direct_opt = rangeopt._sweep(config, mode, fine, hotel_w)[2:]
+    assert refined.optimum_v == direct_v
+    assert refined.optimum_range_km == direct_opt
+    for name in ("velocity", "power", "range_km"):
+        assert np.array_equal(getattr(refined, name), getattr(coarse, name),
+                              equal_nan=True)
+    return coarse, refined, fine
+
+
 def test_golden_refinement_improves_optimum():
-    # the refined optimum is the bracket grid's sweep optimum, bit for bit
-    for mode, hotel_w, default in itertools.product(
-            ("rolling", "flying"), (0.0, 2.0), (False, True)):
-        speeds = (rangeopt.default_velocity_grid(mode) if default
-                  else np.linspace(0.1, 3.0, 30))
-        _, coarse_r, coarse_v, coarse_opt = rangeopt._sweep(
-            CFG, mode, speeds, hotel_w)
-        _, refined_r, refined_v, refined_opt = rangeopt._sweep(
-            CFG, mode, speeds, hotel_w, refine=True)
-        fine = _bracket_grid(speeds, coarse_v)
-        _, _, direct_v, direct_opt = rangeopt._sweep(CFG, mode, fine,
-                                                     hotel_w)
-        assert refined_v == direct_v
-        assert refined_opt == direct_opt
-        assert refined_opt >= coarse_opt
-        assert fine[0] <= refined_v <= fine[-1]
-        # the coarse curve itself is left as it was
-        assert np.array_equal(refined_r, coarse_r, equal_nan=True)
-        if default:  # range_sweep reports the same refined optimum
-            curve = rangeopt.range_sweep(CFG, mode, hotel_w=hotel_w,
-                                         refine=True)
-            assert curve.optimum_v == refined_v
-            assert curve.optimum_range_km == refined_opt
+    for mode, hotel_w in itertools.product(("rolling", "flying"),
+                                           (0.0, 2.0)):
+        coarse, refined, fine = _assert_refined_is_bracket_sweep(
+            CFG, mode, hotel_w)
+        assert refined.optimum_range_km >= coarse.optimum_range_km
+        assert fine[0] <= refined.optimum_v <= fine[-1]
 
 
-def test_refinement_of_one_point_grid_is_that_point():
-    for mode in ("rolling", "flying"):
-        _, ranges, opt_v, opt_r = rangeopt._sweep(CFG, mode, np.array([0.3]),
-                                                  refine=True)
-        assert opt_v == 0.3
-        assert opt_r == ranges[0]
+@pytest.mark.parametrize("edge, terrain, v_fine", [
+    # the range still grows at the rolling grid's last speed, 2.0 m/s
+    (-1, {"rolling_resistance_crr": 0.2, "slope_theta": 0.1}, 2.0),
+    # a thrust limit between the pair forces at 0.01 and 0.02 m/s
+    # (0.0792860 and 0.0793138 N) leaves only the first speed feasible
+    (0, {"max_rotor_thrust": 0.0793}, 0.01583)])
+def test_refined_bracket_is_clipped_at_the_grid_edge(edge, terrain, v_fine):
+    # the bracket of an optimum on the grid's edge is that speed and its one
+    # neighbour
+    config = replace(CFG, **EARTH, **terrain)
+    coarse, refined, fine = _assert_refined_is_bracket_sweep(config,
+                                                             "rolling")
+    speeds = coarse.velocity
+    assert coarse.optimum_v == speeds[edge]
+    assert np.array_equal(fine, np.linspace(
+        *speeds[[0, 1] if edge == 0 else [-2, -1]], rangeopt.REFINE_POINTS))
+    assert refined.optimum_v == pytest.approx(v_fine, rel=1e-12)
+    assert refined.optimum_range_km >= coarse.optimum_range_km
+    if edge == 0:
+        assert np.isfinite(coarse.range_km).sum() == 1
 
 
 def _count_powers(monkeypatch):
@@ -164,27 +178,24 @@ def _count_points(monkeypatch):
     return points
 
 
-@pytest.mark.parametrize("mode, refine", [("rolling", False),
-                                          ("flying", False),
-                                          ("rolling", True)])
-def test_ten_thousand_row_column_runs_in_bounded_blocks(monkeypatch, mode,
-                                                        refine):
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+def test_ten_thousand_row_column_runs_in_bounded_blocks(monkeypatch, mode):
     # a 10 000-row slope column is 2e6 points per grid; each block holds
     # 81 rows, so its first and last rows are checked against per-row calls;
     # the steep rows leave rolling infeasible at a 0.3 N thrust limit
     config = replace(CFG, max_rotor_thrust=0.3)
     slopes = np.linspace(-0.01, 0.35, 10_000)
     points = _count_points(monkeypatch)
-    v_opt, r_opt = _optimum(replace(config, slope_theta=slopes[:, None]),
-                            mode, refine=refine)
+    v_opt, r_opt = rangeopt.best_range(
+        replace(config, slope_theta=slopes[:, None]), mode)
     assert v_opt.shape == r_opt.shape == slopes.shape
     assert len(points) > 100
     assert max(points) <= rangeopt.BLOCK_POINTS
     rows = max(1, rangeopt.BLOCK_POINTS // rangeopt.ROLLING_V_GRID[2])
     sample = np.union1d(np.arange(0, slopes.size, rows),
                         np.arange(rows - 1, slopes.size, rows))
-    each = [_optimum(replace(config, slope_theta=slopes[k]), mode,
-                     refine=refine) for k in sample]
+    each = [rangeopt.best_range(replace(config, slope_theta=slopes[k]), mode)
+            for k in sample]
     assert _same_bits(np.stack([v_opt[sample], r_opt[sample]], axis=-1),
                       each)
     if mode == "rolling":
@@ -193,9 +204,8 @@ def test_ten_thousand_row_column_runs_in_bounded_blocks(monkeypatch, mode,
 
 def test_scalar_optimum_is_one_type_of_shape_zero():
     weak = replace(CFG, max_rotor_thrust=1e-9)
-    for config, mode, refine in itertools.product(
-            (CFG, weak), ("rolling", "flying"), (False, True)):
-        v_opt, r_opt = _optimum(config, mode, refine=refine)
+    for config, mode in itertools.product((CFG, weak), ("rolling", "flying")):
+        v_opt, r_opt = rangeopt.best_range(config, mode)
         assert type(v_opt) is type(r_opt)
         assert np.shape(v_opt) == np.shape(r_opt) == ()
         assert isinstance(v_opt, float)  # a numpy scalar, not a 0-d array
@@ -299,42 +309,33 @@ def _on_terrain(config, crr, theta):
     return replace(config, rolling_resistance_crr=crr, slope_theta=theta)
 
 
-def _optimum(config, mode, hotel_w=0.0, refine=False):
-    """``best_range``, or the refined optimum of its sweep."""
-    if not refine:
-        return rangeopt.best_range(config, mode, hotel_w)
-    return rangeopt._sweep(config, mode, rangeopt.default_velocity_grid(mode),
-                           hotel_w, refine=True)[2:]
-
-
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(("rolling", "flying")), refine=st.booleans(),
+@given(mode=st.sampled_from(("rolling", "flying")),
        terrain=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-0.5, 0.6)),
                         min_size=1, max_size=4),
        hotel_w=st.floats(0.0, 5.0),
        limit=st.sampled_from((8.0, 0.3, 0.25)))
-def test_best_range_broadcasts_over_terrain_bitwise(mode, refine, terrain,
-                                                    hotel_w, limit):
+def test_best_range_broadcasts_over_terrain_bitwise(mode, terrain, hotel_w,
+                                                    limit):
     # thrust limit 0.3 N leaves steep rolling rows infeasible, 0.25 N
     # every flying row
     config = replace(CFG, max_rotor_thrust=limit)
     crr, theta = np.array(terrain).T
-    v_opt, r_opt = _optimum(
-        _on_terrain(config, crr[:, None], theta[:, None]), mode, hotel_w,
-        refine)
+    v_opt, r_opt = rangeopt.best_range(
+        _on_terrain(config, crr[:, None], theta[:, None]), mode, hotel_w)
     assert v_opt.shape == r_opt.shape == (len(terrain),)
     for k, (c, th) in enumerate(terrain):
         one = _on_terrain(config, c, th)
-        v1, r1 = _optimum(one, mode, hotel_w, refine)
+        v1, r1 = rangeopt.best_range(one, mode, hotel_w)
         assert np.array_equal([v_opt[k], r_opt[k]], [v1, r1], equal_nan=True)
         if np.isnan(r1):
             assert np.isnan(v1)
-            with pytest.raises(rangeopt.AllInfeasibleError):
-                rangeopt.range_sweep(one, mode, hotel_w=hotel_w,
-                                     refine=refine)
-        else:
-            curve = rangeopt.range_sweep(one, mode, hotel_w=hotel_w,
+            for refine in (False, True):
+                with pytest.raises(rangeopt.AllInfeasibleError):
+                    rangeopt.range_sweep(one, mode, hotel_w=hotel_w,
                                          refine=refine)
+        else:
+            curve = _assert_refined_is_bracket_sweep(one, mode, hotel_w)[0]
             assert curve.optimum_v == v1
             assert curve.optimum_range_km == r1
 
@@ -394,32 +395,27 @@ def test_best_range_broadcasts_over_a_field_column_bitwise(mode, group,
     def with_field(value):
         return replace(CFG, **{name: value})
 
-    for refine in (False, True):
-        v_opt, r_opt = _optimum(
-            with_field(np.array(column)[:, None]), mode, refine=refine)
-        each = [_optimum(with_field(x), mode, refine=refine)
-                for x in column]
-        assert _same_bits(np.stack([v_opt, r_opt], axis=-1), each)
+    v_opt, r_opt = rangeopt.best_range(with_field(np.array(column)[:, None]),
+                                       mode)
+    each = [rangeopt.best_range(with_field(x), mode) for x in column]
+    assert _same_bits(np.stack([v_opt, r_opt], axis=-1), each)
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_best_range_broadcasts_an_ignored_field_with_the_read_ones(refine):
+def test_best_range_broadcasts_an_ignored_field_with_the_read_ones():
     # flying ignores C_rr: a (3, 1, 1) C_rr and a (2, 1) slope give (3, 2),
     # each row the slopes' call, and a (3, 1) hotel load (3,)
     slopes = np.array([[0.0], [0.02]])
     crr = np.array([0.0, 0.01, 0.1])[:, None, None]
-    v_opt, r_opt = _optimum(_on_terrain(CFG, crr, slopes), "flying",
-                            refine=refine)
-    by_slope = _optimum(_on_terrain(CFG, 0.01, slopes), "flying",
-                        refine=refine)
+    v_opt, r_opt = rangeopt.best_range(_on_terrain(CFG, crr, slopes), "flying")
+    by_slope = rangeopt.best_range(_on_terrain(CFG, 0.01, slopes), "flying")
     assert v_opt.shape == r_opt.shape == (3, 2)
     assert _same_bits(np.stack([v_opt, r_opt]),
                       np.stack([np.broadcast_to(x, (3, 2))
                                 for x in by_slope]))
     hotel = np.array([0.0, 0.5, 1.0])[:, None]
-    v_opt, r_opt = _optimum(CFG, "flying", hotel, refine)
+    v_opt, r_opt = rangeopt.best_range(CFG, "flying", hotel)
     assert _same_bits(np.stack([v_opt, r_opt], axis=-1),
-                      [_optimum(CFG, "flying", h, refine)
+                      [rangeopt.best_range(CFG, "flying", h)
                        for h in hotel[:, 0]])
 
 
@@ -445,10 +441,9 @@ def test_column_over_an_ignored_field_is_one_sweep(monkeypatch, mode, name):
 
 def test_best_range_marks_infeasible_without_raising():
     weak = replace(CFG, max_rotor_thrust=1e-9)
-    for mode, refine in itertools.product(("rolling", "flying"),
-                                          (False, True)):
-        v_opt, r_opt = _optimum(
-            _on_terrain(weak, 0.01, np.zeros((3, 1))), mode, refine=refine)
+    for mode in ("rolling", "flying"):
+        v_opt, r_opt = rangeopt.best_range(
+            _on_terrain(weak, 0.01, np.zeros((3, 1))), mode)
         assert np.isnan(v_opt).all() and np.isnan(r_opt).all()
 
 
