@@ -274,16 +274,12 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         if value is not None and not ok(value):
             return (f"--{dest.replace('_', '-')} must be {domain} "
                     f"(got {value!r})")
-    if args.subcommand == "scaling" and args.n_max < args.n_min:
-        return (f"--n-max must be >= --n-min (got {args.n_max} < "
-                f"{args.n_min})")
-    if args.subcommand == "tradeoff-map" and args.crr_max < args.crr_min:
-        return (f"--crr-max must be >= --crr-min (got {args.crr_max} < "
-                f"{args.crr_min})")
-    if args.subcommand == "tradeoff-map" and \
-            args.theta_max_deg < args.theta_min_deg:
-        return (f"--theta-max-deg must be >= --theta-min-deg (got "
-                f"{args.theta_max_deg} < {args.theta_min_deg})")
+    for low, high in (("n_min", "n_max"), ("crr_min", "crr_max"),
+                      ("theta_min_deg", "theta_max_deg")):  # high >= low
+        lo, hi = getattr(args, low, None), getattr(args, high, None)
+        if lo is not None and hi < lo:
+            return (f"--{high.replace('_', '-')} must be >= "
+                    f"--{low.replace('_', '-')} (got {hi} < {lo})")
     if args.subcommand == "simulate" and args.duration / args.dt < math.inf \
             and round(args.duration / args.dt) < args.record_every:
         return (f"--duration / --dt gives fewer than --record-every "

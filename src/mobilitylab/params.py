@@ -7,6 +7,7 @@ All quantities are SI.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
@@ -34,6 +35,13 @@ def _holds(ok) -> bool:
     return ok.all() if hasattr(ok, "all") else bool(ok)
 
 
+def _real(value) -> bool:
+    """An int or float, Python's or numpy's, scalar or array; not a bool."""
+    kind = getattr(getattr(value, "dtype", None), "kind", None)  # numpy's
+    return (kind in ("i", "u", "f") if kind is not None
+            else type(value) in (int, float))
+
+
 #: (test, rule) of each field whose domain is not "> 0", by field name
 _DOMAINS = {
     "ambient_temperature": (lambda t: t > -273.15, "must be above absolute "
@@ -43,7 +51,8 @@ _DOMAINS = {
     "rolling_resistance_crr": (lambda crr: crr >= 0, "must be >= 0"),
     "slope_theta": (lambda theta: abs(theta) < math.pi / 2,
                     "must satisfy |theta| < pi/2"),
-    "num_agents": (lambda n: n >= 1, "must be >= 1"),
+    "num_agents": (lambda n: (n >= 1) & (n % 1 == 0),
+                   "must be a whole number >= 1"),
 }
 _POSITIVE = (lambda x: x > 0, "must be > 0")
 
@@ -51,8 +60,11 @@ _POSITIVE = (lambda x: x > 0, "must be > 0")
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario, valid by construction: each field, scalar or array, is
-    finite and in its domain element by element, and the rules across fields
-    hold. The defaults are two Cobots on flat ground at Titan's surface.
+    an int or float (never a bool or a str), finite (an int within float
+    range) and in its domain element by element (``num_agents`` a whole
+    number >= 1), and the rules across fields hold, whether it is built
+    here, by ``dataclasses.replace`` or from a config document. The
+    defaults are two Cobots on flat ground at Titan's surface.
 
     ``body_height_h_rolling`` is the rotor-to-opposite-rotor height of the
     docked two-agent cylinder; ``body_height_h_flying`` the rotor-to-base
@@ -92,16 +104,17 @@ class ScenarioConfig:
         report = []
         for name, value in vars(self).items():
             test, rule = _DOMAINS.get(name, _POSITIVE)
-            if not _holds(abs(value) < math.inf):
+            if not _real(value):
+                report.append(f"{name} must be a real number (got {value!r})")
+            # a Python int compares exactly: one past float range is < inf
+            elif not (abs(value) <= sys.float_info.max if type(value) is int
+                      else _holds(abs(value) < math.inf)):
                 report.append(f"{name} must be finite (got {value!r})")
             elif not _holds(test(value)):
                 report.append(f"{name} {rule} (got {value!r})")
         if report:
             raise ValidationError("; ".join(report))
-        try:
-            n = self.num_agents * 1.0
-        except OverflowError:  # an agent count beyond float range
-            n = math.inf
+        n = self.num_agents
         for name in ("cobot_mass", "battery_energy"):
             value = getattr(self, name)
             # for a whole count n, n * value is finite iff (n 2^-1024) value
@@ -110,14 +123,14 @@ class ScenarioConfig:
                 report.append(f"num_agents * {name} must be finite "
                               f"(got {n!r} * {value!r})")
         if not report:
-            # tiny in-domain fields underflow these products (x * x: x ** 2
-            # raises OverflowError on huge ones)
+            # tiny in-domain fields underflow these products (x * 1.0 * x:
+            # x ** 2 raises OverflowError on huge floats, pi * x * x on ints)
             disk, shell = self.rotor_disk_radius, self.shell_radius_l
             for name, value in (
                     ("air_density * rotor_disk_area (pi rotor_disk_radius^2)",
-                     self.air_density * (math.pi * (disk * disk))),
+                     self.air_density * (math.pi * (disk * 1.0 * disk))),
                     ("roll inertia num_agents * cobot_mass * shell_radius_l^2",
-                     n * self.cobot_mass * (shell * shell))):
+                     n * self.cobot_mass * (shell * 1.0 * shell))):
                 if not _holds(value > 0):
                     report.append(f"{name} must be > 0 (got {value!r})")
         if report:
@@ -163,29 +176,17 @@ def _parse_kv_text(text: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    # bool is an int subclass (float(True) is 1.0): no field takes one
-    if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
-    if key != "num_agents":
-        return float(value)
-    # int() truncates 2.7: take whole counts only
-    if isinstance(value, int):
-        return value
-    n = float(value)
-    if not n.is_integer():
-        raise ValueError(f"not a whole number: {value!r}")
-    return int(n)
-
-
 def config_from_mapping(values: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a flat key/value mapping."""
+    """Build a validated ScenarioConfig from a flat key/value mapping; a
+    text value is read with ``float``, any other goes to the config as is."""
     kwargs = {}
     for key, value in values.items():
-        try:
-            kwargs[key] = _coerce(key, value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{key}: cannot parse value {value!r}")
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                raise ValidationError(f"{key}: cannot parse value {value!r}")
+        kwargs[key] = value
     unknown = kwargs.keys() - _FIELDS
     if unknown:
         raise ValidationError("unknown configuration keys: "
@@ -201,7 +202,7 @@ def parse_document(text: str) -> dict:
         import json  # only a JSON document pays for the import
         try:
             values = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past the digit limit
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError("JSON config must be an object")

@@ -112,7 +112,9 @@ def _sweep(config: ScenarioConfig, mode: str, v, hotel_w: float = 0.0,
     leading-axis rows (as many as fit, at least one) and keeps only its
     optima (powers, ranges None); if the first block's ranges do not carry
     that axis (only fields the mode never reads vary along it), its optima
-    stand for every row."""
+    stand for every row. A negative or non-finite ``hotel_w`` raises."""
+    if not np.all(np.isfinite(hotel_w) & (np.asarray(hotel_w) >= 0)):
+        raise ValueError(f"hotel_w must be finite and >= 0 (got {hotel_w!r})")
     shape = np.broadcast(v, hotel_w, *(
         x for x in (*vars(config).values(), *(shell or ()))
         if isinstance(x, np.ndarray))).shape

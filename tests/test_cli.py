@@ -263,13 +263,15 @@ def test_tradeoff_map_bad_resolution_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--crr-min", "0.2", "--crr-max", "0.01"],
+    (["tradeoff-map", "--crr-min", "0.2", "--crr-max", "0.01"],
      "--crr-max must be >= --crr-min (got 0.01 < 0.2)"),
-    (["--theta-min-deg", "2", "--theta-max-deg", "-0.5"],
+    (["tradeoff-map", "--theta-min-deg", "2", "--theta-max-deg", "-0.5"],
      "--theta-max-deg must be >= --theta-min-deg (got -0.5 < 2.0)"),
-], ids=["crr", "theta"])
+    (["scaling", "--n-min", "3", "--n-max", "1"],
+     "--n-max must be >= --n-min (got 1 < 3)"),
+], ids=["crr", "theta", "scaling"])
 def test_tradeoff_map_reversed_box_exits_2(capsys, argv, message):
-    code, stdout, err = run(["tradeoff-map", *argv], capsys)
+    code, stdout, err = run(argv, capsys)
     assert code == 2
     assert stdout == ""
     assert err == f"error: {message}\n"
@@ -549,6 +551,31 @@ def test_json_boolean_config_field_exits_2(tmp_path, capsys, name, value):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("name", _config_fields())
+def test_json_integer_past_float_range_exits_2(tmp_path, capsys, name):
+    # a 400-digit JSON integer is not finite, as the same digits in a
+    # key = value line (read as float inf) are not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{name}": 1{"0" * 399}}}')
+    code, stdout, err = run(["thermal", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {name} must be finite (got ")
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # Python's int parser refuses over 4300 digits (json.loads raises a
+    # ValueError that is no JSONDecodeError); a parser without that limit
+    # reads an int that is not finite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gravity": 1' + "0" * 5000 + "}")
+    code, stdout, err = run(["thermal", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(("error: invalid JSON config: ",
+                           "error: gravity must be finite (got "))
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mobilitylab import params
 
@@ -237,3 +237,67 @@ def test_num_agents_not_truncated(doc):
                                  "num_agents = 3\n"])
 def test_num_agents_whole_counts_accepted(doc):
     assert params.load_config(doc).num_agents == 3
+
+
+_FIELD_NAMES = list(vars(params.ScenarioConfig()))
+
+
+def _outcome(build, name):
+    """The config ``build`` returns, or None for a ValidationError, which
+    must name the field ``name``."""
+    try:
+        return build()
+    except params.ValidationError as exc:
+        assert name in str(exc)
+        return None
+
+
+@given(name=st.sampled_from(_FIELD_NAMES), x=st.floats())
+@example(name="num_agents", x=2.5)
+@example(name="num_agents", x=3.0)
+@example(name="gravity", x=math.nan)
+def test_text_and_number_build_the_same_config(name, x):
+    # finite, non-integral, negative, infinite or NaN: the document's text
+    # and the number itself meet the same rules
+    assert _outcome(lambda: params.config_from_mapping({name: repr(x)}),
+                    name) == \
+        _outcome(lambda: params.ScenarioConfig(**{name: x}), name)
+
+
+@pytest.mark.parametrize("name", _FIELD_NAMES)
+@pytest.mark.parametrize("value", [
+    True, False, np.True_, "9.8", None, [1.0], 1j,
+    np.array([[True], [False]]), 10 ** 400, -10 ** 400],
+    ids=["true", "false", "np-true", "str", "none", "list", "complex",
+         "bool-array", "int-past-float-range", "negative-int-past-range"])
+def test_non_number_names_the_field(name, value):
+    for build in _builds(name, value):
+        with pytest.raises(params.ValidationError,
+                           match=f"^{name} must be (a real number|finite) "):
+            build()
+
+
+@pytest.mark.parametrize("value", [2.5, np.array([[1.5], [2.0]])],
+                         ids=["2.5", "column"])
+def test_num_agents_is_a_whole_number_on_every_path(value):
+    for build in _builds("num_agents", value):
+        with pytest.raises(params.ValidationError, match="num_agents"):
+            build()
+
+
+@pytest.mark.parametrize("name", _FIELD_NAMES)
+def test_numpy_numbers_construct(name):
+    default = getattr(params.ScenarioConfig(), name)
+    for value in (np.int64(1), np.float64(default), np.ones((2, 1), int)):
+        for build in _builds(name, value):
+            assert getattr(build(), name) is value
+
+
+def test_document_numbers_keep_their_type():
+    # text is read as a float; a JSON number reaches the config as it is
+    assert type(params.load_config("num_agents = 3\n").num_agents) is float
+    assert type(params.load_config('{"num_agents": 3}').num_agents) is int
+    cfg = params.load_config('{"num_agents": 3.0, "gravity": 2}')
+    assert (cfg.num_agents, cfg.gravity) == (3, 2)
+    assert params.load_config(params.serialize(cfg)) == cfg
+

@@ -419,6 +419,20 @@ def test_best_range_broadcasts_an_ignored_field_with_the_read_ones():
                        for h in hotel[:, 0]])
 
 
+@pytest.mark.parametrize("hotel_w", [
+    -0.015, -1.0, math.nan, math.inf, -math.inf,
+    np.array([[0.5], [-0.1]]), np.array([[0.5], [math.nan]])],
+    ids=["small-negative", "negative", "nan", "inf", "-inf",
+         "negative-element", "nan-element"])
+@pytest.mark.parametrize("mode", ["rolling", "flying"])
+def test_bad_hotel_load_names_hotel_w(mode, hotel_w):
+    # not a feasibility verdict, nor a range from a load that adds power
+    with pytest.raises(ValueError, match="^hotel_w must be finite and >= 0"):
+        rangeopt.best_range(CFG, mode, hotel_w)
+    with pytest.raises(ValueError, match="^hotel_w must be finite and >= 0"):
+        rangeopt.range_sweep(CFG, mode, hotel_w=hotel_w)
+
+
 @pytest.mark.parametrize("mode, name", [
     ("flying", "rolling_resistance_crr"), ("rolling", "ambient_temperature")])
 def test_column_over_an_ignored_field_is_one_sweep(monkeypatch, mode, name):
