@@ -157,7 +157,7 @@ def _cmd_simulate(args, config) -> tuple[list[str], list, dict]:
 
 def _cmd_thermal(args, config) -> tuple[list[str], list, dict]:
     from . import thermal
-    summary: dict = {"ambient_temp_c": config.ambient_temperature}
+    summary: dict = {"ambient_temp_c": float(config.ambient_temperature)}
     if args.budget_w is not None:
         t = thermal.thickness_for_budget(args.budget_w, config)
         thicknesses = [t]
@@ -275,7 +275,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             return (f"--{dest.replace('_', '-')} must be {domain} "
                     f"(got {value!r})")
     for low, high in (("n_min", "n_max"), ("crr_min", "crr_max"),
-                      ("theta_min_deg", "theta_max_deg")):  # high >= low
+                      ("theta_min_deg", "theta_max_deg")):
         lo, hi = getattr(args, low, None), getattr(args, high, None)
         if lo is not None and hi < lo:
             return (f"--{high.replace('_', '-')} must be >= "

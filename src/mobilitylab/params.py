@@ -123,14 +123,14 @@ class ScenarioConfig:
                 report.append(f"num_agents * {name} must be finite "
                               f"(got {n!r} * {value!r})")
         if not report:
-            # tiny in-domain fields underflow these products (x * 1.0 * x:
-            # x ** 2 raises OverflowError on huge floats, pi * x * x on ints)
+            # tiny in-domain fields underflow these products (* 1.0 first:
+            # x ** 2 overflows a huge float, int * int may wrap or overflow)
             disk, shell = self.rotor_disk_radius, self.shell_radius_l
             for name, value in (
                     ("air_density * rotor_disk_area (pi rotor_disk_radius^2)",
                      self.air_density * (math.pi * (disk * 1.0 * disk))),
                     ("roll inertia num_agents * cobot_mass * shell_radius_l^2",
-                     n * self.cobot_mass * (shell * 1.0 * shell))):
+                     n * 1.0 * self.cobot_mass * (shell * 1.0 * shell))):
                 if not _holds(value > 0):
                     report.append(f"{name} must be > 0 (got {value!r})")
         if report:
@@ -142,11 +142,11 @@ class ScenarioConfig:
 
     @property
     def total_mass(self) -> float:
-        return self.num_agents * self.cobot_mass
+        return self.num_agents * 1.0 * self.cobot_mass  # int * int wraps
 
     @property
     def total_energy(self) -> float:
-        return self.num_agents * self.battery_energy
+        return self.num_agents * 1.0 * self.battery_energy
 
 
 def titan_defaults() -> ScenarioConfig:

@@ -246,6 +246,31 @@ def test_scaling_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("name", ["battery_energy", "cobot_mass"])
+@pytest.mark.parametrize("exponent", [18, 20])
+def test_scaling_json_integer_runs_as_its_float(tmp_path, capsys, name,
+                                                exponent):
+    # the totals over 1..12 agents must not wrap (10**18) or overflow
+    # (10**20) when the value is a JSON integer
+    cfg = tmp_path / "cfg.json"
+    results = []
+    for number in (str(10 ** exponent), f"1e{exponent}"):
+        cfg.write_text(f'{{"{name}": {number}}}')
+        results.append(run(["scaling", "--config", str(cfg),
+                            "--format", "json"], capsys))
+    assert results[0] == results[1]
+
+
+def test_thermal_json_ambient_of_a_json_integer_is_a_float(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ambient_temperature": -180}')
+    code, stdout, _ = run(["thermal", "--config", str(cfg),
+                           "--format", "json"], capsys)
+    assert code == 0
+    assert '"ambient_temp_c": -180.0,' in stdout
+
+
 def test_tradeoff_map_csv(tmp_path, capsys):
     out = tmp_path / "map.csv"
     code, _, _ = run(["tradeoff-map", "--resolution", "4",
