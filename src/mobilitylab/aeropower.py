@@ -48,8 +48,7 @@ def _edgewise_inflow(rhs, vx):
 
     nu^2 = 2 rhs^2 / (vx^2 + sqrt(vx^4 + 4 rhs^2)) = rhs / (q + sqrt(1 + q^2))
     with q = vx^2 / (2 rhs): no cancellation when rhs << vx^2, no underflow,
-    exactly sqrt(rhs) in hover. np.sqrt rounds correctly, as math.sqrt does,
-    so the closed loop's scalar copy of this formula agrees bit for bit.
+    exactly sqrt(rhs) in hover.
     """
     q = vx * vx / (2.0 * rhs)
     return np.sqrt(rhs / (q + np.sqrt(1.0 + q * q)))

@@ -16,23 +16,33 @@ motion from rest.
 
 The closed loop's tick is the sequential hot path, one Python frame on
 Python floats. It is planar: a PI on the roll-rate error gives the torque
-tau, whose pair force |tau| / lever on the cylinder's pairs saturates
-beyond the thrust limit to tau = copysign(lever f_max, tau), and it writes
-``steadystate.rolling_power``'s edgewise power at that force out; its one
+tau, whose pair force f = |tau| / lever on the cylinder's pairs saturates
+beyond the thrust limit to f_max, tau = copysign(lever f_max, tau); its one
 call is the RK4 step ``_roll_step`` builds once per run, plus a callable
-setpoint's. A recorded tick, at t = i dt, appends its eight values to one
-flat buffer, so it leaves no object for the garbage collector to walk; a
-``SimState`` is built only when ``Trajectory.states`` is read. The loop is
-the one place that steps the roll and charges energy.
+setpoint's. The tick appends f and its start-of-tick roll rate to two
+``array('d')`` buffers. A recorded tick, at t = i dt, appends its eight
+values to one flat list, power and energy as placeholders, so it leaves
+no object for the garbage collector to walk; a ``SimState`` is built only
+when ``Trajectory.states`` is read.
+
+The power never feeds back into the roll, so it is charged per block of
+``TICK_BLOCK`` ticks: one ``steadystate.pair_power`` call gives the
+block's powers, a sequential cumulative sum from the carried energy its
+energies, bit for bit the running sum a tick would keep, and the block's
+recorded rows take theirs. The buffers then empty, so memory grows with
+the recorded ticks, not with the run. The loop is the one place that steps
+the roll and charges energy; its energy is the rectangle rule at the
+start-of-tick power, first order in dt, like the zero-order-hold PI.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +52,8 @@ from .params import DT_MAX, ScenarioConfig
 
 #: rolling resistance is inactive below this roll rate, rad/s
 OMEGA_STATIC = 1e-6
+#: ticks whose power the closed loop charges in one array call
+TICK_BLOCK = 2 ** 14
 
 
 class SimState(NamedTuple):
@@ -165,12 +177,13 @@ def simulate_closed_loop(config: ScenarioConfig,
                          omega_des: Callable[[float], Sequence[float]] | float,
                          duration: float, dt: float,
                          record_every: int = 1) -> Trajectory:
-    """PI roll-rate control -> pair force -> power -> rolling step, per tick.
+    """PI roll-rate control -> pair force -> rolling step per tick, then
+    the power and energy per block of ticks.
 
     ``omega_des`` is either a finite constant desired roll rate (rad/s) or a
     callable t -> body-rate 3-vector with x and z exactly 0 (the model rolls
-    about y only). A run must record a state after t = 0:
-    1 <= record_every <= round(duration / dt).
+    about y only). A run must record a state after t = 0: record_every is
+    an integer in [1, round(duration / dt)].
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got "
@@ -178,9 +191,11 @@ def simulate_closed_loop(config: ScenarioConfig,
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt!r}")
     steps = int(round(duration / dt))
-    if not 1 <= record_every <= steps:  # else nothing after t = 0 is recorded
-        raise ValueError(f"record_every must be in [1, round(duration / dt)"
-                         f" = {steps}], got {record_every!r}")
+    # else nothing after t = 0 is recorded
+    if not (isinstance(record_every, Integral) and 1 <= record_every <= steps):
+        raise ValueError(f"record_every must be an integer in [1, "
+                         f"round(duration / dt) = {steps}], got "
+                         f"{record_every!r}")
     const = not callable(omega_des)  # a constant is not called per tick
     if const and (isinstance(omega_des, bool)
                   or not isinstance(omega_des, Real)
@@ -191,56 +206,61 @@ def simulate_closed_loop(config: ScenarioConfig,
     radius, f_max = config.shell_radius_l, config.max_rotor_thrust
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
-    # steadystate.rolling_power on the docked cylinder's pairs
-    n_pairs = steadystate.CYLINDER_PAIRS
-    lever, rho2a, eta = steadystate._pair_terms(config, n_pairs)
-    sqrt, copysign, ndarray = math.sqrt, math.copysign, np.ndarray
+    lever = steadystate._pair_lever(config)
+    copysign, ndarray = math.copysign, np.ndarray
     step = _roll_step(config, dt)
 
     phi = omega = position = energy = t = integ = 0.0
     w = float(omega_des) if const else 0.0
     records = [*SimState(), 0.0, False]
     record = records.extend
-    for i in range(1, steps + 1):
-        if not const:
-            setpoint = omega_des(t)
-            if type(setpoint) is ndarray:  # unpacking yields numpy scalars
-                setpoint = setpoint.tolist()
-            try:  # the model has no x or z rate to track
-                d_x, d_y, d_z = setpoint
-                w, planar = float(d_y), float(d_x) == 0.0 == float(d_z)
-            except (TypeError, ValueError):
-                planar = False
-            if not planar:
-                raise ValueError(f"omega_des must give 3 numbers, x and z "
-                                 f"exactly 0, got {setpoint!r}")
-        # PI on the roll-rate error, the integrator clamped; min(max(...))
-        # written out, as the builtin calls cost more
-        error = w - omega
-        integ += error * dt
-        integ = lo if integ < lo else hi if integ > hi else integ
-        tau = kp * error + ki * integ
-        # a pure roll torque loads the pairs equally; beyond the thrust
-        # limit it saturates with its sign (an infinite f too; NaN stays)
-        f = abs(tau) / lever
-        sat = f > f_max
-        if sat:
-            tau, f = copysign(lever * f_max, tau), f_max
-        # rolling_power at the start-of-tick speed: aeropower.momentum_power
-        # through one rotor per pair, on its closed-form edgewise inflow
-        speed, nu = abs(omega * radius), 0.0
-        if f != 0.0:
-            rhs = f / rho2a
-            q = speed * speed / (2.0 * rhs)
-            nu = sqrt(rhs / (q + sqrt(1.0 + q * q)))
-        # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
-        power = n_pairs * (f * (nu - speed * 0.0) / eta)
-        phi_new, omega = step(phi, omega, tau)
-        position += (phi_new - phi) * radius
-        phi = phi_new
-        energy += power * dt
-        t = i * dt
-        if i % record_every == 0:
-            record((position, omega * radius, phi, omega, energy, t, power,
-                    sat))
+    forces, rates = array("d"), array("d")
+    push_f, push_w = forces.append, rates.append
+    for first in range(1, steps + 1, TICK_BLOCK):
+        row = len(records)  # the block's first record
+        for i in range(first, min(first + TICK_BLOCK, steps + 1)):
+            if not const:
+                setpoint = omega_des(t)
+                if type(setpoint) is ndarray:  # unpacking yields numpy scalars
+                    setpoint = setpoint.tolist()
+                try:  # the model has no x or z rate to track
+                    d_x, d_y, d_z = setpoint
+                    w, planar = float(d_y), float(d_x) == 0.0 == float(d_z)
+                except (TypeError, ValueError):
+                    planar = False
+                if not planar:
+                    raise ValueError(f"omega_des must give 3 numbers, x and "
+                                     f"z exactly 0, got {setpoint!r}")
+            # PI on the roll-rate error, the integrator clamped;
+            # min(max(...)) written out, as the builtin calls cost more
+            error = w - omega
+            integ += error * dt
+            integ = lo if integ < lo else hi if integ > hi else integ
+            tau = kp * error + ki * integ
+            # a pure roll torque loads the pairs equally; beyond the thrust
+            # limit it saturates with its sign (an infinite f too; NaN stays)
+            f = abs(tau) / lever
+            sat = f > f_max
+            if sat:
+                tau, f = copysign(lever * f_max, tau), f_max
+            push_f(f)
+            push_w(omega)  # the power is charged at the start-of-tick speed
+            phi_new, omega = step(phi, omega, tau)
+            position += (phi_new - phi) * radius
+            phi = phi_new
+            t = i * dt
+            if i % record_every == 0:  # power and energy filled in below
+                record((position, omega * radius, phi, omega, 0.0, t, 0.0,
+                        sat))
+        # the block's powers in one call, and its energies summed in tick
+        # order from the carried energy, as a running += sums them
+        with np.errstate(invalid="ignore", over="ignore"):
+            power = steadystate.pair_power(
+                config, np.frombuffer(forces), np.frombuffer(rates) * radius)
+            charged = np.cumsum(np.concatenate(([energy], power * dt)))[1:]
+        energy = float(charged[-1])
+        skip = -first % record_every  # offset of its first recorded tick
+        records[row + 4::8] = charged[skip::record_every].tolist()
+        records[row + 6::8] = power[skip::record_every].tolist()
+        del forces[:], rates[:]
     return Trajectory(records)

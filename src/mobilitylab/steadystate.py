@@ -86,30 +86,39 @@ def rolling_resistive_force(config: ScenarioConfig, v, area=None):
             + config.rolling_resistance_crr * (weight * np.cos(theta)))
 
 
-def _pair_terms(config: ScenarioConfig, n_pairs: int):
-    """Lever n a/sqrt(2), 2 rho A and chain efficiency."""
-    return (n_pairs * config.rotor_arm_length_a / math.sqrt(2.0),
-            *aeropower._rotor_terms(config))
+def _pair_lever(config: ScenarioConfig, n_pairs: int = CYLINDER_PAIRS):
+    """Roll-torque lever n a/sqrt(2) of ``n_pairs`` equally loaded pairs:
+    a pure roll torque tau gives each the pair force |tau| / lever."""
+    return n_pairs * config.rotor_arm_length_a / math.sqrt(2.0)
+
+
+def pair_power(config: ScenarioConfig, f, v,
+               n_pairs: int = CYLINDER_PAIRS):
+    """Total electrical power of ``n_pairs`` propeller pairs, each loaded
+    with the pair force f at speed v: one edgewise rotor per pair spins,
+    its power ``aeropower.momentum_power``'s. Broadcasts over f, v and
+    n_pairs; f is taken as given, the thrust limit unchecked. The one
+    place that forms a rolling power.
+    """
+    rho2a, eta = aeropower._rotor_terms(config)
+    # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
+    with np.errstate(invalid="ignore", over="ignore"):
+        return n_pairs * aeropower.momentum_power(
+            f, rho2a, abs(v), v, v * -0.0, eta)[1]
 
 
 def rolling_power(config: ScenarioConfig, torque, v,
                   n_pairs: int = CYLINDER_PAIRS):
     """Total electrical power of a pure roll torque held at speed v.
 
-    The torque loads ``n_pairs`` propeller pairs equally; one edgewise rotor
-    per pair spins, its power ``aeropower.momentum_power``'s. Broadcasts
-    over torque, v and n_pairs; NaN, masked before the kernel runs, where
-    the pair force exceeds the rotor thrust limit.
-    ``dynamics.simulate_closed_loop``'s tick writes the same arithmetic out
-    on Python floats; a test pins the two bit for bit.
+    The torque loads ``n_pairs`` propeller pairs equally, each with the
+    pair force |torque| / ``_pair_lever``, their power ``pair_power``'s.
+    Broadcasts over torque, v and n_pairs; NaN, masked before the kernel
+    runs, where the pair force exceeds the rotor thrust limit.
     """
-    lever, rho2a, eta = _pair_terms(config, n_pairs)
-    f = abs(torque) / lever
+    f = abs(torque) / _pair_lever(config, n_pairs)
     f = np.where(f > config.max_rotor_thrust, np.nan, f)
-    # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
-    with np.errstate(invalid="ignore", over="ignore"):
-        return n_pairs * aeropower.momentum_power(
-            f, rho2a, abs(v), v, v * -0.0, eta)[1]
+    return pair_power(config, f, v, n_pairs)
 
 
 def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:

@@ -186,12 +186,6 @@ def _roll_chain(max_rotor_thrust, dt):
     return tick
 
 
-#: relative bound, in ulps of 1, of a saturated tick's power against
-#: rolling_power at |torque| / lever, an ulp off f_max; 2e5 random draws of
-#: f_max and speed reached 3.3
-SATURATED_ULPS = 8
-
-
 def _same_bits(a, b):
     return (math.isnan(a) and math.isnan(b)) or (
         np.float64(a).tobytes() == np.float64(b).tobytes())
@@ -201,11 +195,10 @@ def _check_against_roll_chain(config, setpoints, dt):
     """Run the loop along the real roll, with each setpoint in turn, and
     check each tick's roll torque (the one handed to the roll step) and
     saturation flag against the roll chain bit for bit, and its recorded
-    power against ``steadystate.rolling_power`` at that torque and the
-    start-of-tick speed: bit for bit inside the thrust limit; saturated,
-    the loop charges the pair force f_max itself, which |torque| / lever
-    misses by an ulp at most, so there within SATURATED_ULPS of
-    rolling_power without the limit. Returns the CSV rows."""
+    power bit for bit against ``steadystate.rolling_power`` at that torque
+    and the start-of-tick speed inside the thrust limit, and against
+    ``steadystate.pair_power`` at the pair force f_max itself where the
+    tick saturates. Returns the CSV rows."""
     roll_step, handed = dynamics._roll_step, []
 
     def recording_roll_step(config, dt):
@@ -223,7 +216,6 @@ def _check_against_roll_chain(config, setpoints, dt):
                                              dt=dt)
     rows = traj.to_csv_rows()
     tick = _roll_chain(config.max_rotor_thrust, dt)
-    unlimited = _config(sys.float_info.max)
     radius = config.shell_radius_l
     assert len(handed) == len(setpoints) == len(rows) - 1
     for omega_des, (omega, torque_y), row in zip(setpoints, handed, rows[1:]):
@@ -233,13 +225,11 @@ def _check_against_roll_chain(config, setpoints, dt):
         assert type(row[4]) is float
         speed = abs(omega * radius)
         if not sat:
-            assert _same_bits(row[4], float(steadystate.rolling_power(
-                config, torque_y, speed)))
+            power = steadystate.rolling_power(config, torque_y, speed)
         else:
-            at_lever = float(steadystate.rolling_power(unlimited, torque_y,
-                                                       speed))
-            assert row[4] == pytest.approx(
-                at_lever, rel=SATURATED_ULPS * math.ulp(1.0), abs=0)
+            power = steadystate.pair_power(config, config.max_rotor_thrust,
+                                           speed)
+        assert _same_bits(row[4], float(power))
     return rows
 
 

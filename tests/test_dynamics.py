@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -186,8 +187,7 @@ def _nan_after_3s(t):
     return (0.0, math.nan if t >= 3.0 else 0.8, 0.0)
 
 
-@pytest.mark.parametrize("record_every", [1, 7])
-@pytest.mark.parametrize("config,omega_des", [
+_TICK_CASES = pytest.mark.parametrize("config,omega_des", [
     (CFG, 0.6),
     (SLOPED, lambda t: np.array([0.0, 0.5 + 0.2 * math.sin(0.7 * t), 0.0])),
     (SLOPED, lambda t: (0.0, 1.0 + 0.5 * math.sin(2.0 * t), 0.0)),
@@ -196,6 +196,10 @@ def _nan_after_3s(t):
     (CFG, _nan_after_3s),
 ], ids=["constant", "xyz-array", "xyz-tuple", "saturating-step",
         "reduced-thrust", "nan-setpoint"])
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@_TICK_CASES
 def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
     traj = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
                                          dt=0.01, record_every=record_every)
@@ -210,6 +214,64 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
         # a NaN tick has a NaN torque, which is not beyond the limit
         nan_rows = got[np.isnan(got[:, 4])]
         assert len(nan_rows) and not nan_rows[:, 6].any()
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 16])
+@_TICK_CASES
+def test_power_blocks_leave_the_records_unchanged(config, omega_des,
+                                                  record_every, monkeypatch):
+    # the power and energy are charged per block of ticks: 7-tick blocks,
+    # whose edges recorded ticks straddle, give the default block's
+    # records bit for bit (repr tells -0.0 and NaN apart), types included
+    want = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
+                                         dt=0.01, record_every=record_every)
+    assert len(want.records) // 8 - 1 == 600 // record_every
+    monkeypatch.setattr(dynamics, "TICK_BLOCK", 7)
+    got = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
+                                        dt=0.01, record_every=record_every)
+    assert repr(got.records) == repr(want.records)
+    assert list(map(type, got.records)) == list(map(type, want.records))
+
+
+def test_closed_loop_memory_does_not_grow_with_unrecorded_ticks(monkeypatch):
+    # the per-tick buffers empty after each block, so a run that records
+    # one state needs no more memory for 20 000 ticks than for 5 000. A
+    # buffer kept for the whole run would hold 16 B per tick, 240 kB for
+    # the 15 000 more, and its power arrays more again
+    monkeypatch.setattr(dynamics, "TICK_BLOCK", 1000)
+
+    def peak(ticks):
+        tracemalloc.start()
+        try:
+            dynamics.simulate_closed_loop(CFG, 0.6, duration=ticks * 0.01,
+                                          dt=0.01, record_every=ticks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5000)  # imports and caches the first run fills are not the run's
+    assert peak(20000) - peak(5000) < 64 * 1024
+
+
+@pytest.mark.parametrize("omega_des", [
+    0.8, lambda t: (0.0, 0.5 + 0.2 * math.sin(0.7 * t), 0.0),
+], ids=["constant", "sine"])
+def test_closed_loop_converges_at_first_order_in_dt(omega_des):
+    # the PI holds its torque and the setpoint over a tick (a zero-order
+    # hold) and energy is charged at the start-of-tick power, so the final
+    # roll rate, roll angle and energy converge at order 1 in dt, whatever
+    # the RK4 roll step's own order
+    finals = []
+    for dt in (0.008, 0.004, 0.002, 0.001):
+        traj = dynamics.simulate_closed_loop(SLOPED, omega_des,
+                                             duration=2.0, dt=dt)
+        final = traj.states[-1]
+        assert not any(traj.saturated)
+        finals.append(np.array([final.roll_rate_omega, final.roll_angle,
+                                final.energy_consumed]))
+    errors = [np.abs(a - b) for a, b in zip(finals, finals[1:])]
+    for coarse, fine in zip(errors, errors[1:]):
+        np.testing.assert_allclose(np.log2(coarse / fine), 1.0, atol=0.1)
 
 
 _OMEGA_GATE = dynamics.OMEGA_STATIC
@@ -447,6 +509,7 @@ def test_closed_loop_rejects_non_finite_constant_setpoint(bad):
     (1.0, 1000),    # 100 ticks, none recorded
     (1.0, 0),
     (1.0, -30),
+    (1.0, 2.0),     # a float, not an integer
 ])
 def test_closed_loop_rejects_runs_that_record_nothing(duration, record_every):
     with pytest.raises(ValueError, match="record_every"):

@@ -162,7 +162,7 @@ def test_rolling_power_thrust_limit_is_strict():
     # max_rotor_thrust, NaN one ulp above it, the same strict > that
     # flying_state applies
     f_max = CFG.max_rotor_thrust
-    lever = steadystate._pair_terms(CFG, 4)[0]
+    lever = steadystate._pair_lever(CFG, 4)
     for f, finite in ((f_max, True), (math.nextafter(f_max, math.inf),
                                       False)):
         torque = f * lever
