@@ -2,10 +2,11 @@
 
 All operations are pure functions. ``momentum_power`` is the one rotor
 kernel: every mode's inflow and power, rolling (edgewise), flying (tilted)
-and hover, comes from it, with the freestream given as its edgewise
-component and its axial component taken as *adding* to the induced flow
-(climb-like branch of momentum theory). A rotor tilted into the flight
-direction, the flying trim's case, has a positive axial component.
+and hover, comes from it through ``steadystate.rotor_power``, with the
+freestream given as its edgewise component and its axial component taken
+as *adding* to the induced flow (climb-like branch of momentum theory). A
+rotor tilted into the flight direction, the flying trim's case, has a
+positive axial component.
 """
 
 from __future__ import annotations
@@ -153,15 +154,3 @@ def induced_velocity(thrust, config: ScenarioConfig, disk_area: float,
                             v_inf * np.sin(alpha), 1.0)[0]
     return float(nu) if nu.ndim == 0 else nu
 
-
-def _rotor_terms(config: ScenarioConfig):
-    """``momentum_power``'s 2 rho A and chain efficiency for a vehicle."""
-    return (2.0 * config.air_density * config.rotor_disk_area,
-            config.eta_propeller * config.eta_motor * config.eta_controller)
-
-
-def cobot_hover_power(config: ScenarioConfig) -> float:
-    """Total electrical hover power of one agent (4 rotors, v_inf = 0)."""
-    rho2a, eta = _rotor_terms(config)
-    return 4 * momentum_power(config.cobot_mass * config.gravity / 4.0, rho2a,
-                              0.0, 0.0, 0.0, eta)[1]

@@ -27,12 +27,14 @@ when ``Trajectory.states`` is read.
 
 The power never feeds back into the roll, so it is charged per block of
 ``TICK_BLOCK`` ticks: one ``steadystate.pair_power`` call gives the
-block's powers, a sequential cumulative sum from the carried energy its
-energies, bit for bit the running sum a tick would keep, and the block's
-recorded rows take theirs. The buffers then empty, so memory grows with
-the recorded ticks, not with the run. The loop is the one place that steps
-the roll and charges energy; its energy is the rectangle rule at the
-start-of-tick power, first order in dt, like the zero-order-hold PI.
+block's powers (the tick's clamp to f_max is its own policy, so the thrust
+limit that call applies masks none of them), a sequential cumulative sum
+from the carried energy its energies, bit for bit the running sum a tick
+would keep, and the block's recorded rows take theirs. The buffers then
+empty, so memory grows with the recorded ticks, not with the run. The loop
+is the one place that steps the roll and charges energy; its energy is the
+rectangle rule at the start-of-tick power, first order in dt, like the
+zero-order-hold PI.
 """
 
 from __future__ import annotations

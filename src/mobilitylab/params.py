@@ -188,27 +188,22 @@ def config_from_mapping(values: dict) -> ScenarioConfig:
                 raise ValidationError(f"{key}: cannot parse value {value!r}")
         kwargs[key] = value
     unknown = kwargs.keys() - _FIELDS
-    if unknown:
+    if unknown:  # quoted, so an empty key is named too
         raise ValidationError("unknown configuration keys: "
-                              + ", ".join(sorted(unknown)))
+                              + ", ".join(map(repr, sorted(unknown))))
     return ScenarioConfig(**kwargs)
 
 
 def parse_document(text: str) -> dict:
     """Flat key/value mapping of a config document (key = value lines, or a
     JSON object), without defaults or validation."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json  # only a JSON document pays for the import
-        try:
-            values = json.loads(text)
-        except ValueError as exc:  # also an int past the digit limit
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError("JSON config must be an object")
-    else:
-        values = _parse_kv_text(text)
-    return values
+    if not text.lstrip().startswith("{"):
+        return _parse_kv_text(text)
+    import json  # only a JSON document pays for the import
+    try:  # a document that opens with { and parses is an object
+        return json.loads(text)
+    except ValueError as exc:  # also an int past the digit limit
+        raise ConfigError(f"invalid JSON config: {exc}") from exc
 
 
 def load_config(text: str) -> ScenarioConfig:

@@ -1,6 +1,8 @@
 """Steady-state planar equilibria: rolling on a slope, flying above one,
-one record per mode (``rolling_state``, ``flying_state``), NaN power where
-a rotor saturates.
+one record per mode (``rolling_state``, ``flying_state``). Both charge
+their rotors through ``rotor_power``, the one caller of
+``aeropower.momentum_power`` here: it adds the vehicle's disk term 2 rho A
+and chain efficiency, and gives NaN power where a rotor saturates.
 
 Rolling model (no slip, pure rotor torque): at constant speed the commanded
 torque must overcome, through the contact point, the aerodynamic drag, the
@@ -13,10 +15,10 @@ module; ``rolling_resistive_force`` is the bracketed sum, the traction
 force F_t.
 
 Rolling rotor freestream: each rotor sees the speed v edgewise (alpha = 0);
-``rolling_power`` hands ``aeropower.momentum_power`` no axial speed. That
-leaves out each rotor's motion along its thrust at omega c about the roll
-axis, whose work, f omega c over the pairs = F_t v, is first order, not
-second: a known limitation (README).
+``pair_power`` hands ``rotor_power`` no axial speed. That leaves out each
+rotor's motion along its thrust at omega c about the roll axis, whose
+work, f omega c over the pairs = F_t v, is first order, not second: a
+known limitation (README).
 
 Rolling drag area: the cylinder's attitude rotates continuously, so the
 steady-state drag area is the time average over one revolution,
@@ -31,9 +33,9 @@ r(a) = a - atan2(drag(a) + W sin(theta), W cos(theta)), and r(-pi/2) < 0 <
 r(pi/2). The fixed-point step from a = 0 picks by its sign the half
 [0, pi/2] or [-pi/2, 0] that holds a root; ``aeropower._newton``, the
 bracketed Newton solver of the tilted inflow too, solves in it, from the
-Newton step at a = 0 on that half's one-sided slope. The rotors' inflow
-and power then come from ``aeropower.momentum_power`` on the freestream
-components the balance gives, with no trigonometry.
+Newton step at a = 0 on that half's one-sided slope. The rotors' power
+then comes from ``rotor_power`` on the freestream components the balance
+gives, with no trigonometry.
 """
 
 from __future__ import annotations
@@ -92,42 +94,40 @@ def _pair_lever(config: ScenarioConfig, n_pairs: int = CYLINDER_PAIRS):
     return n_pairs * config.rotor_arm_length_a / math.sqrt(2.0)
 
 
+def rotor_power(config: ScenarioConfig, f, speed, vx, vz):
+    """Electrical power of one rotor at thrust f in a freestream of the
+    given speed, edgewise vx and axial vz: ``aeropower.momentum_power`` on
+    the vehicle's 2 rho A and chain efficiency. Broadcasts; NaN where f
+    exceeds the rotor thrust limit, masked after the kernel runs. The one
+    place that turns a rotor force into electrical power.
+    """
+    power = aeropower.momentum_power(
+        f, 2.0 * config.air_density * config.rotor_disk_area, speed, vx, vz,
+        config.eta_propeller * config.eta_motor * config.eta_controller)[1]
+    return np.where(f > config.max_rotor_thrust, np.nan, power)
+
+
 def pair_power(config: ScenarioConfig, f, v,
                n_pairs: int = CYLINDER_PAIRS):
     """Total electrical power of ``n_pairs`` propeller pairs, each loaded
     with the pair force f at speed v: one edgewise rotor per pair spins,
-    its power ``aeropower.momentum_power``'s. Broadcasts over f, v and
-    n_pairs; f is taken as given, the thrust limit unchecked. The one
-    place that forms a rolling power.
+    its power ``rotor_power``'s. Broadcasts over f, v and n_pairs; NaN
+    where f exceeds the rotor thrust limit. The one place that forms a
+    rolling power.
     """
-    rho2a, eta = aeropower._rotor_terms(config)
     # axial speed v * -0.0: a zero, or NaN at |v| = inf, as v sin(0) is
     with np.errstate(invalid="ignore", over="ignore"):
-        return n_pairs * aeropower.momentum_power(
-            f, rho2a, abs(v), v, v * -0.0, eta)[1]
-
-
-def rolling_power(config: ScenarioConfig, torque, v,
-                  n_pairs: int = CYLINDER_PAIRS):
-    """Total electrical power of a pure roll torque held at speed v.
-
-    The torque loads ``n_pairs`` propeller pairs equally, each with the
-    pair force |torque| / ``_pair_lever``, their power ``pair_power``'s.
-    Broadcasts over torque, v and n_pairs; NaN, masked before the kernel
-    runs, where the pair force exceeds the rotor thrust limit.
-    """
-    f = abs(torque) / _pair_lever(config, n_pairs)
-    f = np.where(f > config.max_rotor_thrust, np.nan, f)
-    return pair_power(config, f, v, n_pairs)
+        return n_pairs * rotor_power(config, f, abs(v), v, v * -0.0)
 
 
 def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:
     """Steady rolling at speed(s) v on the configured slope: the torque is
-    the resistive force times the shell radius, its power ``rolling_power``
-    on the shell's pairs. A ``shell`` is (radius, drag area, propeller
-    pairs), by default the docked cylinder's. Broadcasts like
-    ``rolling_resistive_force``. Rolling resistance does not flip sign with
-    v, so v < 0 raises rather than give a wrong power.
+    the resistive force times the shell radius, its power ``pair_power`` at
+    the pair force |torque| / ``_pair_lever`` on the shell's pairs. A
+    ``shell`` is (radius, drag area, propeller pairs), by default the
+    docked cylinder's. Broadcasts like ``rolling_resistive_force``.
+    Rolling resistance does not flip sign with v, so v < 0 raises rather
+    than give a wrong power.
     """
     if np.min(v, initial=0.0) < 0:
         raise ValueError(f"v must be >= 0, got {np.min(v)}")
@@ -135,7 +135,8 @@ def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:
     radius, area, pairs = shell or (config.shell_radius_l, None,
                                     CYLINDER_PAIRS)
     torque = rolling_resistive_force(config, v, area) * radius
-    return RollingState(torque, rolling_power(config, torque, v, pairs))
+    return RollingState(torque, pair_power(
+        config, abs(torque) / _pair_lever(config, pairs), v, pairs))
 
 
 def flying_state(config: ScenarioConfig, v) -> FlyingState:
@@ -200,11 +201,7 @@ def flying_state(config: ScenarioConfig, v) -> FlyingState:
 
     # the freestream components on the rotor axes are v cos and v sin of
     # that tilt, the thrust's normal and along-slope shares
-    f = thrust / 4.0
-    rho2a, eta = aeropower._rotor_terms(config)
-    per_rotor = aeropower.momentum_power(
-        f, rho2a, speed, v * (normal_weight / thrust), v * (along / thrust),
-        eta)[1]
-    power = np.where(f > config.max_rotor_thrust, np.nan,
-                     config.num_agents * (4 * per_rotor))
+    power = config.num_agents * (4 * rotor_power(
+        config, thrust / 4.0, speed, v * (normal_weight / thrust),
+        v * (along / thrust)))
     return FlyingState(alpha, drag, thrust, power)

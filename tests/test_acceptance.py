@@ -102,7 +102,8 @@ def test_criterion_05_scaling_ordering():
 def test_criterion_06_earth_titan_contrast(headline_curves):
     _, fly, _ = headline_curves
     p_titan = fly.power[int(np.nanargmax(fly.range_km))] / CFG.num_agents
-    p_earth = aeropower.cobot_hover_power(replace(CFG, **EARTH))
+    p_earth = steadystate.flying_state(replace(CFG, **EARTH, num_agents=1),
+                                       0.0).power
     ok = p_titan < 15.0 and p_earth > 60.0
     assert _verdict(6, ok,
                     f"Titan flying optimum {p_titan:.2f} W/agent (<15), "

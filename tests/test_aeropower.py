@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilitylab import aeropower, params
+from mobilitylab import aeropower, params, steadystate
 
 TITAN = params.titan_defaults()
 EARTH = replace(TITAN, **params.EARTH)
@@ -152,12 +152,16 @@ def test_hover_rotor_power_titan():
     assert p == pytest.approx(0.6538, rel=1e-3)
 
 
+def _hover_power(config):
+    """Electrical hover power of one agent: flying at zero speed."""
+    return steadystate.flying_state(replace(config, num_agents=1),
+                                    0.0).power
+
+
 def test_cobot_hover_power_titan_and_earth():
-    assert aeropower.cobot_hover_power(TITAN) == \
-        pytest.approx(2.62, rel=5e-3)
+    assert _hover_power(TITAN) == pytest.approx(2.62, rel=5e-3)
     # same vehicle hovering on Earth: two orders harder
-    assert aeropower.cobot_hover_power(EARTH) == \
-        pytest.approx(107.0, rel=2e-2)
+    assert _hover_power(EARTH) == pytest.approx(107.0, rel=2e-2)
 
 
 def test_rotor_power_clamped_nonnegative():

@@ -102,6 +102,32 @@ def test_unknown_key_exits_2(capsys):
     assert "warp" in err
 
 
+@pytest.mark.parametrize("item, message", [
+    ("gravity", "--set expects key=value, got 'gravity'"),
+    ("gravity=abc", "gravity: cannot parse value 'abc'"),
+])
+def test_malformed_set_exits_2(capsys, item, message):
+    code, stdout, err = run(["thermal", "--set", item], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["--set", "=1"], {}),
+    (["--config", "cfg.txt"], {"cfg.txt": " = 1\n"}),
+    (["--config", "cfg.json"], {"cfg.json": '{"": 1}'}),
+], ids=["set", "key-value", "json"])
+def test_empty_key_is_named(tmp_path, capsys, monkeypatch, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["thermal", *argv], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: unknown configuration keys: ''\n"
+
+
 def test_infeasible_exits_1(capsys):
     code, _, err = run(["thermal", "--budget-w", "0.5"], capsys)
     assert code == 1

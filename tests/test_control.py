@@ -195,10 +195,10 @@ def _check_against_roll_chain(config, setpoints, dt):
     """Run the loop along the real roll, with each setpoint in turn, and
     check each tick's roll torque (the one handed to the roll step) and
     saturation flag against the roll chain bit for bit, and its recorded
-    power bit for bit against ``steadystate.rolling_power`` at that torque
-    and the start-of-tick speed inside the thrust limit, and against
-    ``steadystate.pair_power`` at the pair force f_max itself where the
-    tick saturates. Returns the CSV rows."""
+    power bit for bit against ``steadystate.pair_power`` at the
+    start-of-tick speed and at the pair force |torque| / lever inside the
+    thrust limit, f_max itself where the tick saturates. Returns the CSV
+    rows."""
     roll_step, handed = dynamics._roll_step, []
 
     def recording_roll_step(config, dt):
@@ -223,12 +223,9 @@ def _check_against_roll_chain(config, setpoints, dt):
         assert row[6] == sat
         assert _same_bits(torque_y, want)
         assert type(row[4]) is float
-        speed = abs(omega * radius)
-        if not sat:
-            power = steadystate.rolling_power(config, torque_y, speed)
-        else:
-            power = steadystate.pair_power(config, config.max_rotor_thrust,
-                                           speed)
+        f = (config.max_rotor_thrust if sat
+             else abs(torque_y) / steadystate._pair_lever(config))
+        power = steadystate.pair_power(config, f, abs(omega * radius))
         assert _same_bits(row[4], float(power))
     return rows
 

@@ -26,6 +26,12 @@ def test_dt_validation():
             dynamics.simulate_closed_loop(CFG, 0.0, duration=1.0, dt=dt)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_duration_validation(duration):
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        dynamics.simulate_closed_loop(CFG, 0.0, duration=duration, dt=0.01)
+
+
 def test_rest_stays_at_rest_without_torque():
     # a zero setpoint from rest is zero error, so zero torque on every tick;
     # static gate: rolling resistance must not drive motion from rest
@@ -65,7 +71,8 @@ def test_steady_state_is_a_fixed_point():
 def test_rolling_power_matches_steady_state_module():
     v = 0.3
     state = steadystate.rolling_state(CFG, v)
-    p = steadystate.rolling_power(CFG, state.torque, abs(v))
+    p = steadystate.pair_power(
+        CFG, abs(state.torque) / steadystate._pair_lever(CFG), abs(v))
     assert p == pytest.approx(state.power, rel=1e-12)
 
 
@@ -134,8 +141,8 @@ def test_rk4_order_on_smooth_scenario():
 def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
     """The planar closed loop written with numpy: an np.clip PI on the roll
     rate, np.copysign saturation of the pure roll torque at the pair-force
-    limit, array rolling_power (without the limit: a saturated torque's
-    |torque| / lever misses f_max by an ulp) and one RK4 step of the roll,
+    limit, array pair_power at |torque| / lever (without the limit: a
+    saturated torque's misses f_max by an ulp) and one RK4 step of the roll,
     at t = i dt. Returns the trajectory's CSV rows."""
     kp, ki = control.KP, control.KI
     limit = control.INTEGRATOR_LIMIT
@@ -158,8 +165,8 @@ def _numpy_tick_reference(config, omega_des, duration, dt, record_every):
         if sat:
             torque = float(np.copysign(lever * config.max_rotor_thrust,
                                        torque))
-        power = float(steadystate.rolling_power(unlimited, torque,
-                                                abs(omega * radius)))
+        power = float(steadystate.pair_power(
+            unlimited, abs(torque) / lever, abs(omega * radius)))
         phi_new, omega = step(phi, omega, torque)
         position = position + (phi_new - phi) * radius
         phi = phi_new

@@ -183,8 +183,10 @@ def test_one_error_names_every_bad_field():
 
 
 def test_load_config_kv_text():
+    # blank and comment-only lines are skipped
     cfg = params.load_config(
-        "cobot_mass = 1.0\nrolling_resistance_crr = 0.05  # loose soil\n"
+        "# rover on loose soil\n\ncobot_mass = 1.0\n   \n"
+        "rolling_resistance_crr = 0.05  # loose soil\n  # agents\n"
         "num_agents = 3\n")
     assert cfg.cobot_mass == 1.0
     assert cfg.rolling_resistance_crr == 0.05
@@ -210,6 +212,12 @@ def test_load_config_syntax_error():
         params.load_config("this line has no equals sign")
     with pytest.raises(params.ConfigError):
         params.load_config("{not json")
+    # JSON that is no object does not open with {: it is read as key =
+    # value lines
+    for doc in ("[1, 2]", '"x"'):
+        with pytest.raises(params.ConfigError,
+                           match=r"^line 1: expected 'key = value', got "):
+            params.load_config(doc)
 
 
 def test_serialize_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -7,10 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mobilitylab import aeropower, rangeopt, steadystate
+from mobilitylab import aeropower, dynamics, rangeopt, steadystate
 from mobilitylab.params import EARTH, ScenarioConfig
 
 CFG = ScenarioConfig()
+
+
+def _chain_efficiency(config):
+    return config.eta_propeller * config.eta_motor * config.eta_controller
+
+
+def _rolling_power(config, torque, v):
+    """The power of a pure roll torque held at speed v: ``pair_power`` at
+    its pair force |torque| / lever, as ``rolling_state`` charges it."""
+    return steadystate.pair_power(
+        config, abs(torque) / steadystate._pair_lever(config), v)
 
 
 def test_average_rolling_area_value():
@@ -40,7 +52,8 @@ def test_rolling_rotor_thrusts_consistent():
     # climbing (tau > 0), and braking downhill with no rolling resistance
     # (tau < 0), where |tau| is charged
     c = 0.14 / math.sqrt(2)
-    rho2a, eta = aeropower._rotor_terms(CFG)
+    rho2a = 2.0 * CFG.air_density * CFG.rotor_disk_area
+    eta = _chain_efficiency(CFG)
     for config, v, sign in ((CFG, 0.2, 1.0),
                             (replace(CFG, rolling_resistance_crr=0.0,
                                      slope_theta=-0.3), 0.05, -1.0)):
@@ -61,16 +74,44 @@ def test_rolling_rotor_thrusts_consistent():
 @example(v=0.05, theta=-0.3, crr=0.0)    # braking: tau < 0
 @example(v=0.5, theta=0.1, crr=0.01)     # climbing: tau > 0
 def test_rolling_rotor_thrusts_are_the_charged_pair_force(v, theta, crr):
-    # the record's power is rolling_power at its torque, bit for bit, as a
-    # scalar and as one element of a broadcast call
+    # the record's power is pair_power at its torque's pair force, bit for
+    # bit, as a scalar and as one element of a broadcast call
     config = replace(CFG, rolling_resistance_crr=crr, slope_theta=theta)
     torque = (steadystate.rolling_resistive_force(config, v)
               * config.shell_radius_l)
     state = steadystate.rolling_state(config, v)
     assert state.torque == torque
-    assert state.power == steadystate.rolling_power(config, torque, v)
+    assert state.power == _rolling_power(config, torque, v)
     batch = steadystate.rolling_state(config, np.array([0.0, v, 2.0]))
     assert np.array_equal(batch.power[1], state.power, equal_nan=True)
+
+
+def test_rotor_power_is_the_one_caller_of_the_kernel(monkeypatch):
+    # every rotor power of the analysis, the closed loop's per-block charge
+    # included, reaches momentum_power through rotor_power alone
+    kernel, callers = aeropower.momentum_power, []
+
+    def recorded(*args):
+        frame = sys._getframe(1)
+        callers.append(f"{frame.f_globals['__name__']}."
+                       f"{frame.f_code.co_name}")
+        return kernel(*args)
+
+    monkeypatch.setattr(aeropower, "momentum_power", recorded)
+    monkeypatch.setattr(dynamics, "TICK_BLOCK", 3)
+    ops = [lambda: steadystate.rolling_state(CFG, [0.0, 0.5]),
+           lambda: steadystate.flying_state(CFG, 0.0),
+           lambda: steadystate.flying_state(CFG, [0.0, 1.0]),
+           lambda: rangeopt.best_range(CFG, "rolling"),
+           lambda: rangeopt.best_range(CFG, "flying"),
+           lambda: rangeopt.scaling_bounds(CFG, range(1, 4)),
+           lambda: dynamics.simulate_closed_loop(CFG, 0.6, 0.06, 0.01)]
+    for op in ops:
+        start = len(callers)
+        op()
+        assert len(callers) > start
+    assert set(callers) == {"mobilitylab.steadystate.rotor_power"}
+    assert len(callers) - start == 2  # the closed loop: one per block
 
 
 def test_rolling_rejects_negative_speed():
@@ -114,7 +155,7 @@ def test_rolling_power_monotone_in_resistance(v, crr, theta):
 
 def test_rolling_power_keeps_nan_torque():
     # a NaN torque must not turn into a free 0 W roll
-    assert math.isnan(steadystate.rolling_power(CFG, math.nan, 0.1))
+    assert math.isnan(_rolling_power(CFG, math.nan, 0.1))
 
 
 #: torques at zero, inside and beyond the thrust limit (about 3.2 N m on
@@ -134,27 +175,26 @@ def _same_bits(a, b):
 def test_rolling_power_scalar_call_matches_array_call_bitwise(points):
     # the closed loop is pinned to the scalar call, the sweeps use arrays
     torque, v = (np.array(x) for x in zip(*points))
-    array = steadystate.rolling_power(CFG, torque, v)
+    array = _rolling_power(CFG, torque, v)
     for (t, s), p in zip(points, array):
-        assert _same_bits(float(steadystate.rolling_power(CFG, t, s)),
-                          float(p))
+        assert _same_bits(float(_rolling_power(CFG, t, s)), float(p))
 
 
 def test_rolling_power_infinite_speed_is_nan_without_warning():
     # v sin(0) is NaN at |v| = inf; warnings are errors here
     for v in (math.inf, -math.inf):
-        assert math.isnan(steadystate.rolling_power(CFG, 0.5, v))
-        assert np.isnan(steadystate.rolling_power(CFG, np.array([0.5]),
-                                                  np.array([v]))).all()
+        assert math.isnan(_rolling_power(CFG, 0.5, v))
+        assert np.isnan(_rolling_power(CFG, np.array([0.5]),
+                                       np.array([v]))).all()
 
 
 def test_rolling_power_masks_beyond_limit_before_power_chain():
-    # a thrust far beyond the limit is NaN without overflowing (warnings
-    # are errors here) on the array path and on the scalar one
+    # a thrust far beyond the limit is NaN with no overflow warning
+    # (warnings are errors here), on the array path and on the scalar one
     torque = np.array([1e300, 0.1])
-    power = steadystate.rolling_power(CFG, torque, np.array([0.1, 0.1]))
+    power = _rolling_power(CFG, torque, np.array([0.1, 0.1]))
     assert math.isnan(power[0]) and power[1] > 0.0
-    assert math.isnan(steadystate.rolling_power(CFG, 1e300, 0.1))
+    assert math.isnan(_rolling_power(CFG, 1e300, 0.1))
 
 
 def test_rolling_power_thrust_limit_is_strict():
@@ -167,8 +207,7 @@ def test_rolling_power_thrust_limit_is_strict():
                                       False)):
         torque = f * lever
         assert torque / lever == f  # the torque's pair force is f exactly
-        assert math.isfinite(steadystate.rolling_power(CFG, torque, 0.1)) \
-            is finite
+        assert math.isfinite(_rolling_power(CFG, torque, 0.1)) is finite
 
 
 def test_rolling_power_increases_with_speed():
@@ -278,10 +317,14 @@ def test_flying_power_matches_long_fixed_point(env, theta_deg):
 
 
 def test_flying_at_zero_speed_is_hover():
-    # the same kernel call, bit for bit, on Titan and on Earth
+    # the hover kernel call, four rotors at a quarter of the weight each,
+    # bit for bit, on Titan and on Earth
     for config in (CFG, replace(CFG, **EARTH)):
         state = steadystate.flying_state(config, 0.0)
-        hover = aeropower.cobot_hover_power(config)
+        hover = 4 * aeropower.momentum_power(
+            config.cobot_mass * config.gravity / 4.0,
+            2.0 * config.air_density * config.rotor_disk_area, 0.0, 0.0, 0.0,
+            _chain_efficiency(config))[1]
         assert state.tilt == 0.0
         assert state.power == config.num_agents * hover
 
@@ -463,8 +506,7 @@ def _delivered_and_work(config, mode):
                                         * config.gravity
                                         * np.sin(config.slope_theta))
     feasible = np.isfinite(power)
-    eta = aeropower._rotor_terms(config)[1]
-    return power[feasible] * eta, work[feasible]
+    return power[feasible] * _chain_efficiency(config), work[feasible]
 
 
 _ENERGY_CONFIGS = st.builds(
@@ -488,7 +530,7 @@ def test_flying_power_covers_the_work_of_drag_and_slope(config):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 18: rolling_power charges no axial work (f omega c over "
+    "ROADMAP item 18: pair_power charges no axial work (f omega c over "
     "the pairs, F_t v), so at rotor_disk_radius 0.2 m the rotors' ideal "
     "power is 0.59 of F_t v"))
 @settings(max_examples=40, deadline=None)
