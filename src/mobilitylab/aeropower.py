@@ -90,11 +90,14 @@ def tilted_inflow(rhs, speed, vx, vz):
     # descends monotonically from the lower of them; at vz <= 0 the climb
     # term is the hover root, above the edgewise one
     climb = np.maximum(vz, 0.0)
+    top = np.sqrt(rhs) + np.maximum(0.0, -vz)
+    # past a root of about 1e5 m/s an ulp exceeds INDUCED_TOL; a few ulps
+    # of the bracket top, which bounds the root, stay reachable
     nu, moving = _newton(
         residual, np.minimum(_edgewise_inflow(rhs, speed),
                              2.0 * rhs / (np.sqrt(climb * climb + 4.0 * rhs)
                                           + climb)),
-        0.0, np.sqrt(rhs) + np.maximum(0.0, -vz), INDUCED_TOL,
+        0.0, top, np.maximum(INDUCED_TOL, 4.0 * np.spacing(top)),
         INDUCED_MAX_ITER)
     if moving.any():
         raise SolverError(f"induced velocity Newton solve did not converge "

@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 from .params import (DT_MAX, EARTH, AnalysisError, ConfigError,
                      ScenarioConfig, ValidationError, config_from_mapping,
@@ -43,7 +44,7 @@ def _write(text: str, path: str | None) -> int:
     return len(data)
 
 
-def emit_csv(header: list[str], rows: list, path: str | None) -> int:
+def emit_csv(header: list[str], rows: Iterable, path: str | None) -> int:
     """Write a table as UTF-8 CSV with LF endings and %.9g cells.
 
     Returns the number of bytes written; ``path=None`` writes to stdout.
@@ -141,7 +142,7 @@ def _cmd_scaling(args, config) -> tuple[list[str], list, dict]:
     return ["n", "ratio_lower", "ratio_upper"], rows, summary
 
 
-def _cmd_simulate(args, config) -> tuple[list[str], list, dict]:
+def _cmd_simulate(args, config) -> tuple[list[str], Iterable, dict]:
     from . import dynamics
     traj = dynamics.simulate_closed_loop(config, args.omega_des,
                                          args.duration, args.dt,
@@ -152,7 +153,9 @@ def _cmd_simulate(args, config) -> tuple[list[str], list, dict]:
                "final_omega_radps": final.roll_rate_omega,
                "energy_consumed_j": final.energy_consumed,
                "saturated_any": bool(any(traj.saturated))}
-    return dynamics.CSV_HEADER, traj.to_csv_rows(), summary
+    # Python floats a row at a time: %.9g prints 0.0 / 1.0 as 0 / 1
+    return (dynamics.CSV_HEADER,
+            (row.tolist() for row in traj.to_csv_rows()), summary)
 
 
 def _cmd_thermal(args, config) -> tuple[list[str], list, dict]:

@@ -19,22 +19,24 @@ Python floats. It is planar: a PI on the roll-rate error gives the torque
 tau, whose pair force f = |tau| / lever on the cylinder's pairs saturates
 beyond the thrust limit to f_max, tau = copysign(lever f_max, tau); its one
 call is the RK4 step ``_roll_step`` builds once per run, plus a callable
-setpoint's. The tick appends f and its start-of-tick roll rate to two
-``array('d')`` buffers. A recorded tick, at t = i dt, appends its eight
-values to one flat list, power and energy as placeholders, so it leaves
-no object for the garbage collector to walk; a ``SimState`` is built only
-when ``Trajectory.states`` is read.
+setpoint's, at the tick's start time (i - 1) dt. The tick appends f, its
+saturation flag and its end-of-tick roll angle and rate to ``array``
+buffers, and builds no record.
 
-The power never feeds back into the roll, so it is charged per block of
-``TICK_BLOCK`` ticks: one ``steadystate.pair_power`` call gives the
-block's powers (the tick's clamp to f_max is its own policy, so the thrust
-limit that call applies masks none of them), a sequential cumulative sum
-from the carried energy its energies, bit for bit the running sum a tick
-would keep, and the block's recorded rows take theirs. The buffers then
-empty, so memory grows with the recorded ticks, not with the run. The loop
-is the one place that steps the roll and charges energy; its energy is the
-rectangle rule at the start-of-tick power, first order in dt, like the
-zero-order-hold PI.
+Neither the power, the energy nor the position feeds back into the roll,
+so they are formed per block of ``TICK_BLOCK`` ticks: one
+``steadystate.pair_power`` call gives the block's powers at the
+start-of-tick speeds (the tick's clamp to f_max is its own policy, so the
+thrust limit that call applies masks none of them), and sequential
+cumulative sums from the carried energy and position their energies and
+positions, bit for bit the running sums a tick would keep. The block's
+recorded ticks, i = k record_every, fill rows k of one preallocated
+float64 array, eight values a row and no Python object per value; the
+buffers then empty, so memory grows with the recorded ticks, not with the
+run. ``Trajectory`` builds a ``SimState`` only when ``states`` is read.
+The loop is the one place that steps the roll and charges energy; its
+energy is the rectangle rule at the start-of-tick power, first order in
+dt, like the zero-order-hold PI.
 """
 
 from __future__ import annotations
@@ -67,24 +69,29 @@ class SimState(NamedTuple):
     time: float = 0.0            # s
 
 
+#: a ``SimState``'s fields' columns in a trajectory's records
+_STATE_COLUMNS = [1, 2, 7, 3, 5, 0]
+
+
 class _States(Sequence):
-    """Read-only view of a trajectory's records as ``SimState``s, each built
-    when read: len, indices (negative too), slices (as lists), iteration
-    and == with a list."""
+    """Read-only view of a trajectory's records as ``SimState``s of Python
+    floats, each built when read: len, indices (negative too), slices (as
+    lists), iteration and == with a list."""
 
     __slots__ = ("_records",)
 
-    def __init__(self, records: list):
+    def __init__(self, records: np.ndarray):
         self._records = records
 
     def __len__(self) -> int:
-        return len(self._records) // 8
+        return len(self._records)
 
     def __getitem__(self, i):
         rows = range(len(self))[i]  # IndexError past either end
         if isinstance(rows, range):
             return [self[j] for j in rows]
-        return tuple.__new__(SimState, self._records[8 * rows:8 * rows + 6])
+        return tuple.__new__(SimState,
+                             self._records[rows, _STATE_COLUMNS].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, (list, _States)):
@@ -92,14 +99,23 @@ class _States(Sequence):
         return list(self) == list(other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A run's records in one flat list, eight values per recorded tick: a
-    ``SimState``'s six, then its power (W) and saturation flag. ``states``
-    is a ``_States`` view over them, O(1) per index; ``power`` and
-    ``saturated`` are lists copied out at their first read."""
+    """A run's records in one read-only (n, 8) float64 array, a row per
+    recorded tick: the CSV's seven columns (time, position, speed, roll
+    rate, power, energy, saturated as 0.0 or 1.0), then the roll angle.
+    ``states`` is a ``_States`` view over them, O(1) per index; ``power``
+    and ``saturated`` are lists of Python floats and bools copied out at
+    their first read. Two trajectories are equal when their records are,
+    bit for bit."""
 
-    records: list[float | bool]
+    records: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.records.shape == other.records.shape
+                and self.records.tobytes() == other.records.tobytes())
 
     @property
     def states(self) -> _States:
@@ -107,16 +123,15 @@ class Trajectory:
 
     @cached_property
     def power(self) -> list[float]:
-        return self.records[6::8]
+        return self.records[:, 4].tolist()
 
     @cached_property
     def saturated(self) -> list[bool]:
-        return self.records[7::8]
+        return self.records[:, 6].astype(bool).tolist()
 
-    def to_csv_rows(self) -> list[list[float]]:
-        # zip over one iterator eight times reads the records a row at a time
-        return [[t, s, v, w, p, e, int(sat)] for s, v, _, w, e, t, p, sat
-                in zip(*[iter(self.records)] * 8)]
+    def to_csv_rows(self) -> np.ndarray:
+        """The (n, 7) rows of ``CSV_HEADER``, a view of the records."""
+        return self.records[:, :7]
 
 
 CSV_HEADER = ["time_s", "position_m", "speed_mps", "omega_radps",
@@ -212,17 +227,20 @@ def simulate_closed_loop(config: ScenarioConfig,
     copysign, ndarray = math.copysign, np.ndarray
     step = _roll_step(config, dt)
 
-    phi = omega = position = energy = t = integ = 0.0
+    phi = omega = position = energy = integ = 0.0
     w = float(omega_des) if const else 0.0
-    records = [*SimState(), 0.0, False]
-    record = records.extend
-    forces, rates = array("d"), array("d")
-    push_f, push_w = forces.append, rates.append
+    records = np.zeros((steps // record_every + 1, 8))  # row 0: t = 0
+    # each block's pair forces and saturation flags, and its end-of-tick
+    # roll angles and rates after the carried start-of-block ones
+    forces, flags = array("d"), array("b")
+    angles, rates = array("d", [phi]), array("d", [omega])
+    push_f, push_sat = forces.append, flags.append
+    push_phi, push_w = angles.append, rates.append
     for first in range(1, steps + 1, TICK_BLOCK):
-        row = len(records)  # the block's first record
-        for i in range(first, min(first + TICK_BLOCK, steps + 1)):
+        last = min(first + TICK_BLOCK, steps + 1)
+        for i in range(first, last):
             if not const:
-                setpoint = omega_des(t)
+                setpoint = omega_des((i - 1) * dt)  # the tick's start time
                 if type(setpoint) is ndarray:  # unpacking yields numpy scalars
                     setpoint = setpoint.tolist()
                 try:  # the model has no x or z rate to track
@@ -246,23 +264,35 @@ def simulate_closed_loop(config: ScenarioConfig,
             if sat:
                 tau, f = copysign(lever * f_max, tau), f_max
             push_f(f)
-            push_w(omega)  # the power is charged at the start-of-tick speed
-            phi_new, omega = step(phi, omega, tau)
-            position += (phi_new - phi) * radius
-            phi = phi_new
-            t = i * dt
-            if i % record_every == 0:  # power and energy filled in below
-                record((position, omega * radius, phi, omega, 0.0, t, 0.0,
-                        sat))
-        # the block's powers in one call, and its energies summed in tick
-        # order from the carried energy, as a running += sums them
+            push_sat(sat)
+            phi, omega = step(phi, omega, tau)
+            push_phi(phi)
+            push_w(omega)
+        f_k, sat_k = np.frombuffer(forces), np.frombuffer(flags, np.int8)
+        phi_k, w_k = np.frombuffer(angles), np.frombuffer(rates)
+        # the block's powers in one call, at the start-of-tick speeds, and
+        # its energies and positions summed in tick order from the carried
+        # ones, as a running += sums them
         with np.errstate(invalid="ignore", over="ignore"):
-            power = steadystate.pair_power(
-                config, np.frombuffer(forces), np.frombuffer(rates) * radius)
+            power = steadystate.pair_power(config, f_k, w_k[:-1] * radius)
             charged = np.cumsum(np.concatenate(([energy], power * dt)))[1:]
-        energy = float(charged[-1])
-        skip = -first % record_every  # offset of its first recorded tick
-        records[row + 4::8] = charged[skip::record_every].tolist()
-        records[row + 6::8] = power[skip::record_every].tolist()
-        del forces[:], rates[:]
+            moved = np.cumsum(np.concatenate(
+                ([position], np.diff(phi_k) * radius)))[1:]
+            energy, position = charged[-1], moved[-1]
+            # the recorded ticks i = k record_every of the block, as rows k
+            picks = slice(-first % record_every, None, record_every)
+            rows = records[(first - 1) // record_every + 1:
+                           (last - 1) // record_every + 1]
+            rows[:, 0] = np.arange(first, last)[picks] * dt
+            rows[:, 1] = moved[picks]
+            rows[:, 2] = w_k[1:][picks] * radius
+            rows[:, 3] = w_k[1:][picks]
+            rows[:, 4] = power[picks]
+            rows[:, 5] = charged[picks]
+            rows[:, 6] = sat_k[picks]
+            rows[:, 7] = phi_k[1:][picks]
+        # a buffer empties only once no view exports it
+        del f_k, sat_k, phi_k, w_k
+        del forces[:], flags[:], angles[:-1], rates[:-1]
+    records.flags.writeable = False
     return Trajectory(records)

@@ -134,7 +134,8 @@ def rolling_state(config: ScenarioConfig, v, shell=None) -> RollingState:
     v = np.asarray(v, float)
     radius, area, pairs = shell or (config.shell_radius_l, None,
                                     CYLINDER_PAIRS)
-    torque = rolling_resistive_force(config, v, area) * radius
+    with np.errstate(over="ignore"):  # the drag, past about 1e154 m/s
+        torque = rolling_resistive_force(config, v, area) * radius
     return RollingState(torque, pair_power(
         config, abs(torque) / _pair_lever(config, pairs), v, pairs))
 
@@ -157,7 +158,6 @@ def flying_state(config: ScenarioConfig, v) -> FlyingState:
     k = 0.5 * config.drag_coefficient_cd * config.air_density
     h, two_l = config.body_height_h_flying, 2.0 * config.shell_radius_l
     w, speed = config.shell_width_w, abs(v)
-    kh, kl = (k * (c * w) * v * speed for c in (h, two_l))
 
     def drag_at(cos, sin):
         return k * ((h * abs(cos) + two_l * abs(sin)) * w) * v * speed
@@ -170,38 +170,42 @@ def flying_state(config: ScenarioConfig, v) -> FlyingState:
         return (alpha - np.arctan2(along, normal_weight),
                 1.0 - normal_weight * slope / (along * along + normal_sq))
 
-    # the fixed-point step from a = 0 picks the half; Newton starts from the
-    # step at a = 0 on that half's one-sided slope, +-kl, or its midpoint
-    along = drag_at(1.0, 0.0) + along_weight
-    alpha = np.arctan2(along, normal_weight)
-    up = alpha > 0.0
-    lo = np.where(up, 0.0, -0.5 * math.pi)
-    hi = lo + 0.5 * math.pi
-    # a weight or drag past 1e154 N overflows the slope's squares only (it
-    # reads 1, its limit, or NaN and bisects): no rotor lifts it
+    # a speed past about 1e154 m/s overflows the drag, and its freestream
+    # shares read NaN; a weight or drag past 1e154 N overflows the slope's
+    # squares only (it reads 1, its limit, or NaN and bisects): no rotor
+    # lifts either, and the power reads NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kh, kl = (k * (c * w) * v * speed for c in (h, two_l))
         normal_sq = normal_weight ** 2
+        # the fixed-point step from a = 0 picks the half; Newton starts from
+        # the step at a = 0 on that half's one-sided slope, +-kl, or its
+        # midpoint
+        along = drag_at(1.0, 0.0) + along_weight
+        alpha = np.arctan2(along, normal_weight)
+        up = alpha > 0.0
+        lo = np.where(up, 0.0, -0.5 * math.pi)
+        hi = lo + 0.5 * math.pi
         alpha = alpha / (1.0 - normal_weight * np.where(up, kl, -kl)
                          / (along * along + normal_sq))
-    alpha = np.where((alpha >= lo) & (alpha <= hi), alpha, 0.5 * (lo + hi))
-    with np.errstate(over="ignore"):
+        alpha = np.where((alpha >= lo) & (alpha <= hi), alpha,
+                         0.5 * (lo + hi))
         alpha, moving = aeropower._newton(residual, alpha, lo, hi, TRIM_TOL,
                                           TRIM_MAX_ITER)
-    if moving.any():
-        stuck = np.broadcast_to(v, alpha.shape)[moving]
-        raise aeropower.SolverError(
-            f"flying trim did not converge at {stuck.size} "
-            f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
+        if moving.any():
+            stuck = np.broadcast_to(v, alpha.shape)[moving]
+            raise aeropower.SolverError(
+                f"flying trim did not converge at {stuck.size} "
+                f"speed(s), v = {stuck.min():.6g} to {stuck.max():.6g} m/s")
 
-    # re-evaluate at the converged tilt so the trim residuals are exact
-    drag = drag_at(np.cos(alpha), np.sin(alpha))
-    along = drag + along_weight
-    thrust = np.hypot(along, normal_weight)
-    alpha = np.arctan2(along, normal_weight)
+        # re-evaluate at the converged tilt so the trim residuals are exact
+        drag = drag_at(np.cos(alpha), np.sin(alpha))
+        along = drag + along_weight
+        thrust = np.hypot(along, normal_weight)
+        alpha = np.arctan2(along, normal_weight)
 
-    # the freestream components on the rotor axes are v cos and v sin of
-    # that tilt, the thrust's normal and along-slope shares
-    power = config.num_agents * (4 * rotor_power(
-        config, thrust / 4.0, speed, v * (normal_weight / thrust),
-        v * (along / thrust)))
+        # the freestream components on the rotor axes are v cos and v sin of
+        # that tilt, the thrust's normal and along-slope shares
+        power = config.num_agents * (4 * rotor_power(
+            config, thrust / 4.0, speed, v * (normal_weight / thrust),
+            v * (along / thrust)))
     return FlyingState(alpha, drag, thrust, power)

@@ -218,11 +218,13 @@ def _check_against_roll_chain(config, setpoints, dt):
     tick = _roll_chain(config.max_rotor_thrust, dt)
     radius = config.shell_radius_l
     assert len(handed) == len(setpoints) == len(rows) - 1
-    for omega_des, (omega, torque_y), row in zip(setpoints, handed, rows[1:]):
+    assert rows.dtype == np.float64
+    for omega_des, (omega, torque_y), row, charged in zip(
+            setpoints, handed, rows[1:], traj.power[1:]):
         want, sat = tick(omega_des[1], omega)
         assert row[6] == sat
         assert _same_bits(torque_y, want)
-        assert type(row[4]) is float
+        assert type(charged) is float and _same_bits(charged, row[4])
         f = (config.max_rotor_thrust if sat
              else abs(torque_y) / steadystate._pair_lever(config))
         power = steadystate.pair_power(config, f, abs(omega * radius))

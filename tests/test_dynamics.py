@@ -227,17 +227,22 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
 @_TICK_CASES
 def test_power_blocks_leave_the_records_unchanged(config, omega_des,
                                                   record_every, monkeypatch):
-    # the power and energy are charged per block of ticks: 7-tick blocks,
-    # whose edges recorded ticks straddle, give the default block's
-    # records bit for bit (repr tells -0.0 and NaN apart), types included
+    # the power, energy and position are summed per block of ticks: 7-tick
+    # blocks, whose edges recorded ticks straddle, give the default block's
+    # records bit for bit (the bytes tell -0.0 and NaN apart), and the read
+    # side's types, Python floats and bools, stay
     want = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
                                          dt=0.01, record_every=record_every)
-    assert len(want.records) // 8 - 1 == 600 // record_every
+    assert want.records.shape == (1 + 600 // record_every, 8)
     monkeypatch.setattr(dynamics, "TICK_BLOCK", 7)
     got = dynamics.simulate_closed_loop(config, omega_des, duration=6.0,
                                         dt=0.01, record_every=record_every)
-    assert repr(got.records) == repr(want.records)
-    assert list(map(type, got.records)) == list(map(type, want.records))
+    assert got.records.dtype == want.records.dtype == np.float64
+    assert got.records.shape == want.records.shape
+    assert got.records.tobytes() == want.records.tobytes()
+    assert {type(x) for state in got.states for x in state} == {float}
+    assert set(map(type, got.power)) == {float}
+    assert set(map(type, got.saturated)) == {bool}
 
 
 def test_closed_loop_memory_does_not_grow_with_unrecorded_ticks(monkeypatch):
@@ -258,6 +263,45 @@ def test_closed_loop_memory_does_not_grow_with_unrecorded_ticks(monkeypatch):
 
     peak(5000)  # imports and caches the first run fills are not the run's
     assert peak(20000) - peak(5000) < 64 * 1024
+
+
+def test_closed_loop_records_take_one_float64_array():
+    # a recorded tick holds its eight float64s, 64 B, and no Python object:
+    # a fully recorded 12 000-tick run, read as the CLI and the benchmark
+    # read it, peaks at about 1.8 MB (768 kB of records, one block's
+    # buffers and its power arrays); eight Python values per tick in a
+    # flat list peaked at 4.25 MB
+    def run():
+        traj = dynamics.simulate_closed_loop(CFG, 0.6, duration=60.0,
+                                             dt=0.005)
+        return traj.to_csv_rows(), traj.states[-1]
+
+    run()  # imports and caches the first run fills are not the run's
+    tracemalloc.start()
+    try:
+        rows, final = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (12001, 7) and final.time == 60.0
+    assert peak < 2.5e6
+
+
+def test_trajectories_are_equal_when_their_records_are_bitwise():
+    # == compares the records' shape and bytes: a NaN record equals itself
+    # and -0.0 differs from 0.0
+    def run(omega_des, **kw):
+        return dynamics.simulate_closed_loop(CFG, omega_des, duration=4.0,
+                                             dt=0.01, **kw)
+
+    want = run(_nan_after_3s)
+    assert np.isnan(want.records).any()
+    assert run(_nan_after_3s) == want and not run(_nan_after_3s) != want
+    assert run(_nan_after_3s, record_every=2) != want  # another shape
+    assert run(0.8) != want
+    flipped = want.records.copy()
+    flipped[0, 1] = -0.0
+    assert dynamics.Trajectory(flipped) != want
 
 
 @pytest.mark.parametrize("omega_des", [
@@ -370,7 +414,7 @@ def test_closed_loop_records_are_simstates(record_every):
 
 
 def test_trajectory_states_is_a_read_only_view_of_simstates():
-    # the records live in one flat list: states builds a SimState when read
+    # the records live in one array: states builds a SimState when read
     traj = dynamics.simulate_closed_loop(SLOPED, _step_to_16, duration=3.0,
                                          dt=0.01, record_every=7)
     states = list(traj.states)
@@ -397,21 +441,28 @@ def test_trajectory_states_is_a_read_only_view_of_simstates():
 @pytest.mark.parametrize("omega_des", [_step_to_16, _nan_after_3s],
                          ids=["saturating-step", "nan-setpoint"])
 def test_csv_rows_equal_the_rows_of_the_records(omega_des):
-    # to_csv_rows reads the flat records; bit for bit (repr tells -0.0 and
-    # NaN apart) the rows built from states, power and saturated
+    # to_csv_rows is a float64 view of the records; bit for bit (the bytes
+    # tell -0.0 and NaN apart) the rows built from states, power and
+    # saturated, the flag as 0.0 or 1.0
     traj = dynamics.simulate_closed_loop(SLOPED, omega_des, duration=6.0,
                                          dt=0.01, record_every=3)
-    want = [[st.time, st.position_s, st.speed_v, st.roll_rate_omega, p,
-             st.energy_consumed, int(sat)]
-            for st, p, sat in zip(traj.states, traj.power, traj.saturated)]
+    want = np.array([[st.time, st.position_s, st.speed_v, st.roll_rate_omega,
+                      p, st.energy_consumed, int(sat)]
+                     for st, p, sat in zip(traj.states, traj.power,
+                                           traj.saturated)], float)
     assert len(want) == len(traj.power) == len(traj.saturated) == 201
-    assert repr(traj.to_csv_rows()) == repr(want)
+    rows = traj.to_csv_rows()
+    assert rows.dtype == np.float64 and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+    assert np.shares_memory(rows, traj.records)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
 
 
 def test_closed_loop_records_leave_no_tracked_object_per_record():
     # the collector never untracks a tuple subclass, so a SimState kept per
     # record would add one object to every older-generation collection's
-    # walk; floats and bools in one flat list add none
+    # walk; one float64 array of records adds none
     gc.collect()
     before = len(gc.get_objects())
     traj = dynamics.simulate_closed_loop(CFG, 0.6, duration=30.0, dt=0.005)

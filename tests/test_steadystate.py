@@ -541,3 +541,32 @@ def test_rolling_power_covers_the_work_of_the_resistive_force(config):
     # slope and rolling resistance dissipate
     delivered, work = _delivered_and_work(config, "rolling")
     assert np.all(delivered >= work)
+
+
+@pytest.mark.parametrize("theta", [-1.2, -0.6, -0.2, 0.0, 0.2, 0.6, 1.2])
+def test_flying_trim_runs_at_any_speed(theta):
+    # past about 1e5 m/s the tilted inflow's root is so large that an ulp
+    # of it exceeds INDUCED_TOL; the solve still stops, and a speed whose
+    # thrust is beyond the rotor limit gives NaN power, never SolverError
+    config = _on_slopes(CFG, theta)
+    v = np.array([0.0, 0.5, 3.0, 1e3, 1e5, 1e6, 1e7, 3e7, 1e8, 1e12, 1e100,
+                  1e200, math.inf])
+    state = steadystate.flying_state(config, v)
+    over = ~(state.thrust / 4.0 <= config.max_rotor_thrust)
+    assert over[v >= 1e3].all()
+    assert np.isnan(state.power[over]).all()
+    assert np.isfinite(state.power[~over]).all()
+    for speed, power in zip(v, state.power):
+        assert _same_bits(float(steadystate.flying_state(config, speed).power),
+                          float(power))
+
+
+@pytest.mark.parametrize("state", [steadystate.rolling_state,
+                                   steadystate.flying_state])
+def test_huge_speed_is_nan_power_without_warning(state):
+    # the drag (and flying's freestream shares) overflow past about 1e154
+    # m/s; warnings are errors here
+    speeds = [1e155, 1e200, 1e300]
+    assert np.isnan(state(CFG, np.array(speeds)).power).all()
+    for v in speeds:
+        assert math.isnan(state(CFG, v).power)
