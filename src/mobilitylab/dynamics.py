@@ -17,26 +17,30 @@ motion from rest.
 The closed loop's tick is the sequential hot path, one Python frame on
 Python floats. It is planar: a PI on the roll-rate error gives the torque
 tau, whose pair force f = |tau| / lever on the cylinder's pairs saturates
-beyond the thrust limit to f_max, tau = copysign(lever f_max, tau); its one
-call is the RK4 step ``_roll_step`` builds once per run, plus a callable
-setpoint's, at the tick's start time (i - 1) dt. The tick appends f, its
-saturation flag and its end-of-tick roll angle and rate to ``array``
-buffers, and builds no record.
+beyond the thrust limit to f_max, tau = copysign(lever f_max, tau); the
+four RK4 stages of ``_roll_step`` are written into the tick on
+coefficients built once per run, so a tick makes no Python call but a
+callable setpoint's, at the tick's start time (i - 1) dt. ``_roll_step``
+stays as the reference step the tests pin the tick to, bit for bit. The
+tick appends its torque before saturation and its end-of-tick roll angle
+and rate to ``array`` buffers, and builds no record. A roll that leaves
+float range raises ``AnalysisError``.
 
 Neither the power, the energy nor the position feeds back into the roll,
 so they are formed per block of ``TICK_BLOCK`` ticks: one
 ``steadystate.pair_power`` call gives the block's powers at the
-start-of-tick speeds (the tick's clamp to f_max is its own policy, so the
-thrust limit that call applies masks none of them), and sequential
-cumulative sums from the carried energy and position their energies and
-positions, bit for bit the running sums a tick would keep. The block's
-recorded ticks, i = k record_every, fill rows k of one preallocated
-float64 array, eight values a row and no Python object per value; the
-buffers then empty, so memory grows with the recorded ticks, not with the
-run. ``Trajectory`` builds a ``SimState`` only when ``states`` is read.
-The loop is the one place that steps the roll and charges energy; its
-energy is the rectangle rule at the start-of-tick power, first order in
-dt, like the zero-order-hold PI.
+start-of-tick speeds and at the pair forces the block derives in place
+from its torques, f_max itself on saturated ticks (the tick's clamp is its
+own policy, so the thrust limit that call applies masks none of them),
+and sequential cumulative sums from the carried energy and position their
+energies and positions, bit for bit the running sums a tick would keep.
+The block's recorded ticks, i = k record_every, fill rows k of one
+preallocated float64 array, eight values a row and no Python object per
+value; the buffers then empty, so memory grows with the recorded ticks,
+not with the run. ``Trajectory`` builds a ``SimState`` only when
+``states`` is read. The loop is the one place that steps the roll and
+charges energy; its energy is the rectangle rule at the start-of-tick
+power, first order in dt, like the zero-order-hold PI.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control, steadystate
-from .params import DT_MAX, ScenarioConfig
+from .params import DT_MAX, AnalysisError, ScenarioConfig
 
 #: rolling resistance is inactive below this roll rate, rad/s
 OMEGA_STATIC = 1e-6
@@ -143,26 +147,37 @@ def rolling_inertia(config: ScenarioConfig) -> float:
     return 0.5 * config.total_mass * config.shell_radius_l ** 2
 
 
-def _roll_step(config: ScenarioConfig, dt: float
-               ) -> Callable[[float, float, float], tuple[float, float]]:
-    """One RK4 step (phi, omega, torque_y) -> (phi, omega) of the roll, the
-    torque held over the step. Each stage acceleration is
+def _roll_coefficients(config: ScenarioConfig
+                       ) -> tuple[float, float, float, float, float]:
+    """(J, c_h, c_l, slope, crr) of the roll, built once per run. Each RK4
+    stage acceleration is
 
-        tau/J - slope/J - (c_h |cos phi| + c_l |sin phi|) omega |omega|
-              - sign(omega) C_rr N l / J   (0 for |omega| <= OMEGA_STATIC)
+        tau/J - slope - (c_h |cos phi| + c_l |sin phi|) omega |omega|
+              - sign(omega) crr   (0 for |omega| <= OMEGA_STATIC)
 
-    on coefficients built once per run: ``drag_force`` on the rolling
+    with J the roll inertia plus m l^2: ``drag_force`` on the rolling
     ``projected_area`` times l, with v = omega l, gives c_h = k w l^3 h / J
-    and c_l = k w l^3 2l / J (k = cd rho / 2)."""
+    and c_l = k w l^3 2l / J (k = cd rho / 2), slope = m g sin(theta) l / J
+    and crr = C_rr m g cos(theta) l / J."""
     m, radius = config.total_mass, config.shell_radius_l
     inertia = rolling_inertia(config) + m * radius ** 2
     drag = (0.5 * config.drag_coefficient_cd * config.air_density
             * config.shell_width_w * radius ** 3 / inertia)
-    c_h, c_l = drag * config.body_height_h_rolling, drag * (2.0 * radius)
     slope = (m * config.gravity * math.sin(config.slope_theta) * radius
              / inertia)
     crr = (config.rolling_resistance_crr * m * config.gravity
            * math.cos(config.slope_theta) * radius / inertia)
+    return (inertia, drag * config.body_height_h_rolling,
+            drag * (2.0 * radius), slope, crr)
+
+
+def _roll_step(config: ScenarioConfig, dt: float
+               ) -> Callable[[float, float, float], tuple[float, float]]:
+    """One RK4 step (phi, omega, torque_y) -> (phi, omega) of the roll on
+    ``_roll_coefficients``, the torque held over the step. The closed loop
+    writes the same stages into its tick; this is the reference step that
+    the tests pin it to, bit for bit."""
+    inertia, c_h, c_l, slope, crr = _roll_coefficients(config)
     cos, sin, gate = math.cos, math.sin, OMEGA_STATIC
     half, sixth = 0.5 * dt, dt / 6.0
 
@@ -184,8 +199,8 @@ def _roll_step(config: ScenarioConfig, dt: float
         a4 = (drive - (c_h * abs(cos(phi4)) + c_l * abs(sin(phi4)))
               * omega4 * abs(omega4)
               - (crr if omega4 > gate else -crr if omega4 < -gate else 0.0))
-        return (phi + sixth * (omega + 2 * omega2 + 2 * omega3 + omega4),
-                omega + sixth * (a1 + 2 * a2 + 2 * a3 + a4))
+        return (phi + sixth * (omega + 2.0 * omega2 + 2.0 * omega3 + omega4),
+                omega + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
 
     return step
 
@@ -198,9 +213,11 @@ def simulate_closed_loop(config: ScenarioConfig,
     the power and energy per block of ticks.
 
     ``omega_des`` is either a finite constant desired roll rate (rad/s) or a
-    callable t -> body-rate 3-vector with x and z exactly 0 (the model rolls
-    about y only). A run must record a state after t = 0: record_every is
-    an integer in [1, round(duration / dt)].
+    callable t -> body-rate 3-vector with a finite y rate and x and z
+    exactly 0 (the model rolls about y only); else ``ValueError``. A roll
+    that leaves float range raises ``AnalysisError`` naming the tick. A run
+    must record a state after t = 0: record_every is an integer in
+    [1, round(duration / dt)].
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got "
@@ -224,56 +241,102 @@ def simulate_closed_loop(config: ScenarioConfig,
     kp, ki = control.KP, control.KI
     lo, hi = -control.INTEGRATOR_LIMIT, control.INTEGRATOR_LIMIT
     lever = steadystate._pair_lever(config)
+    tau_max = lever * f_max
+    inertia, c_h, c_l, slope, crr = _roll_coefficients(config)
+    cos, sin, gate = math.cos, math.sin, OMEGA_STATIC
+    half, sixth = 0.5 * dt, dt / 6.0
     copysign, ndarray = math.copysign, np.ndarray
-    step = _roll_step(config, dt)
 
     phi = omega = position = energy = integ = 0.0
+    phi2 = phi3 = phi4 = 0.0  # the stage angles, read if a stage raises
     w = float(omega_des) if const else 0.0
     records = np.zeros((steps // record_every + 1, 8))  # row 0: t = 0
-    # each block's pair forces and saturation flags, and its end-of-tick
-    # roll angles and rates after the carried start-of-block ones
-    forces, flags = array("d"), array("b")
+    # each block's PI torques before saturation, and its end-of-tick roll
+    # angles and rates after the carried start-of-block ones
+    torques = array("d")
     angles, rates = array("d", [phi]), array("d", [omega])
-    push_f, push_sat = forces.append, flags.append
-    push_phi, push_w = angles.append, rates.append
+    push_tau, push_phi, push_w = torques.append, angles.append, rates.append
     for first in range(1, steps + 1, TICK_BLOCK):
         last = min(first + TICK_BLOCK, steps + 1)
-        for i in range(first, last):
-            if not const:
-                setpoint = omega_des((i - 1) * dt)  # the tick's start time
-                if type(setpoint) is ndarray:  # unpacking yields numpy scalars
-                    setpoint = setpoint.tolist()
-                try:  # the model has no x or z rate to track
-                    d_x, d_y, d_z = setpoint
-                    w, planar = float(d_y), float(d_x) == 0.0 == float(d_z)
-                except (TypeError, ValueError):
-                    planar = False
-                if not planar:
-                    raise ValueError(f"omega_des must give 3 numbers, x and "
-                                     f"z exactly 0, got {setpoint!r}")
-            # PI on the roll-rate error, the integrator clamped;
-            # min(max(...)) written out, as the builtin calls cost more
-            error = w - omega
-            integ += error * dt
-            integ = lo if integ < lo else hi if integ > hi else integ
-            tau = kp * error + ki * integ
-            # a pure roll torque loads the pairs equally; beyond the thrust
-            # limit it saturates with its sign (an infinite f too; NaN stays)
-            f = abs(tau) / lever
-            sat = f > f_max
-            if sat:
-                tau, f = copysign(lever * f_max, tau), f_max
-            push_f(f)
-            push_sat(sat)
-            phi, omega = step(phi, omega, tau)
-            push_phi(phi)
-            push_w(omega)
-        f_k, sat_k = np.frombuffer(forces), np.frombuffer(flags, np.int8)
-        phi_k, w_k = np.frombuffer(angles), np.frombuffer(rates)
-        # the block's powers in one call, at the start-of-tick speeds, and
-        # its energies and positions summed in tick order from the carried
-        # ones, as a running += sums them
+        try:
+            for i in range(first, last):
+                if not const:
+                    setpoint = omega_des((i - 1) * dt)  # the tick's start
+                    if type(setpoint) is ndarray:  # unpacking gives np scalars
+                        setpoint = setpoint.tolist()
+                    try:  # the model has no x or z rate to track
+                        d_x, d_y, d_z = setpoint
+                        w = float(d_y)
+                        # and w finite: 0.0 * w is NaN for inf and NaN
+                        planar = float(d_x) == 0.0 == float(d_z) == 0.0 * w
+                    except (TypeError, ValueError):
+                        planar = False
+                    if not planar:
+                        raise ValueError(f"omega_des must give 3 finite "
+                                         f"numbers, x and z exactly 0, got "
+                                         f"{setpoint!r}")
+                # PI on the roll-rate error, the integrator clamped;
+                # min(max(...)) written out, as the builtin calls cost more
+                error = w - omega
+                integ += error * dt
+                integ = lo if integ < lo else hi if integ > hi else integ
+                tau = kp * error + ki * integ
+                push_tau(tau)
+                # a pure roll torque loads the pairs equally; beyond the
+                # thrust limit it saturates with its sign (an infinite pair
+                # force too; NaN stays). The block repeats the test on the
+                # buffered torque for the flag and the pair force
+                if abs(tau) / lever > f_max:
+                    tau = copysign(tau_max, tau)
+                # _roll_step's RK4 stages, written out on locals
+                drive = tau / inertia - slope
+                a1 = (drive - (c_h * abs(cos(phi)) + c_l * abs(sin(phi)))
+                      * omega * abs(omega)
+                      - (crr if omega > gate else -crr if omega < -gate
+                         else 0.0))
+                phi2, omega2 = phi + half * omega, omega + half * a1
+                a2 = (drive - (c_h * abs(cos(phi2)) + c_l * abs(sin(phi2)))
+                      * omega2 * abs(omega2)
+                      - (crr if omega2 > gate else -crr if omega2 < -gate
+                         else 0.0))
+                phi3, omega3 = phi + half * omega2, omega + half * a2
+                a3 = (drive - (c_h * abs(cos(phi3)) + c_l * abs(sin(phi3)))
+                      * omega3 * abs(omega3)
+                      - (crr if omega3 > gate else -crr if omega3 < -gate
+                         else 0.0))
+                phi4, omega4 = phi + dt * omega3, omega + dt * a3
+                a4 = (drive - (c_h * abs(cos(phi4)) + c_l * abs(sin(phi4)))
+                      * omega4 * abs(omega4)
+                      - (crr if omega4 > gate else -crr if omega4 < -gate
+                         else 0.0))
+                phi, omega = (
+                    phi + sixth * (omega + 2.0 * omega2 + 2.0 * omega3
+                                   + omega4),
+                    omega + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+                push_phi(phi)
+                push_w(omega)
+        except ValueError:
+            # math.cos and math.sin raise only on an infinite angle; any
+            # other ValueError is the setpoint's, and passes through
+            if not any(map(math.isinf, (phi, phi2, phi3, phi4))):
+                raise
+            raise AnalysisError(
+                f"the roll left float range in the tick at t = "
+                f"{(i - 1) * dt!r} s: omega_des = {w!r} rad/s asks for a "
+                f"torque that max_rotor_thrust = {f_max!r} N does not "
+                f"limit") from None
+        f_k, phi_k, w_k = (np.frombuffer(torques), np.frombuffer(angles),
+                           np.frombuffer(rates))
         with np.errstate(invalid="ignore", over="ignore"):
+            # the block's pair forces f = |tau| / lever, in place on its
+            # torques, f_max itself where a tick saturated
+            np.abs(f_k, out=f_k)
+            f_k /= lever
+            sat_k = f_k > f_max
+            f_k[sat_k] = f_max
+            # the block's powers in one call, at the start-of-tick speeds,
+            # and its energies and positions summed in tick order from the
+            # carried ones, as a running += sums them
             power = steadystate.pair_power(config, f_k, w_k[:-1] * radius)
             charged = np.cumsum(np.concatenate(([energy], power * dt)))[1:]
             moved = np.cumsum(np.concatenate(
@@ -292,7 +355,7 @@ def simulate_closed_loop(config: ScenarioConfig,
             rows[:, 6] = sat_k[picks]
             rows[:, 7] = phi_k[1:][picks]
         # a buffer empties only once no view exports it
-        del f_k, sat_k, phi_k, w_k
-        del forces[:], flags[:], angles[:-1], rates[:-1]
+        del f_k, phi_k, w_k
+        del torques[:], angles[:-1], rates[:-1]
     records.flags.writeable = False
     return Trajectory(records)

@@ -708,6 +708,21 @@ def test_huge_input_exits_1_without_runtime_warning(argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_simulate_roll_out_of_float_range_exits_1_naming_the_inputs():
+    # a torque the 1e300 N limit never clamps overflows the roll's drag
+    # within a few ticks: one error line naming both inputs, not the math
+    # module's "math domain error"
+    proc = _python("-m", "mobilitylab.cli", "simulate", "--set",
+                   "max_rotor_thrust=1e300", "--omega-des", "1e150",
+                   "--duration", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the roll left float range")
+    assert "omega_des = 1e+150" in proc.stderr
+    assert "max_rotor_thrust = 1e+300" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def _cold(*argv):
     """Exit code and loaded modules of a CLI call in a fresh interpreter."""
     code, *loaded = _python("-c", _PROBE, *argv).stderr.splitlines()[-1] \

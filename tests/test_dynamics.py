@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from closed_loop_reference import pinned_run
 from mobilitylab import aeropower, control, dynamics, steadystate
-from mobilitylab.params import EARTH, ScenarioConfig
+from mobilitylab.params import EARTH, AnalysisError, ScenarioConfig
 
 CFG = ScenarioConfig()
 
@@ -190,19 +191,14 @@ def _step_to_16(t):
     return np.array([0.0, 16.0 if t >= 2.0 else 0.5, 0.0])
 
 
-def _nan_after_3s(t):
-    return (0.0, math.nan if t >= 3.0 else 0.8, 0.0)
-
-
 _TICK_CASES = pytest.mark.parametrize("config,omega_des", [
     (CFG, 0.6),
     (SLOPED, lambda t: np.array([0.0, 0.5 + 0.2 * math.sin(0.7 * t), 0.0])),
     (SLOPED, lambda t: (0.0, 1.0 + 0.5 * math.sin(2.0 * t), 0.0)),
     (SLOPED, _step_to_16),
     (WEAK_ROTORS, 1.0),
-    (CFG, _nan_after_3s),
 ], ids=["constant", "xyz-array", "xyz-tuple", "saturating-step",
-        "reduced-thrust", "nan-setpoint"])
+        "reduced-thrust"])
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -217,10 +213,6 @@ def test_float_tick_matches_numpy_tick(config, omega_des, record_every):
     np.testing.assert_array_equal(got[:, 6], want[:, 6])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-    if omega_des is _nan_after_3s:
-        # a NaN tick has a NaN torque, which is not beyond the limit
-        nan_rows = got[np.isnan(got[:, 4])]
-        assert len(nan_rows) and not nan_rows[:, 6].any()
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 16])
@@ -243,6 +235,36 @@ def test_power_blocks_leave_the_records_unchanged(config, omega_des,
     assert {type(x) for state in got.states for x in state} == {float}
     assert set(map(type, got.power)) == {float}
     assert set(map(type, got.saturated)) == {bool}
+
+
+@given(config=st.sampled_from([CFG, replace(CFG, **EARTH), SLOPED, DOWNHILL,
+                               WEAK_ROTORS]),
+       kind=st.sampled_from(["constant", "step", "sine"]),
+       level=st.floats(-20.0, 20.0), jump=st.floats(-20.0, 20.0),
+       when=st.floats(0.0, 3.0), ticks=st.integers(1, 300),
+       record_every=st.integers(1, 16),
+       block=st.sampled_from([1, 2, 3, 7, 2 ** 14]),
+       dt=st.sampled_from([0.01, 0.005]))
+@example(config=WEAK_ROTORS, kind="step", level=0.5, jump=15.0, when=0.5,
+         ticks=200, record_every=3, block=7, dt=0.01)
+@example(config=CFG, kind="sine", level=-4.0, jump=19.0, when=2.0,
+         ticks=300, record_every=1, block=2, dt=0.01)
+def test_closed_loop_is_pinned_to_the_reference_loop(
+        config, kind, level, jump, when, ticks, record_every, block, dt):
+    # the tick with the RK4 stages written in gives the records of the
+    # reference loop (roll chain plus the reference step _roll_step) bit for
+    # bit, for constant, step and sine setpoints, saturating ones included,
+    # any record_every and blocks of a few ticks
+    if kind == "constant":
+        omega_des = level
+    elif kind == "step":
+        omega_des = lambda t: (  # noqa: E731
+            0.0, level + jump if t >= when else level, 0.0)
+    else:
+        omega_des = lambda t: np.array(  # noqa: E731
+            [0.0, level + jump * math.sin(when * t), 0.0])
+    with mock.patch.object(dynamics, "TICK_BLOCK", block):
+        pinned_run(config, omega_des, ticks, dt, min(record_every, ticks))
 
 
 def test_closed_loop_memory_does_not_grow_with_unrecorded_ticks(monkeypatch):
@@ -290,18 +312,21 @@ def test_closed_loop_records_take_one_float64_array():
 def test_trajectories_are_equal_when_their_records_are_bitwise():
     # == compares the records' shape and bytes: a NaN record equals itself
     # and -0.0 differs from 0.0
-    def run(omega_des, **kw):
-        return dynamics.simulate_closed_loop(CFG, omega_des, duration=4.0,
+    def run(**kw):
+        return dynamics.simulate_closed_loop(CFG, _step_to_16, duration=4.0,
                                              dt=0.01, **kw)
 
-    want = run(_nan_after_3s)
-    assert np.isnan(want.records).any()
-    assert run(_nan_after_3s) == want and not run(_nan_after_3s) != want
-    assert run(_nan_after_3s, record_every=2) != want  # another shape
-    assert run(0.8) != want
+    want = run()
+    assert run() == want and not run() != want
+    assert run(record_every=2) != want  # another shape
+    assert dynamics.simulate_closed_loop(CFG, 0.8, 4.0, 0.01) != want
     flipped = want.records.copy()
     flipped[0, 1] = -0.0
     assert dynamics.Trajectory(flipped) != want
+    with_nan = want.records.copy()
+    with_nan[-1, 4] = math.nan
+    assert dynamics.Trajectory(with_nan) == dynamics.Trajectory(
+        with_nan.copy()) != want
 
 
 @pytest.mark.parametrize("omega_des", [
@@ -438,12 +463,11 @@ def test_trajectory_states_is_a_read_only_view_of_simstates():
         traj.states[0] = dynamics.SimState()
 
 
-@pytest.mark.parametrize("omega_des", [_step_to_16, _nan_after_3s],
-                         ids=["saturating-step", "nan-setpoint"])
+@pytest.mark.parametrize("omega_des", [_step_to_16], ids=["saturating-step"])
 def test_csv_rows_equal_the_rows_of_the_records(omega_des):
     # to_csv_rows is a float64 view of the records; bit for bit (the bytes
-    # tell -0.0 and NaN apart) the rows built from states, power and
-    # saturated, the flag as 0.0 or 1.0
+    # tell -0.0 apart) the rows built from states, power and saturated, the
+    # flag as 0.0 or 1.0
     traj = dynamics.simulate_closed_loop(SLOPED, omega_des, duration=6.0,
                                          dt=0.01, record_every=3)
     want = np.array([[st.time, st.position_s, st.speed_v, st.roll_rate_omega,
@@ -501,9 +525,9 @@ def test_closed_loop_records_python_floats(omega_des):
 
 
 def test_closed_loop_tick_makes_one_call_besides_the_setpoint():
-    # a tick runs in one frame: its one Python call is the roll step, plus
-    # the setpoint's where it is a callable (a constant makes none), plus a
-    # constant per run for the set-up
+    # a tick runs in one frame, the RK4 stages written into it: it makes no
+    # Python call but the setpoint's where it is a callable (a constant
+    # makes none), plus a constant per run for the set-up
     def calls(omega_des, ticks):
         events = []
 
@@ -520,14 +544,14 @@ def test_closed_loop_tick_makes_one_call_besides_the_setpoint():
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert events.count("step") == ticks
+        assert "step" not in events
         return len(events)
 
     def setpoint(t):
         return (0.0, 0.8, 0.0)
 
     n = 1000
-    for omega_des, per_tick in ((0.8, 1), (setpoint, 2)):
+    for omega_des, per_tick in ((0.8, 0), (setpoint, 1)):
         assert calls(omega_des, n) <= per_tick * n + 50
         assert calls(omega_des, 2 * n) - calls(omega_des, n) == per_tick * n
 
@@ -541,6 +565,46 @@ def test_closed_loop_rejects_a_constant_setpoint_that_is_not_a_number(bad):
     # params rejects booleans for every field; so does the setpoint
     with pytest.raises(ValueError, match="omega_des"):
         dynamics.simulate_closed_loop(CFG, bad, duration=0.1, dt=0.01)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuple", "ndarray"])
+def test_closed_loop_rejects_a_callable_setpoint_that_is_not_finite(
+        rate, as_array):
+    # a callable's roll rate is held to a constant's rule: a NaN would fill
+    # the records with NaN, an infinite one run saturated
+    setpoint = np.array([0.0, rate, 0.0]) if as_array else (0.0, rate, 0.0)
+    with pytest.raises(ValueError, match="omega_des"):
+        dynamics.simulate_closed_loop(CFG, lambda t: setpoint, duration=0.05,
+                                      dt=0.01)
+    with pytest.raises(ValueError, match="omega_des"):
+        dynamics.simulate_closed_loop(
+            CFG, lambda t: (0.0, rate if t >= 0.02 else 0.5, 0.0),
+            duration=0.05, dt=0.01)
+
+
+def test_roll_out_of_float_range_is_an_analysis_error():
+    # a torque the 1e300 N limit never clamps overflows the quadratic drag
+    # within a few ticks; the error names both inputs and the tick
+    strong = replace(CFG, max_rotor_thrust=1e300)
+    for omega_des in (1e150, lambda t: (0.0, -1e150, 0.0)):
+        with pytest.raises(AnalysisError,
+                           match=r"t = 0\.01 s: omega_des = .*"
+                                 r"max_rotor_thrust = 1e\+300") as err:
+            dynamics.simulate_closed_loop(strong, omega_des, duration=1.0,
+                                          dt=0.01)
+        assert err.value.__cause__ is None
+
+
+def test_a_callable_setpoints_own_value_error_passes_through():
+    def setpoint(t):
+        if t >= 0.5:
+            raise ValueError("the setpoint's own")
+        return (0.0, 0.5, 0.0)
+
+    with pytest.raises(ValueError, match="the setpoint's own"):
+        dynamics.simulate_closed_loop(CFG, setpoint, duration=1.0, dt=0.01)
 
 
 @pytest.mark.parametrize("number", [np.float64(0.6), np.float32(0.5), 1,
@@ -606,20 +670,11 @@ def test_closed_loop_time_is_tick_times_dt():
 
 def test_step_setpoint_fires_on_its_tick():
     # a step at t >= 10 s from rest: tick 1001 starts at t = 1000 * 0.01 =
-    # 10.0, so it is the first tick with a torque
-    roll_step, torques = dynamics._roll_step, []
-
-    def recording_roll_step(config, dt):
-        step = roll_step(config, dt)
-
-        def recorded(phi, omega, torque_y):
-            torques.append(torque_y)
-            return step(phi, omega, torque_y)
-        return recorded
-
-    with mock.patch.object(dynamics, "_roll_step", recording_roll_step):
-        dynamics.simulate_closed_loop(
-            CFG, lambda t: (0.0, 1.0 if t >= 10.0 else 0.0, 0.0),
-            duration=10.05, dt=0.01)
+    # 10.0, so it is the first tick with a torque; the torques are the
+    # reference loop's, whose records the package's equal bit for bit
+    traj, _, torques = pinned_run(
+        CFG, lambda t: (0.0, 1.0 if t >= 10.0 else 0.0, 0.0), 1005, 0.01)
     assert not any(torques[:1000])
     assert torques[1000] > 0.0
+    assert traj.states[1000].roll_rate_omega == 0.0
+    assert traj.states[1001].roll_rate_omega > 0.0

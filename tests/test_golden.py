@@ -1,4 +1,5 @@
-"""Golden-artifact check: every job in scripts/*.py reproduces artifacts/.
+"""Golden-artifact check: every job in scripts/reproduce_*.py reproduces
+artifacts/.
 
 Each script's ``main`` is run with its output directory pointed at a
 temporary path, and every file it writes is compared with the committed
@@ -16,7 +17,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ARTIFACTS = ROOT / "artifacts"
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("reproduce_*.py"))
 RTOL, ATOL = 1e-8, 1e-5
 
 
